@@ -39,7 +39,7 @@ fn bench_history(c: &mut Criterion) {
                             let h = Arc::clone(&hs[t]);
                             std::thread::spawn(move || {
                                 for i in 0..PER_THREAD {
-                                    h.record(occ(t as u64, i));
+                                    h.record(&[occ(t as u64, i)]);
                                 }
                             })
                         })

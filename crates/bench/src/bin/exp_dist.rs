@@ -24,6 +24,7 @@
 //! cargo run --release -p reach-bench --bin exp_dist [--smoke]
 //! ```
 
+use reach_bench::percentile;
 use reach_common::ObjectId;
 use reach_core::{CouplingMode, RuleBuilder};
 use reach_dist::{DistSystem, DistTxn};
@@ -48,14 +49,6 @@ impl PhaseResult {
     fn events_per_s(&self) -> f64 {
         self.signals as f64 / self.elapsed_s
     }
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx]
 }
 
 /// One deployment: `shards` engines, one "Acct" object per shard, a

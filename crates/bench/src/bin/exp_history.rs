@@ -42,7 +42,7 @@ fn run_distributed(threads: usize) -> f64 {
             let h = Arc::clone(&histories[t]);
             std::thread::spawn(move || {
                 for i in 0..EVENTS_PER_THREAD {
-                    h.record(occ(t as u64 + 1, i + 1));
+                    h.record(&[occ(t as u64 + 1, i + 1)]);
                 }
             })
         })

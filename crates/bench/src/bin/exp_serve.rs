@@ -20,6 +20,7 @@
 //! ```
 
 use open_oodb::Database;
+use reach_bench::percentile;
 use reach_common::ReachError;
 use reach_core::{ReachConfig, ReachSystem};
 use reach_object::{Value, ValueType};
@@ -36,14 +37,6 @@ struct WaveResult {
     elapsed_s: f64,
     p50_us: u64,
     p99_us: u64,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One wave: `clients` threads each try to hold a session for `ops`

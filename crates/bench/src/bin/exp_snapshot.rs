@@ -23,6 +23,7 @@
 //! ```
 
 use open_oodb::Database;
+use reach_bench::percentile;
 use reach_common::ObjectId;
 use reach_object::{Value, ValueType};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,14 +45,6 @@ impl PhaseResult {
     fn reads_per_s(&self) -> f64 {
         self.reads as f64 / self.elapsed_s
     }
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx]
 }
 
 /// One measured phase: `readers` threads each timing `reads_each` read

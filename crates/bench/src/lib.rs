@@ -92,6 +92,15 @@ pub fn time_per_op(iters: u64, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// The `p`-quantile (0.0–1.0) of an ascending-sorted sample by
+/// nearest rank; the type's zero for an empty sample.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

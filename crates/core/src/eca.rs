@@ -188,22 +188,13 @@ type WorkerHandle = (Sender<WorkerMsg>, std::thread::JoinHandle<()>);
 /// Consumer of completed composite occurrences and directly-fired rules.
 /// Implemented by the engine (`crate::engine`).
 pub trait FireHandler: Send + Sync {
-    /// Fire `rules` (already filtered to enabled) for `occ`.
-    fn fire(&self, rules: Vec<Arc<Rule>>, occ: Arc<EventOccurrence>);
-
-    /// Fire the same rule set for every occurrence of a batch, in
-    /// event order. The default loops over [`FireHandler::fire`]; the
-    /// engine overrides it to order and partition the rule set once
-    /// for the whole batch.
-    fn fire_batch(&self, rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
-        for occ in occs {
-            self.fire(rules.clone(), Arc::clone(occ));
-        }
-    }
+    /// Fire `rules` (already filtered to enabled) for every occurrence
+    /// of `occs`, in event order.
+    fn fire(&self, rules: &[Arc<Rule>], occs: &[Arc<EventOccurrence>]);
 }
 
-/// One observed method invocation inside a batched raise — the
-/// per-call fields of [`Router::raise_method`].
+/// One observed method invocation, as handed to
+/// [`Router::raise_method`].
 pub struct MethodObservation<'a> {
     pub txn: TxnId,
     pub top: TxnId,
@@ -256,7 +247,7 @@ pub struct Router {
     composition_gate: RwLock<Option<CompositionGate>>,
     /// Passive observers of every delivered occurrence (the temporal
     /// manager watches for anchors of relative events here).
-    observers: RwLock<Vec<Observer>>,
+    observers: RwLock<Arc<Vec<Observer>>>,
     pub trace: Arc<Trace>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -298,7 +289,7 @@ impl Router {
             workers: Mutex::new(HashMap::new()),
             handler: RwLock::new(None),
             composition_gate: RwLock::new(None),
-            observers: RwLock::new(Vec::new()),
+            observers: RwLock::new(Arc::default()),
             trace: Arc::new(Trace::default()),
             metrics,
         })
@@ -316,7 +307,7 @@ impl Router {
 
     /// Add a passive delivery observer.
     pub fn add_observer(&self, f: Observer) {
-        self.observers.write().push(f);
+        Arc::make_mut(&mut self.observers.write()).push(f);
     }
 
     /// Install the composition ownership gate (see the field docs).
@@ -349,9 +340,49 @@ impl Router {
         }
     }
 
-    /// Next global event sequence number.
-    fn next_seq(&self) -> Timestamp {
-        Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed))
+    /// Stamp a new occurrence of `ty` with the next global event
+    /// sequence number.
+    fn occurrence(
+        &self,
+        ty: EventTypeId,
+        at: TimePoint,
+        txn: Option<TxnId>,
+        top: Option<TxnId>,
+        data: EventData,
+        constituents: Vec<Arc<EventOccurrence>>,
+    ) -> Arc<EventOccurrence> {
+        Arc::new(EventOccurrence {
+            event_type: ty,
+            seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
+            at,
+            txn,
+            top_txn: top,
+            data,
+            constituents,
+        })
+    }
+
+    /// Event types a detector `index` registers for `class` under
+    /// `key(class)`, then for each ancestor: events declared on a base
+    /// class catch subclass receivers.
+    fn lookup<K: Eq + std::hash::Hash>(
+        &self,
+        index: &RwLock<HashMap<K, Vec<EventTypeId>>>,
+        class: ClassId,
+        key: impl Fn(ClassId) -> K,
+    ) -> Vec<EventTypeId> {
+        let index = index.read();
+        let mut out = Vec::new();
+        let mut collect = |c: ClassId| {
+            if let Some(tys) = index.get(&key(c)) {
+                out.extend_from_slice(tys);
+            }
+        };
+        collect(class);
+        if let Ok(lineage) = self.schema.lineage(class) {
+            lineage.into_iter().skip(1).for_each(collect);
+        }
+        out
     }
 
     /// The sequence clock this router stamps occurrences from.
@@ -541,119 +572,44 @@ impl Router {
 
     // ---- detection entry points ----
 
-    /// A monitored method invocation was observed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn raise_method(
-        self: &Arc<Self>,
-        txn: TxnId,
-        top: TxnId,
-        at: TimePoint,
-        receiver: reach_common::ObjectId,
-        class: ClassId,
-        method: MethodId,
-        phase: MethodPhase,
-        args: &reach_object::Args,
-    ) {
-        let types = self.lookup_method(class, method, phase);
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData {
-                    receiver: Some(receiver),
-                    args: args.clone(),
-                    ..Default::default()
-                },
-                constituents: Vec::new(),
-            });
-            self.trace.log(|| {
-                format!(
-                    "method-event detected (class {class}, {method}, {phase:?}) -> ECA-manager[{ty}]"
-                )
-            });
-            self.deliver(occ);
-        }
-    }
-
-    /// Batched [`Router::raise_method`]: amortize the detector-index
-    /// lookup, occurrence construction and delivery over runs of equal
+    /// Monitored method invocations were observed, in this order. The
+    /// detector-index lookup is made once per run of equal
     /// `(class, method, phase)` — the shape a telemetry batch has.
     ///
-    /// When a run maps to a *single* event type, its occurrences are
-    /// delivered as one batch (see [`Router::deliver_batch`] for the
+    /// A run of several observations mapping to a *single* event type
+    /// is delivered as one slice (see [`Router::deliver_batch`] for the
     /// ordering contract). Keys with several registered event types
-    /// keep the per-call type interleaving of the unbatched path.
-    pub fn raise_method_batch(self: &Arc<Self>, batch: &[MethodObservation<'_>]) {
-        let mut i = 0;
-        while i < batch.len() {
-            let key = (batch[i].class, batch[i].method, batch[i].phase);
-            let mut j = i + 1;
-            while j < batch.len() && (batch[j].class, batch[j].method, batch[j].phase) == key {
-                j += 1;
-            }
-            let types = self.lookup_method(key.0, key.1, key.2);
-            let make_occ = |m: &MethodObservation<'_>, ty: EventTypeId| {
-                Arc::new(EventOccurrence {
-                    event_type: ty,
-                    seq: self.next_seq(),
-                    at: m.at,
-                    txn: Some(m.txn),
-                    top_txn: Some(m.top),
-                    data: EventData {
-                        receiver: Some(m.receiver),
-                        args: m.args.clone(),
-                        ..Default::default()
-                    },
-                    constituents: Vec::new(),
-                })
-            };
-            if types.len() == 1 {
-                let ty = types[0];
+    /// interleave the types per call.
+    pub fn raise_method(self: &Arc<Self>, batch: &[MethodObservation<'_>]) {
+        let key = |m: &MethodObservation<'_>| (m.class, m.method, m.phase);
+        for run in batch.chunk_by(|a, b| key(a) == key(b)) {
+            let (class, method, phase) = key(&run[0]);
+            let types = self.lookup(&self.method_index, class, |c| (c, method, phase));
+            let occ = |m: &MethodObservation<'_>, ty| {
                 self.trace.log(|| {
                     format!(
-                        "method-event batch x{} (class {}, {}, {:?}) -> ECA-manager[{ty}]",
-                        j - i,
-                        key.0,
-                        key.1,
-                        key.2
+                        "method-event detected (class {class}, {method}, {phase:?}) -> ECA-manager[{ty}]"
                     )
                 });
-                let occs: Vec<_> = batch[i..j].iter().map(|m| make_occ(m, ty)).collect();
-                self.deliver_batch(occs);
+                let data = EventData {
+                    receiver: Some(m.receiver),
+                    args: m.args.clone(),
+                    ..Default::default()
+                };
+                self.occurrence(ty, m.at, Some(m.txn), Some(m.top), data, Vec::new())
+            };
+            // (A run of one goes the other way only to skip the Vec.)
+            if let ([ty], [_, _, ..]) = (&types[..], run) {
+                let occs: Vec<_> = run.iter().map(|m| occ(m, *ty)).collect();
+                self.route(&occs, false);
             } else {
-                for m in &batch[i..j] {
+                for m in run {
                     for &ty in &types {
-                        self.deliver(make_occ(m, ty));
+                        self.deliver(occ(m, ty));
                     }
                 }
             }
-            i = j;
         }
-    }
-
-    fn lookup_method(
-        &self,
-        class: ClassId,
-        method: MethodId,
-        phase: MethodPhase,
-    ) -> Vec<EventTypeId> {
-        let index = self.method_index.read();
-        let mut out = Vec::new();
-        if let Some(tys) = index.get(&(class, method, phase)) {
-            out.extend_from_slice(tys);
-        }
-        // Events declared on a base class catch subclass receivers.
-        if let Ok(lineage) = self.schema.lineage(class) {
-            for anc in lineage.into_iter().skip(1) {
-                if let Some(tys) = index.get(&(anc, method, phase)) {
-                    out.extend_from_slice(tys);
-                }
-            }
-        }
-        out
     }
 
     /// A state change was observed.
@@ -669,41 +625,18 @@ impl Router {
         old: reach_object::Value,
         new: reach_object::Value,
     ) {
-        let types = {
-            let index = self.state_index.read();
-            let mut out = Vec::new();
-            if let Some(tys) = index.get(&(class, attribute.to_string())) {
-                out.extend_from_slice(tys);
-            }
-            if let Ok(lineage) = self.schema.lineage(class) {
-                for anc in lineage.into_iter().skip(1) {
-                    if let Some(tys) = index.get(&(anc, attribute.to_string())) {
-                        out.extend_from_slice(tys);
-                    }
-                }
-            }
-            out
-        };
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData {
-                    receiver: Some(receiver),
-                    attribute: Some(attribute.to_string()),
-                    old: Some(old.clone()),
-                    new: Some(new.clone()),
-                    ..Default::default()
-                },
-                constituents: Vec::new(),
-            });
+        for ty in self.lookup(&self.state_index, class, |c| (c, attribute.to_string())) {
+            let data = EventData {
+                receiver: Some(receiver),
+                attribute: Some(attribute.to_string()),
+                old: Some(old.clone()),
+                new: Some(new.clone()),
+                ..Default::default()
+            };
             self.trace.log(|| {
                 format!("state-change detected ({class}.{attribute}) -> ECA-manager[{ty}]")
             });
-            self.deliver(occ);
+            self.deliver(self.occurrence(ty, at, Some(txn), Some(top), data, Vec::new()));
         }
     }
 
@@ -717,32 +650,9 @@ impl Router {
         class: ClassId,
         deletion: bool,
     ) {
-        let types = {
-            let index = self.lifecycle_index.read();
-            let mut out = Vec::new();
-            if let Some(tys) = index.get(&(class, deletion)) {
-                out.extend_from_slice(tys);
-            }
-            if let Ok(lineage) = self.schema.lineage(class) {
-                for anc in lineage.into_iter().skip(1) {
-                    if let Some(tys) = index.get(&(anc, deletion)) {
-                        out.extend_from_slice(tys);
-                    }
-                }
-            }
-            out
-        };
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData::for_receiver(receiver),
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
+        for ty in self.lookup(&self.lifecycle_index, class, |c| (c, deletion)) {
+            let data = EventData::for_receiver(receiver);
+            self.deliver(self.occurrence(ty, at, Some(txn), Some(top), data, Vec::new()));
         }
     }
 
@@ -755,32 +665,9 @@ impl Router {
         receiver: reach_common::ObjectId,
         class: ClassId,
     ) {
-        let types = {
-            let index = self.persist_index.read();
-            let mut out = Vec::new();
-            if let Some(tys) = index.get(&class) {
-                out.extend_from_slice(tys);
-            }
-            if let Ok(lineage) = self.schema.lineage(class) {
-                for anc in lineage.into_iter().skip(1) {
-                    if let Some(tys) = index.get(&anc) {
-                        out.extend_from_slice(tys);
-                    }
-                }
-            }
-            out
-        };
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData::for_receiver(receiver),
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
+        for ty in self.lookup(&self.persist_index, class, |c| c) {
+            let data = EventData::for_receiver(receiver);
+            self.deliver(self.occurrence(ty, at, Some(txn), Some(top), data, Vec::new()));
         }
     }
 
@@ -796,16 +683,8 @@ impl Router {
             .cloned()
             .unwrap_or_default();
         for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData::default(),
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
+            let data = EventData::default();
+            self.deliver(self.occurrence(ty, at, Some(txn), Some(top), data, Vec::new()));
         }
     }
 
@@ -827,38 +706,21 @@ impl Router {
             .cloned()
             .unwrap_or_default();
         for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn,
-                top_txn: top,
-                data: EventData {
-                    signal: Some(name.to_string()),
-                    receiver,
-                    args: args.clone(),
-                    ..Default::default()
-                },
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
+            let data = EventData {
+                signal: Some(name.to_string()),
+                receiver,
+                args: args.clone(),
+                ..Default::default()
+            };
+            self.deliver(self.occurrence(ty, at, txn, top, data, Vec::new()));
         }
     }
 
     /// A temporal event fired (called by the temporal manager).
     pub fn raise_temporal(self: &Arc<Self>, ty: EventTypeId, at: TimePoint) {
-        let occ = Arc::new(EventOccurrence {
-            event_type: ty,
-            seq: self.next_seq(),
-            at,
-            txn: None,
-            top_txn: None,
-            data: EventData::default(),
-            constituents: Vec::new(),
-        });
         self.trace
             .log(|| format!("temporal event at {at} -> ECA-manager[{ty}]"));
-        self.deliver(occ);
+        self.deliver(self.occurrence(ty, at, None, None, EventData::default(), Vec::new()));
     }
 
     // ---- delivery (Figure 2) ----
@@ -866,60 +728,7 @@ impl Router {
     /// Deliver an occurrence to its ECA-manager: history, rules,
     /// propagation to composite managers.
     pub fn deliver(self: &Arc<Self>, occ: Arc<EventOccurrence>) {
-        let Some(mgr) = self.manager(occ.event_type) else {
-            return;
-        };
-        let t0 = self.metrics.span_start();
-        if t0.is_some() {
-            self.metrics.events.detected.inc();
-        }
-        self.trace.log(|| {
-            format!(
-                "ECA-manager[{}] creates Event object (seq {})",
-                mgr.name, occ.seq
-            )
-        });
-        mgr.history.record(Arc::clone(&occ));
-        for obs in self.observers.read().iter() {
-            obs(&occ);
-        }
-        // 1. Fire directly-attached rules.
-        let rules = mgr.rules();
-        if !rules.is_empty() {
-            self.trace.log(|| {
-                format!(
-                    "ECA-manager[{}] fires {} rule(s), then signals go-ahead",
-                    mgr.name,
-                    rules.len()
-                )
-            });
-            if let Some(h) = self.handler.read().clone() {
-                h.fire(rules, Arc::clone(&occ));
-            }
-        }
-        // 2. Propagate to composite ECA-managers.
-        for sub in mgr.subscribers() {
-            let Some(sub_mgr) = self.manager(sub) else {
-                continue;
-            };
-            if !self.composes(&sub_mgr, false) {
-                continue;
-            }
-            self.trace.log(|| {
-                format!(
-                    "ECA-manager[{}] propagates -> composite ECA-manager[{}]",
-                    mgr.name, sub_mgr.name
-                )
-            });
-            // Fast path: the manager's cached worker inbox.
-            if !self.send_feed(&sub_mgr, &occ) {
-                self.feed_compositor(&sub_mgr, &occ);
-            }
-        }
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::EcaManager, t0.elapsed().as_nanos() as u64);
-        }
+        self.route(&[occ], false);
     }
 
     /// Deliver an occurrence that was detected — and whose primitive
@@ -930,94 +739,103 @@ impl Router {
     /// compositions (whose completions then fire *this* shard's rules
     /// through the ordinary [`Router::deliver`] of the composite).
     pub fn deliver_remote(self: &Arc<Self>, occ: Arc<EventOccurrence>) {
-        let Some(mgr) = self.manager(occ.event_type) else {
-            return;
-        };
-        for sub in mgr.subscribers() {
-            let Some(sub_mgr) = self.manager(sub) else {
-                continue;
-            };
-            if !self.composes(&sub_mgr, true) {
-                continue;
-            }
-            if !self.send_feed(&sub_mgr, &occ) {
-                self.feed_compositor(&sub_mgr, &occ);
-            }
-        }
+        self.route(&[occ], true);
     }
 
-    /// Deliver a batch of occurrences of **one event type** (in `seq`
-    /// order), amortizing the per-event costs of [`Router::deliver`]:
-    /// one manager lookup, one history append, one rules/subscribers/
-    /// observers snapshot and one metrics stamp for the whole batch.
+    /// Deliver occurrences in slice order, each run of equal event type
+    /// as one traversal of its ECA-manager, amortizing the per-event
+    /// costs: one manager lookup, one history append, one rules/
+    /// subscribers/observers snapshot and one metrics stamp per run.
     ///
-    /// Ordering contract, relative to per-event delivery:
+    /// Ordering contract, relative to delivering one at a time:
     /// * rule firing sequences are identical — occurrences go through
     ///   the engine in event order, and events raised *by* a fired rule
     ///   are still delivered inline before the next occurrence fires;
-    /// * when the type has composite subscribers, the exact per-event
+    /// * when the type has composite subscribers, the one-at-a-time
     ///   interleaving `[observers, fire, feed]` is kept per occurrence;
     /// * when it has none (nothing to feed), passive observers see the
-    ///   whole batch before the first rule fires — observers cannot
+    ///   whole run before the first rule fires — observers cannot
     ///   veto or fire, so firing sequences are unaffected, and the
-    ///   engine can amortize scheduling over the batch;
-    /// * the batch is recorded into the local history up front, so a
-    ///   rule reading its own manager's history mid-batch sees events
-    ///   of later batch occurrences already recorded.
+    ///   engine can amortize scheduling over the run;
+    /// * the run is recorded into the local history up front, so a
+    ///   rule reading its own manager's history mid-run sees events
+    ///   of later occurrences already recorded.
     pub fn deliver_batch(self: &Arc<Self>, occs: Vec<Arc<EventOccurrence>>) {
-        if occs.len() <= 1 {
-            if let Some(occ) = occs.into_iter().next() {
-                self.deliver(occ);
-            }
-            return;
+        for run in occs.chunk_by(|a, b| a.event_type == b.event_type) {
+            self.route(run, false);
         }
-        debug_assert!(occs.windows(2).all(|w| w[0].event_type == w[1].event_type));
-        let Some(mgr) = self.manager(occs[0].event_type) else {
+    }
+
+    /// The delivery traversal of Figure 2, for occurrences of **one
+    /// event type** in `seq` order: history → observers → rules →
+    /// composite subscribers. A `remote` occurrence was detected on
+    /// another shard, which already did all but the last step; it only
+    /// feeds the composites this shard composes for remote origins.
+    fn route(self: &Arc<Self>, occs: &[Arc<EventOccurrence>], remote: bool) {
+        let Some(mgr) = occs.first().and_then(|occ| self.manager(occ.event_type)) else {
             return;
         };
-        let t0 = self.metrics.span_start();
-        if t0.is_some() {
-            self.metrics.events.detected.add(occs.len() as u64);
-        }
-        self.trace.log(|| {
-            format!(
-                "ECA-manager[{}] creates {} Event objects (batch)",
-                mgr.name,
-                occs.len()
-            )
-        });
-        mgr.history.record_batch(&occs);
-        let observers = self.observers.read().clone();
-        let rules = mgr.rules();
+        let (t0, observers, rules) = if remote {
+            (None, None, Vec::new())
+        } else {
+            let t0 = self.metrics.span_start();
+            if t0.is_some() {
+                self.metrics.events.detected.add(occs.len() as u64);
+            }
+            for occ in occs {
+                self.trace.log(|| {
+                    format!(
+                        "ECA-manager[{}] creates Event object (seq {})",
+                        mgr.name, occ.seq
+                    )
+                });
+            }
+            mgr.history.record(occs);
+            let observers = Arc::clone(&self.observers.read());
+            (t0, Some(observers), mgr.rules())
+        };
         let handler = if rules.is_empty() {
             None
         } else {
             self.handler.read().clone()
         };
-        let subscribers = mgr.subscribers();
-        if subscribers.is_empty() {
-            for occ in &occs {
-                for obs in &observers {
-                    obs(occ);
-                }
-            }
-            if let Some(h) = handler {
-                h.fire_batch(rules, &occs);
-            }
-        } else {
+        let (no_subscribers, sub_mgrs) = {
+            let subscribers = mgr.subscribers.read();
             let sub_mgrs: Vec<_> = subscribers
                 .iter()
                 .filter_map(|s| self.manager(*s))
-                .filter(|m| self.composes(m, false))
+                .filter(|m| self.composes(m, remote))
                 .collect();
-            for occ in &occs {
-                for obs in &observers {
+            (subscribers.is_empty(), sub_mgrs)
+        };
+        // With subscribers each occurrence is fired and fed before the
+        // next is looked at; without, the engine gets the whole run.
+        let step = if no_subscribers { occs.len() } else { 1 };
+        for chunk in occs.chunks(step) {
+            for occ in chunk {
+                for obs in observers.iter().flat_map(|o| o.iter()) {
                     obs(occ);
                 }
-                if let Some(h) = &handler {
-                    h.fire(rules.clone(), Arc::clone(occ));
-                }
+            }
+            if let Some(h) = &handler {
+                self.trace.log(|| {
+                    format!(
+                        "ECA-manager[{}] fires {} rule(s), then signals go-ahead",
+                        mgr.name,
+                        rules.len()
+                    )
+                });
+                h.fire(&rules, chunk);
+            }
+            for occ in chunk {
                 for sub_mgr in &sub_mgrs {
+                    self.trace.log(|| {
+                        format!(
+                            "ECA-manager[{}] propagates -> composite ECA-manager[{}]",
+                            mgr.name, sub_mgr.name
+                        )
+                    });
+                    // Fast path: the manager's cached worker inbox.
                     if !self.send_feed(sub_mgr, occ) {
                         self.feed_compositor(sub_mgr, occ);
                     }
@@ -1111,15 +929,14 @@ impl Router {
             .map(|c| c.at)
             .max()
             .unwrap_or(TimePoint::ZERO);
-        let occ = Arc::new(EventOccurrence {
-            event_type: mgr.event_type,
-            seq: self.next_seq(),
+        let occ = self.occurrence(
+            mgr.event_type,
             at,
             txn,
-            top_txn: top,
-            data: EventData::default(),
-            constituents: completion.constituents,
-        });
+            top,
+            EventData::default(),
+            completion.constituents,
+        );
         if self.metrics.on() {
             self.metrics.events.composites_completed.inc();
         }

@@ -32,6 +32,7 @@ use reach_common::{
     EventTypeId, MetricsRegistry, ObjectId, ReachError, Result, RuleId, Stage, TxnId,
 };
 use reach_txn::dependency::{CommitRule, Outcome};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
@@ -274,8 +275,9 @@ pub struct Engine {
     /// triggering transaction. Default false; the `ablation` bench
     /// measures the difference.
     conditions_in_subtxn: std::sync::atomic::AtomicBool,
+    /// Deferred firings per top-level transaction. A transaction has
+    /// an entry exactly while its pre-commit drain hook is installed.
     deferred: Mutex<HashMap<TxnId, Vec<Pending>>>,
-    hooked: Mutex<HashSet<TxnId>>,
     /// Transactions spawned to run detached rules. Their flow-control
     /// points do not raise events — otherwise a rule on the commit event
     /// would re-trigger itself forever (the termination problem §6.4
@@ -309,7 +311,6 @@ impl Engine {
             simple_events_first: RwLock::new(false),
             conditions_in_subtxn: std::sync::atomic::AtomicBool::new(false),
             deferred: Mutex::new(HashMap::new()),
-            hooked: Mutex::new(HashSet::new()),
             rule_txns: Mutex::new(HashSet::new()),
             pool: Mutex::new(None),
             detached_pool: Mutex::new(None),
@@ -465,12 +466,12 @@ impl Engine {
             return match rule.eval_condition(&ctx) {
                 Ok(true) => {
                     match ac {
-                        CouplingMode::Deferred => {
-                            self.enqueue_deferred(Arc::clone(rule), Arc::clone(occ), true)
-                        }
-                        mode => {
-                            self.spawn_detached_inner(Arc::clone(rule), Arc::clone(occ), mode, true)
-                        }
+                        CouplingMode::Deferred => self.enqueue_deferred(&mut vec![(
+                            Arc::clone(rule),
+                            Arc::clone(occ),
+                            true,
+                        )]),
+                        mode => self.spawn_detached(Arc::clone(rule), Arc::clone(occ), mode, true),
                     }
                     Ok(true)
                 }
@@ -615,7 +616,7 @@ impl Engine {
         out
     }
 
-    fn fire_immediate(self: &Arc<Self>, rules: Vec<Arc<Rule>>, occ: &Arc<EventOccurrence>) {
+    fn fire_immediate(self: &Arc<Self>, rules: &[Arc<Rule>], occ: &Arc<EventOccurrence>) {
         let Some(parent) = occ.txn else {
             self.metrics.engine.failures.add(rules.len() as u64);
             return;
@@ -623,15 +624,16 @@ impl Engine {
         // Phase 1: conditions, in order, in the triggering transaction.
         let mut to_run = Vec::new();
         for rule in rules {
-            match self.immediate_condition(&rule, parent, occ) {
+            match self.immediate_condition(rule, parent, occ) {
                 Ok(true) => {
+                    let rule = Arc::clone(rule);
                     if let Some(ac) = rule.action_coupling {
                         // Split C-A coupling: schedule the action later.
                         match ac {
                             CouplingMode::Deferred => {
-                                self.enqueue_deferred(rule, Arc::clone(occ), true)
+                                self.enqueue_deferred(&mut vec![(rule, Arc::clone(occ), true)])
                             }
-                            mode => self.spawn_detached_inner(rule, Arc::clone(occ), mode, true),
+                            mode => self.spawn_detached(rule, Arc::clone(occ), mode, true),
                         }
                     } else {
                         to_run.push(rule);
@@ -698,63 +700,41 @@ impl Engine {
 
     // ---- deferred ----
 
-    fn schedule_deferred(self: &Arc<Self>, rule: Arc<Rule>, occ: Arc<EventOccurrence>) {
-        self.enqueue_deferred(rule, occ, false);
-    }
-
-    fn enqueue_deferred(
-        self: &Arc<Self>,
-        rule: Arc<Rule>,
-        occ: Arc<EventOccurrence>,
-        action_only: bool,
-    ) {
-        let Some(top) = occ.top_txn else {
-            self.metrics.engine.failures.inc();
-            return;
-        };
-        self.deferred
-            .lock()
-            .entry(top)
-            .or_default()
-            .push((rule, occ, action_only));
-        let mut hooked = self.hooked.lock();
-        if hooked.insert(top) {
-            let engine = Arc::clone(self);
-            let res = self
-                .db
-                .txn_manager()
-                .defer(top, Box::new(move || engine.drain_deferred(top)));
-            if res.is_err() {
-                hooked.remove(&top);
-                self.deferred.lock().remove(&top);
-                self.metrics.engine.failures.inc();
-            }
-        }
-    }
-
-    /// Enqueue a whole batch of deferred firings for one top-level
-    /// transaction under a single lock pass. The pre-commit drain
+    /// Enqueue deferred firings — all of one top-level transaction, in
+    /// event order — under a single lock pass. The pre-commit drain
     /// sorts by (priority, simple-first, rule age), which orders
     /// entries of *different* rules deterministically regardless of
     /// enqueue order, and the sort is stable, so entries of the same
-    /// rule keep their event order — batching the enqueue leaves the
-    /// drain order identical to per-event scheduling.
-    fn enqueue_deferred_batch(self: &Arc<Self>, top: TxnId, entries: Vec<Pending>) {
-        if entries.is_empty() {
+    /// rule keep their event order. `entries` is left empty.
+    fn enqueue_deferred(self: &Arc<Self>, entries: &mut Vec<Pending>) {
+        let Some((_, first, _)) = entries.first() else {
             return;
-        }
-        self.deferred.lock().entry(top).or_default().extend(entries);
-        let mut hooked = self.hooked.lock();
-        if hooked.insert(top) {
+        };
+        let failed = entries.len() as u64;
+        let Some(top) = first.top_txn else {
+            entries.clear();
+            self.metrics.engine.failures.add(failed);
+            return;
+        };
+        let first_for_txn = match self.deferred.lock().entry(top) {
+            Entry::Vacant(slot) => {
+                slot.insert(std::mem::take(entries));
+                true
+            }
+            Entry::Occupied(mut queue) => {
+                queue.get_mut().append(entries);
+                false
+            }
+        };
+        if first_for_txn {
             let engine = Arc::clone(self);
             let res = self
                 .db
                 .txn_manager()
                 .defer(top, Box::new(move || engine.drain_deferred(top)));
             if res.is_err() {
-                hooked.remove(&top);
                 self.deferred.lock().remove(&top);
-                self.metrics.engine.failures.inc();
+                self.metrics.engine.failures.add(failed);
             }
         }
     }
@@ -763,7 +743,6 @@ impl Engine {
     /// scheduled *during* the drain form a later batch (the transaction
     /// manager keeps calling back until the queue is dry).
     fn drain_deferred(self: &Arc<Self>, top: TxnId) -> Result<()> {
-        self.hooked.lock().remove(&top);
         let mut batch = self.deferred.lock().remove(&top).unwrap_or_default();
         let tiebreak = *self.tiebreak.read();
         let simple_first = *self.simple_events_first.read();
@@ -857,15 +836,6 @@ impl Engine {
     }
 
     fn spawn_detached(
-        self: &Arc<Self>,
-        rule: Arc<Rule>,
-        occ: Arc<EventOccurrence>,
-        mode: CouplingMode,
-    ) {
-        self.spawn_detached_inner(rule, occ, mode, false)
-    }
-
-    fn spawn_detached_inner(
         self: &Arc<Self>,
         rule: Arc<Rule>,
         occ: Arc<EventOccurrence>,
@@ -1069,82 +1039,51 @@ impl Engine {
     /// deferred rules).
     pub fn on_txn_finished(&self, top: TxnId) {
         self.deferred.lock().remove(&top);
-        self.hooked.lock().remove(&top);
     }
 }
 
 impl Engine {
-    /// Dispatch a set of rules fired by one event: immediate rules run
-    /// as one batch (serial ring-sequence or parallel siblings), the
-    /// rest are scheduled by coupling mode.
-    pub fn fire_all(self: &Arc<Self>, mut rules: Vec<Arc<Rule>>, occ: Arc<EventOccurrence>) {
+    /// Dispatch a set of rules fired by each of `occs`, in event order:
+    /// the rule set is ordered and partitioned once, then per
+    /// occurrence the deferred and detached rules are scheduled in
+    /// priority order and the immediate rules run as one batch (serial
+    /// ring-sequence or parallel siblings).
+    ///
+    /// Deferred firings are collected across occurrences and enqueued
+    /// in one lock pass, but always *before* the next immediate batch
+    /// runs — an immediate rule may abort the transaction or raise
+    /// events whose own deferred rules queue behind these — so the
+    /// deferred queue is the one occurrence-at-a-time firing builds.
+    pub fn fire(self: &Arc<Self>, rules: &[Arc<Rule>], occs: &[Arc<EventOccurrence>]) {
         let t0 = self.metrics.span_start();
-        self.order(&mut rules);
-        let mut immediate = Vec::new();
-        for rule in rules {
-            match rule.coupling {
-                CouplingMode::Immediate => immediate.push(rule),
-                CouplingMode::Deferred => self.schedule_deferred(rule, Arc::clone(&occ)),
-                mode => self.spawn_detached(rule, Arc::clone(&occ), mode),
-            }
-        }
-        if !immediate.is_empty() {
-            self.fire_immediate(immediate, &occ);
-        }
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::Engine, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Batched [`Engine::fire_all`]: order the rule set once, then
-    /// schedule and fire per occurrence in event order. Each
-    /// occurrence still sees the exact per-event sequence — deferred/
-    /// detached scheduling in priority order, then its immediate batch
-    /// — so firing sequences are identical to per-event dispatch.
-    pub fn fire_batch(self: &Arc<Self>, mut rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
-        let t0 = self.metrics.span_start();
-        self.order(&mut rules);
-        let n_immediate = rules
+        // The sort is stable, so ordering each half is ordering the set.
+        let (mut immediate, mut scheduled): (Vec<_>, Vec<_>) = rules
             .iter()
-            .filter(|r| r.coupling == CouplingMode::Immediate)
-            .count();
-        // Deferred firings for the batch are collected per top-level
-        // transaction run and enqueued in one lock pass (see
-        // `enqueue_deferred_batch` for why the drain order is
-        // unaffected).
+            .cloned()
+            .partition(|r| r.coupling == CouplingMode::Immediate);
+        self.order(&mut immediate);
+        self.order(&mut scheduled);
         let mut deferred: Vec<Pending> = Vec::new();
-        let mut deferred_top: Option<TxnId> = None;
         for occ in occs {
-            let mut immediate = Vec::with_capacity(n_immediate);
-            for rule in &rules {
+            for rule in &scheduled {
+                let (rule, occ) = (Arc::clone(rule), Arc::clone(occ));
                 match rule.coupling {
-                    CouplingMode::Immediate => immediate.push(Arc::clone(rule)),
-                    CouplingMode::Deferred => match occ.top_txn {
-                        Some(top) => {
-                            if deferred_top != Some(top) {
-                                if let Some(prev) = deferred_top {
-                                    self.enqueue_deferred_batch(
-                                        prev,
-                                        std::mem::take(&mut deferred),
-                                    );
-                                }
-                                deferred_top = Some(top);
-                            }
-                            deferred.push((Arc::clone(rule), Arc::clone(occ), false));
+                    CouplingMode::Deferred => {
+                        if matches!(deferred.last(), Some((_, prev, _)) if prev.top_txn != occ.top_txn)
+                        {
+                            self.enqueue_deferred(&mut deferred);
                         }
-                        None => self.metrics.engine.failures.inc(),
-                    },
-                    mode => self.spawn_detached(Arc::clone(rule), Arc::clone(occ), mode),
+                        deferred.push((rule, occ, false));
+                    }
+                    mode => self.spawn_detached(rule, occ, mode, false),
                 }
             }
             if !immediate.is_empty() {
-                self.fire_immediate(immediate, occ);
+                self.enqueue_deferred(&mut deferred);
+                self.fire_immediate(&immediate, occ);
             }
         }
-        if let Some(top) = deferred_top {
-            self.enqueue_deferred_batch(top, deferred);
-        }
+        self.enqueue_deferred(&mut deferred);
         if let Some(t0) = t0 {
             self.metrics
                 .record_span(Stage::Engine, t0.elapsed().as_nanos() as u64);
@@ -1156,11 +1095,7 @@ impl Engine {
 pub struct EngineHandler(pub Arc<Engine>);
 
 impl FireHandler for EngineHandler {
-    fn fire(&self, rules: Vec<Arc<Rule>>, occ: Arc<EventOccurrence>) {
-        self.0.fire_all(rules, occ);
-    }
-
-    fn fire_batch(&self, rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
-        self.0.fire_batch(rules, occs);
+    fn fire(&self, rules: &[Arc<Rule>], occs: &[Arc<EventOccurrence>]) {
+        self.0.fire(rules, occs);
     }
 }

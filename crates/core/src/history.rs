@@ -34,19 +34,9 @@ impl LocalHistory {
         }
     }
 
-    /// Record an occurrence, evicting the oldest beyond capacity.
-    pub fn record(&self, occ: Arc<EventOccurrence>) {
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(occ);
-    }
-
-    /// Record a whole batch under one lock acquisition — the batched
-    /// delivery path appends here once per event-type run instead of
-    /// once per occurrence.
-    pub fn record_batch(&self, occs: &[Arc<EventOccurrence>]) {
+    /// Record occurrences in slice order under one lock acquisition,
+    /// evicting the oldest beyond capacity.
+    pub fn record(&self, occs: &[Arc<EventOccurrence>]) {
         let mut ring = self.ring.lock();
         for occ in occs {
             if ring.len() == self.capacity {
@@ -171,7 +161,7 @@ mod tests {
     fn ring_caps_capacity() {
         let h = LocalHistory::new(3);
         for s in 1..=5 {
-            h.record(occ(s, 1));
+            h.record(&[occ(s, 1)]);
         }
         let snap = h.snapshot();
         assert_eq!(snap.len(), 3);
@@ -181,9 +171,7 @@ mod tests {
     #[test]
     fn drain_removes_only_that_transaction() {
         let h = LocalHistory::new(100);
-        h.record(occ(1, 10));
-        h.record(occ(2, 20));
-        h.record(occ(3, 10));
+        h.record(&[occ(1, 10), occ(2, 20), occ(3, 10)]);
         let drained = h.drain_for_txn(TxnId::new(10));
         assert_eq!(drained.len(), 2);
         assert_eq!(h.len(), 1);

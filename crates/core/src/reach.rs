@@ -669,79 +669,28 @@ impl std::fmt::Debug for ReachSystem {
 struct MethodBridge(Arc<ReachSystem>);
 
 impl MethodBridge {
-    fn raise(&self, call: &MethodCall, phase: MethodPhase) {
+    /// Translate the observed calls of one `phase` into router
+    /// observations and raise them in one pass, amortizing the
+    /// txn→top resolution, the clock read and the metrics stamps.
+    /// (All calls get one clock reading as their time point; under the
+    /// virtual clock that is exactly what raising them one by one
+    /// yields too, since the clock only moves on explicit ticks.)
+    fn raise<'a>(&self, calls: impl Iterator<Item = &'a MethodCall>, phase: MethodPhase) {
         let sys = &self.0;
-        let (txn, top) = if call.txn.is_null() {
-            return; // events outside transactions are not observable
-        } else {
-            match sys.db.txn_manager().top_of(call.txn) {
-                Ok(top) => (call.txn, top),
-                Err(_) => return,
-            }
-        };
+        // No event of this phase is registered anywhere: the raise
+        // cannot match, so skip the txn resolution and index lookup
+        // outright.
+        if !sys.router.observes_method_phase(phase) {
+            return;
+        }
         // This bridge *is* the integrated in-line wrapper sentry: the
         // dispatcher only calls it for monitored methods, so every
         // traversal is useful work.
         let t0 = sys.db.metrics().span_start();
-        sys.router.raise_method(
-            txn,
-            top,
-            sys.db.clock().now(),
-            call.receiver,
-            call.class,
-            call.method,
-            phase,
-            &call.args,
-        );
-        if let Some(t0) = t0 {
-            let m = sys.db.metrics();
-            m.sentry.inline_invocations.inc();
-            m.sentry.inline_detections.inc();
-            m.record_span(Stage::Sentry, t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-impl MethodSentry for MethodBridge {
-    fn before(&self, call: &MethodCall) -> Result<()> {
-        // No before-phase method event is registered anywhere: the
-        // raise cannot match and no immediate rule can veto, so skip
-        // the txn resolution, index lookup and activity check outright.
-        if !self.0.router.observes_method_phase(MethodPhase::Before) {
-            return Ok(());
-        }
-        self.raise(call, MethodPhase::Before);
-        // An immediate rule may have aborted the triggering transaction
-        // (consistency veto): refuse to run the method body then.
-        if !call.txn.is_null() && !self.0.db.txn_manager().is_active(call.txn) {
-            return Err(ReachError::TxnAborted(call.txn));
-        }
-        Ok(())
-    }
-
-    fn after(&self, call: &MethodCall, _result: &Result<Value>) {
-        if !self.0.router.observes_method_phase(MethodPhase::After) {
-            return;
-        }
-        self.raise(call, MethodPhase::After);
-    }
-
-    /// Batched after-detection: translate the whole batch into router
-    /// observations and raise them in one pass, amortizing the
-    /// txn→top resolution, the clock read and the metrics stamps.
-    /// (All calls get the batch-end clock reading as their time point;
-    /// under the virtual clock that is exactly what per-call raising
-    /// yields too, since the clock only moves on explicit ticks.)
-    fn after_batch(&self, calls: &[(MethodCall, Result<Value>)]) {
-        let sys = &self.0;
-        if !sys.router.observes_method_phase(MethodPhase::After) {
-            return;
-        }
-        let t0 = sys.db.metrics().span_start();
         let now = sys.db.clock().now();
         let mut last: Option<(TxnId, TxnId)> = None;
-        let mut obs = Vec::with_capacity(calls.len());
-        for (call, _result) in calls {
+        let mut obs = Vec::with_capacity(calls.size_hint().0);
+        for call in calls {
             if call.txn.is_null() {
                 continue; // events outside transactions are not observable
             }
@@ -762,17 +711,38 @@ impl MethodSentry for MethodBridge {
                 receiver: call.receiver,
                 class: call.class,
                 method: call.method,
-                phase: MethodPhase::After,
+                phase,
                 args: &call.args,
             });
         }
-        sys.router.raise_method_batch(&obs);
+        sys.router.raise_method(&obs);
         if let Some(t0) = t0 {
             let m = sys.db.metrics();
             m.sentry.inline_invocations.add(obs.len() as u64);
             m.sentry.inline_detections.add(obs.len() as u64);
             m.record_span(Stage::Sentry, t0.elapsed().as_nanos() as u64);
         }
+    }
+}
+
+impl MethodSentry for MethodBridge {
+    fn before(&self, call: &MethodCall) -> Result<()> {
+        // With no before-phase event registered no immediate rule can
+        // veto either, so the activity check is skipped too.
+        if !self.0.router.observes_method_phase(MethodPhase::Before) {
+            return Ok(());
+        }
+        self.raise(std::iter::once(call), MethodPhase::Before);
+        // An immediate rule may have aborted the triggering transaction
+        // (consistency veto): refuse to run the method body then.
+        if !call.txn.is_null() && !self.0.db.txn_manager().is_active(call.txn) {
+            return Err(ReachError::TxnAborted(call.txn));
+        }
+        Ok(())
+    }
+
+    fn after(&self, calls: &[(MethodCall, Result<Value>)]) {
+        self.raise(calls.iter().map(|(call, _result)| call), MethodPhase::After);
     }
 }
 

@@ -32,6 +32,13 @@
 //! coupling-mode contract (Table 1), so they have no byte-identical
 //! guarantee to check. The seed honours `REACH_SEED` so the CI stress
 //! matrix replays different workloads per leg.
+//!
+//! Since the per-event entry points became the batch body applied to a
+//! one-element slice, the two variants run the same code, and comparing
+//! them only shows that chunking does not matter. What the separate
+//! per-event pipeline *did* is pinned by [`GOLDEN`] and
+//! [`GOLDEN_ASSOCIATIVE`]: digests of its runs, recorded at the last
+//! commit that had it.
 
 use open_oodb::Database;
 use reach_common::sync::Mutex;
@@ -108,6 +115,69 @@ struct Run {
     log: Vec<String>,
     alarms: Vec<i64>,
     stats: (u64, u64, u64, u64),
+}
+
+impl Run {
+    /// FNV-1a over the rule log bytes, the final `alarms` and the four
+    /// engine counters.
+    fn digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for b in bytes {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for line in &self.log {
+            eat(line.as_bytes());
+            eat(b"\n");
+        }
+        for a in &self.alarms {
+            eat(&a.to_le_bytes());
+        }
+        let (immediate, deferred, actions, cond_false) = self.stats;
+        for n in [immediate, deferred, actions, cond_false] {
+            eat(&n.to_le_bytes());
+        }
+        h
+    }
+}
+
+/// Digests of the per-event reference run (`chunks == None`) of
+/// `batched_routing_matches_per_event_firing_sequence`, recorded at
+/// commit 78f052f — the last one where `invoke` ran its own pipeline
+/// (`Dispatcher::invoke` → `MethodSentry::after` →
+/// `Router::raise_method` → `Router::deliver` → `Engine::fire_all`)
+/// rather than the batch body at n = 1. One row per base seed (the
+/// test's default, then the four CI stress seeds), one column per
+/// policy in `ConsumptionPolicy::ALL` order. Any other `REACH_SEED`
+/// skips the golden check only.
+#[rustfmt::skip]
+const GOLDEN: [(u64, [u64; 4]); 5] = [
+    (0xBA7C11ED, [0xc13188b8f6b3ac65, 0xe5b54dd5a96f0bb9, 0x3b1f9d5b360a6d5b, 0x378dbda6e288ad71]),
+    (12648430, [0x752463052b4589dd, 0x2265a5aeadaaf2c9, 0x962172a0089b8be0, 0xb1fd0d90fceb47a8]),
+    (3405691582, [0x98f62ebc7353806c, 0xe6517f46376b56f5, 0x5faaea82ee6b15d1, 0xbc37393f82a69dcf]),
+    (2882343476, [0x0797f5ecbd6efad4, 0xd1a97537d7bf0b2c, 0xb4416208ceb074ea, 0xf78e9ebfc0d21fe7]),
+    (305419896, [0x8fef6ed1f2f3f083, 0x8c93f002e6bfb3d5, 0xfc98b031543b837b, 0xbb95a5fe2a5f7923]),
+];
+
+/// The same for `batch_splitting_is_associative`: the per-event run of
+/// its Chronicle workload, per base seed.
+const GOLDEN_ASSOCIATIVE: [(u64, u64); 5] = [
+    (0xA550C, 0xdf30b798f5a32573),
+    (12648430, 0x231f9057772f0b17),
+    (3405691582, 0xae103dbdfe43f29a),
+    (2882343476, 0x436b88512bdb3a1f),
+    (305419896, 0x5c52b415edcac542),
+];
+
+fn assert_golden(run: &Run, want: Option<u64>, what: &str) {
+    if let Some(want) = want {
+        assert_eq!(
+            run.digest(),
+            want,
+            "{what}: diverged from the frozen per-event pipeline"
+        );
+    }
 }
 
 /// Build a fresh world, install the rule set, and drive `workload`
@@ -309,6 +379,7 @@ const CHUNKINGS: [&[usize]; 3] = [&[7, 1, 3, 5], &[2, 13], &[64]];
 #[test]
 fn batched_routing_matches_per_event_firing_sequence() {
     let base = seed_from_env(0xBA7C11ED);
+    let golden = GOLDEN.iter().find(|(seed, _)| *seed == base);
     for (p, policy) in ConsumptionPolicy::ALL.into_iter().enumerate() {
         let seed = base.wrapping_mul(31).wrapping_add(p as u64);
         announce_seed("batched_differential", seed);
@@ -318,8 +389,11 @@ fn batched_routing_matches_per_event_firing_sequence() {
             !reference.log.is_empty(),
             "seed {seed:#x}: degenerate workload fired no rules"
         );
+        let want = golden.map(|(_, digests)| digests[p]);
+        assert_golden(&reference, want, &format!("{policy:?}, per-event"));
         for sizes in CHUNKINGS {
             let batched = run_variant(policy, &workload, Some(sizes));
+            assert_golden(&batched, want, &format!("{policy:?}, chunks {sizes:?}"));
             assert_eq!(
                 reference.log, batched.log,
                 "{policy:?}, seed {seed:#x}, chunks {sizes:?}: \
@@ -341,11 +415,18 @@ fn batched_routing_matches_per_event_firing_sequence() {
 /// calls arrive as one batch vs many: associativity of batching.
 #[test]
 fn batch_splitting_is_associative() {
-    let seed = seed_from_env(0xA550C).wrapping_add(1);
+    let base = seed_from_env(0xA550C);
+    let seed = base.wrapping_add(1);
     announce_seed("batched_differential::associative", seed);
     let workload = gen_workload(seed, 4, 32);
     let whole = run_variant(ConsumptionPolicy::Chronicle, &workload, Some(&[64]));
     let split = run_variant(ConsumptionPolicy::Chronicle, &workload, Some(&[3]));
+    let want = GOLDEN_ASSOCIATIVE
+        .iter()
+        .find(|(s, _)| *s == base)
+        .map(|(_, digest)| *digest);
+    assert_golden(&whole, want, "one batch");
+    assert_golden(&split, want, "size-3 batches");
     assert_eq!(
         whole.log, split.log,
         "seed {seed:#x}: one-batch vs size-3 batches diverged"

@@ -171,3 +171,108 @@ fn rule_info_reports_split_coupling() {
     assert_eq!(rules[0].action_coupling, Some(CouplingMode::Detached));
     assert_eq!(rules[0].event_name, "e");
 }
+
+/// A detached-origin occurrence of `ty`, as another shard would ship it.
+fn occurrence(ty: reach_common::EventTypeId, seq: u64) -> Arc<reach_core::EventOccurrence> {
+    Arc::new(reach_core::EventOccurrence {
+        event_type: ty,
+        seq: reach_common::Timestamp::new(seq),
+        at: reach_common::TimePoint::ZERO,
+        txn: None,
+        top_txn: None,
+        data: reach_core::EventData::default(),
+        constituents: Vec::new(),
+    })
+}
+
+fn seqs(history: &reach_core::history::LocalHistory) -> Vec<u64> {
+    history.snapshot().iter().map(|o| o.seq.raw()).collect()
+}
+
+/// `deliver_batch` takes any slice: each run of equal event type goes
+/// to that type's own manager (it used to be recorded into, and fired
+/// against, the first element's manager).
+#[test]
+fn mixed_type_slice_reaches_each_types_own_manager() {
+    let sys = ReachSystem::in_memory().unwrap();
+    let a = sys.define_signal("a").unwrap();
+    let b = sys.define_signal("b").unwrap();
+    let fired = Arc::new(reach_common::sync::Mutex::new(Vec::new()));
+    for (name, ty) in [("on-a", a), ("on-b", b)] {
+        let fired = Arc::clone(&fired);
+        sys.define_rule(
+            RuleBuilder::new(name)
+                .on(ty)
+                .coupling(CouplingMode::Detached)
+                .then(move |ctx| {
+                    fired.lock().push((name, ctx.event.seq.raw()));
+                    Ok(())
+                }),
+        )
+        .unwrap();
+    }
+    sys.router().deliver_batch(vec![
+        occurrence(a, 1),
+        occurrence(a, 2),
+        occurrence(b, 3),
+        occurrence(a, 4),
+    ]);
+    sys.wait_quiescent();
+    assert_eq!(seqs(&sys.manager(a).unwrap().history), vec![1, 2, 4]);
+    assert_eq!(seqs(&sys.manager(b).unwrap().history), vec![3]);
+    let mut fired = fired.lock().clone();
+    fired.sort();
+    assert_eq!(
+        fired,
+        vec![("on-a", 1), ("on-a", 2), ("on-a", 4), ("on-b", 3)]
+    );
+}
+
+/// A remote-origin occurrence only completes compositions: its owning
+/// shard already recorded it, showed it to observers and fired its
+/// rules.
+#[test]
+fn remote_origin_feeds_composites_and_nothing_else() {
+    let sys = ReachSystem::in_memory().unwrap();
+    let prim = sys.define_signal("shipped").unwrap();
+    let pair = sys
+        .define_composite(
+            "pair",
+            reach_core::EventExpr::History {
+                expr: Arc::new(reach_core::EventExpr::Primitive(prim)),
+                count: 2,
+            },
+            reach_core::CompositionScope::CrossTransaction,
+            reach_core::Lifespan::Interval(std::time::Duration::from_secs(3600)),
+            reach_core::ConsumptionPolicy::Chronicle,
+        )
+        .unwrap();
+    let rule_hits = Arc::new(AtomicUsize::new(0));
+    {
+        let hits = Arc::clone(&rule_hits);
+        sys.define_rule(
+            RuleBuilder::new("on-shipped")
+                .on(prim)
+                .coupling(CouplingMode::Detached)
+                .then(move |_| {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                }),
+        )
+        .unwrap();
+    }
+    let observed = Arc::new(reach_common::sync::Mutex::new(Vec::new()));
+    {
+        let observed = Arc::clone(&observed);
+        sys.router()
+            .add_observer(Arc::new(move |occ| observed.lock().push(occ.event_type)));
+    }
+    sys.router().deliver_remote(occurrence(prim, 1));
+    sys.router().deliver_remote(occurrence(prim, 2));
+    sys.wait_quiescent();
+    assert!(sys.manager(prim).unwrap().history.is_empty());
+    assert_eq!(rule_hits.load(Ordering::SeqCst), 0);
+    // The composite completed here, and *its* occurrence is local.
+    assert_eq!(sys.manager(pair).unwrap().history.len(), 1);
+    assert_eq!(*observed.lock(), vec![pair]);
+}

@@ -1,13 +1,19 @@
 //! The dispatcher — where the sentry lives.
 //!
-//! Every method invocation flows through [`Dispatcher::invoke`]:
+//! Every method invocation — [`Dispatcher::invoke`], the batch of one,
+//! and [`Dispatcher::invoke_batch`] — flows through one dispatch body.
+//! Per call:
 //!
 //! 1. resolve the method through the receiver class's vtable (virtual
 //!    dispatch);
 //! 2. if the (class, method) pair is *monitored*, run the `Before`
 //!    sentry chain — this raises the `before m()` primitive event;
 //! 3. execute the body;
-//! 4. if monitored, run the `After` chain with the result — `after m()`.
+//!
+//! and once the batch has run (or stopped at an error):
+//!
+//! 4. hand the monitored calls and their results to the `After` chain —
+//!    `after m()`.
 //!
 //! This is the in-line-wrapper design of §6.2 translated to a runtime
 //! dispatcher: *unmonitored* invocations pay one relaxed atomic load
@@ -54,19 +60,22 @@ pub trait MethodSentry: Send + Sync {
     /// Called before the body runs. Returning an error vetoes the call —
     /// used by immediate-coupled rules that abort the transaction.
     fn before(&self, call: &MethodCall) -> Result<()>;
-    /// Called after the body returns.
-    fn after(&self, call: &MethodCall, result: &Result<Value>);
+    /// Called once per dispatch with every monitored call that ran and
+    /// its result, in invocation order: one element for
+    /// [`Dispatcher::invoke`], the whole batch for
+    /// [`Dispatcher::invoke_batch`].
+    fn after(&self, calls: &[(MethodCall, Result<Value>)]);
+}
 
-    /// Called once at the end of a batched invocation with every
-    /// monitored call of the batch and its result, in invocation
-    /// order. The default falls back to per-call
-    /// [`MethodSentry::after`]; event detectors override it to
-    /// amortize per-event dispatch over the whole batch.
-    fn after_batch(&self, calls: &[(MethodCall, Result<Value>)]) {
-        for (call, result) in calls {
-            self.after(call, result);
-        }
-    }
+/// What a (class, method name) pair resolved to, cached across a run of
+/// equal pairs in a batch.
+struct Resolved<'a> {
+    class: ClassId,
+    name: &'a str,
+    method: MethodId,
+    body: crate::method::MethodBody,
+    /// The name as carried by [`MethodCall`]; `Some` iff monitored.
+    shared_name: Option<Arc<str>>,
 }
 
 /// Virtual-dispatch engine with the sentry interception point.
@@ -130,7 +139,7 @@ impl Dispatcher {
             && self.monitored.read().contains(&(class, method))
     }
 
-    /// Invoke `method_name` on `receiver` within `txn`.
+    /// Invoke `method_name` on `receiver` within `txn`: the batch of one.
     pub fn invoke(
         &self,
         space: &ObjectSpace,
@@ -139,62 +148,16 @@ impl Dispatcher {
         method_name: &str,
         args: &[Value],
     ) -> Result<Value> {
-        let class = space.class_of(receiver)?;
-        let method = self.schema.resolve_method(class, method_name)?;
-        let body = self.methods.body(method)?;
-
-        // Fast path: nothing monitored anywhere — no sentry bookkeeping.
-        if self.monitor_count.load(Ordering::Acquire) == 0 || !self.monitor_hit(class, method) {
-            let ctx = MethodCtx {
-                space,
-                dispatcher: self,
-                txn,
-                self_oid: receiver,
-                args,
-            };
-            return body(&ctx);
-        }
-
-        // Monitored path: materialize the call record once and run the
-        // before/after chains around the body.
-        let call = MethodCall {
-            txn,
-            receiver,
-            class,
-            method,
-            method_name: Arc::from(method_name),
-            args: Args::copy_from(args),
-            seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
-        };
-        let sentries = self.sentries.read().clone();
-        for s in &sentries {
-            s.before(&call)?;
-        }
-        let ctx = MethodCtx {
-            space,
-            dispatcher: self,
-            txn,
-            self_oid: receiver,
-            args,
-        };
-        let result = body(&ctx);
-        for s in &sentries {
-            s.after(&call, &result);
-        }
-        result
+        let mut result = None;
+        self.dispatch(space, txn, &[(receiver, method_name, args)], |v| {
+            result = Some(v)
+        })?;
+        Ok(result.expect("one call, one result"))
     }
 
     /// Invoke a batch of calls within `txn`, raising the monitored
     /// after-events **once at the end of the batch** instead of after
-    /// each body.
-    ///
-    /// Per call the order is unchanged: before-sentries run (and can
-    /// veto) immediately before each body. What moves is the after
-    /// phase: the after-event of call *i* is observed only after every
-    /// body of the batch has run (or the batch stopped at an error).
-    /// The first error ends the batch; after-events of the calls that
-    /// already ran — including the failing one, matching the per-call
-    /// path where `after` sees the `Err` result — are still raised.
+    /// each body. Results come back in call order.
     pub fn invoke_batch(
         &self,
         space: &ObjectSpace,
@@ -202,47 +165,57 @@ impl Dispatcher {
         calls: &[(ObjectId, &str, &[Value])],
     ) -> Result<Vec<Value>> {
         let mut results = Vec::with_capacity(calls.len());
-        let mut pending: Vec<(MethodCall, Result<Value>)> = Vec::new();
+        self.dispatch(space, txn, calls, |v| results.push(v))?;
+        Ok(results)
+    }
+
+    /// The one dispatch body: run `calls` in order, handing each
+    /// body's value to `emit`.
+    ///
+    /// Per call, before-sentries run (and can veto) immediately before
+    /// the body. The after-event of call *i* is observed only after
+    /// every body of the batch has run (or the batch stopped at an
+    /// error). The first error ends the batch; after-events of the
+    /// calls that already ran — including the failing one, whose
+    /// `after` sees the `Err` result — are still raised.
+    fn dispatch(
+        &self,
+        space: &ObjectSpace,
+        txn: TxnId,
+        calls: &[(ObjectId, &str, &[Value])],
+        mut emit: impl FnMut(Value),
+    ) -> Result<()> {
+        let mut ran: Vec<(MethodCall, Result<Value>)> = Vec::new();
         let mut sentries: Option<Vec<Arc<dyn MethodSentry>>> = None;
-        let mut failure: Option<reach_common::ReachError> = None;
-        // Resolution cache for a run of calls sharing (class, method
-        // name) — the common batch shape is one method over receivers
-        // of one class, where vtable resolution, body lookup, the
-        // monitor test and the name Arc are all per-call repeats of
-        // the same answer. A monitor()/unmonitor() racing the batch
-        // may be observed only from the next resolution run, exactly
-        // as a racing per-call loop may observe it only from some call
-        // onward.
-        let mut resolved: Option<(Arc<str>, ClassId, MethodId, crate::method::MethodBody, bool)> =
-            None;
-        'calls: for &(receiver, method_name, args) in calls {
-            macro_rules! try_or_break {
-                ($e:expr) => {
-                    match $e {
-                        Ok(v) => v,
-                        Err(e) => {
-                            failure = Some(e);
-                            break 'calls;
-                        }
+        let outcome = (|| -> Result<()> {
+            // Resolution cache for a run of calls sharing (class, method
+            // name) — the common batch shape is one method over
+            // receivers of one class, where vtable resolution, body
+            // lookup, the monitor test and the name Arc are all
+            // per-call repeats of the same answer. A monitor()/
+            // unmonitor() racing the batch may be observed only from
+            // the next resolution run, exactly as a racing per-call
+            // loop may observe it only from some call onward.
+            let mut resolved: Option<Resolved<'_>> = None;
+            for &(receiver, method_name, args) in calls {
+                let class = space.class_of(receiver)?;
+                let r = match &resolved {
+                    Some(r) if r.class == class && r.name == method_name => r,
+                    _ => {
+                        let method = self.schema.resolve_method(class, method_name)?;
+                        // Unmonitored calls stop here: no sentry
+                        // bookkeeping beyond the one load.
+                        let monitored = self.monitor_count.load(Ordering::Acquire) > 0
+                            && self.monitor_hit(class, method);
+                        resolved.insert(Resolved {
+                            class,
+                            name: method_name,
+                            method,
+                            body: self.methods.body(method)?,
+                            shared_name: monitored.then(|| Arc::from(method_name)),
+                        })
                     }
                 };
-            }
-            let class = try_or_break!(space.class_of(receiver));
-            let (name, method, body, hit) = match &resolved {
-                Some((n, c, m, b, h)) if *c == class && &**n == method_name => {
-                    (Arc::clone(n), *m, Arc::clone(b), *h)
-                }
-                _ => {
-                    let method = try_or_break!(self.schema.resolve_method(class, method_name));
-                    let body = try_or_break!(self.methods.body(method));
-                    let hit = self.monitor_count.load(Ordering::Acquire) > 0
-                        && self.monitor_hit(class, method);
-                    let name: Arc<str> = Arc::from(method_name);
-                    resolved = Some((Arc::clone(&name), class, method, Arc::clone(&body), hit));
-                    (name, method, body, hit)
-                }
-            };
-            if !hit {
                 let ctx = MethodCtx {
                     space,
                     dispatcher: self,
@@ -250,53 +223,35 @@ impl Dispatcher {
                     self_oid: receiver,
                     args,
                 };
-                results.push(try_or_break!(body(&ctx)));
-                continue;
-            }
-            let call = MethodCall {
-                txn,
-                receiver,
-                class,
-                method,
-                method_name: name,
-                args: Args::copy_from(args),
-                seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
-            };
-            let chain = sentries.get_or_insert_with(|| self.sentries.read().clone());
-            for s in chain.iter() {
-                if let Err(e) = s.before(&call) {
-                    failure = Some(e);
-                    break 'calls;
+                let Some(name) = &r.shared_name else {
+                    emit((r.body)(&ctx)?);
+                    continue;
+                };
+                let call = MethodCall {
+                    txn,
+                    receiver,
+                    class,
+                    method: r.method,
+                    method_name: Arc::clone(name),
+                    args: Args::copy_from(args),
+                    seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
+                };
+                for s in sentries.get_or_insert_with(|| self.sentries.read().clone()) {
+                    s.before(&call)?;
                 }
+                let result = (r.body)(&ctx);
+                let value = result.clone();
+                ran.push((call, result));
+                emit(value?);
             }
-            let ctx = MethodCtx {
-                space,
-                dispatcher: self,
-                txn,
-                self_oid: receiver,
-                args,
-            };
-            let result = body(&ctx);
-            match &result {
-                Ok(v) => results.push(v.clone()),
-                Err(e) => failure = Some(e.clone()),
-            }
-            let stop = failure.is_some();
-            pending.push((call, result));
-            if stop {
-                break;
+            Ok(())
+        })();
+        if !ran.is_empty() {
+            for s in sentries.iter().flatten() {
+                s.after(&ran);
             }
         }
-        if !pending.is_empty() {
-            let chain = sentries.unwrap_or_else(|| self.sentries.read().clone());
-            for s in &chain {
-                s.after_batch(&pending);
-            }
-        }
-        match failure {
-            None => Ok(results),
-            Some(e) => Err(e),
-        }
+        outcome
     }
 
     /// Monitoring test that honours inheritance: the pair is monitored if
@@ -349,11 +304,24 @@ mod tests {
                 .push((SentryPhase::Before, call.method_name.to_string()));
             Ok(())
         }
-        fn after(&self, call: &MethodCall, _result: &Result<Value>) {
-            self.calls
-                .lock()
-                .push((SentryPhase::After, call.method_name.to_string()));
+        fn after(&self, calls: &[(MethodCall, Result<Value>)]) {
+            let mut seen = self.calls.lock();
+            for (call, _result) in calls {
+                seen.push((SentryPhase::After, call.method_name.to_string()));
+            }
         }
+    }
+
+    /// Vetoes every call of the named method.
+    struct Veto(&'static str);
+    impl MethodSentry for Veto {
+        fn before(&self, call: &MethodCall) -> Result<()> {
+            if &*call.method_name == self.0 {
+                return Err(reach_common::ReachError::RuleEvaluation("vetoed".into()));
+            }
+            Ok(())
+        }
+        fn after(&self, _calls: &[(MethodCall, Result<Value>)]) {}
     }
 
     fn world() -> (Arc<Schema>, Arc<MethodRegistry>, ObjectSpace, Dispatcher) {
@@ -486,14 +454,7 @@ mod tests {
             *ran2.lock() = true;
             Ok(Value::Null)
         });
-        struct Veto;
-        impl MethodSentry for Veto {
-            fn before(&self, _c: &MethodCall) -> Result<()> {
-                Err(reach_common::ReachError::RuleEvaluation("vetoed".into()))
-            }
-            fn after(&self, _c: &MethodCall, _r: &Result<Value>) {}
-        }
-        disp.add_sentry(Arc::new(Veto));
+        disp.add_sentry(Arc::new(Veto("op")));
         disp.monitor(class, m);
         let oid = space.create(TxnId::NULL, class).unwrap();
         assert!(disp.invoke(&space, TxnId::NULL, oid, "op", &[]).is_err());
@@ -530,5 +491,88 @@ mod tests {
         let class = ClassBuilder::new(&schema, "Empty").define().unwrap();
         let oid = space.create(TxnId::NULL, class).unwrap();
         assert!(disp.invoke(&space, TxnId::NULL, oid, "ghost", &[]).is_err());
+    }
+
+    /// A recorded world with three monitored methods `a`, `b`, `c` on
+    /// one object; `b`'s body fails when `b_fails`.
+    fn abc(b_fails: bool) -> (ObjectSpace, Dispatcher, Arc<Recorder>, ObjectId) {
+        let (schema, methods, space, disp) = world();
+        let (builder, a) = ClassBuilder::new(&schema, "Abc").virtual_method("a");
+        let (builder, b) = builder.virtual_method("b");
+        let (builder, c) = builder.virtual_method("c");
+        let class = builder.define().unwrap();
+        methods.register_fn(a, |_| Ok(Value::Int(1)));
+        methods.register_fn(b, move |_| {
+            if b_fails {
+                Err(reach_common::ReachError::RuleEvaluation("b failed".into()))
+            } else {
+                Ok(Value::Int(2))
+            }
+        });
+        methods.register_fn(c, |_| Ok(Value::Int(3)));
+        let rec = Arc::new(Recorder {
+            calls: Mutex::new(Vec::new()),
+        });
+        disp.add_sentry(Arc::clone(&rec) as Arc<dyn MethodSentry>);
+        for m in [a, b, c] {
+            disp.monitor(class, m);
+        }
+        let oid = space.create(TxnId::NULL, class).unwrap();
+        (space, disp, rec, oid)
+    }
+
+    fn seen(rec: &Recorder) -> Vec<(SentryPhase, String)> {
+        std::mem::take(&mut *rec.calls.lock())
+    }
+
+    fn phase(p: SentryPhase, name: &str) -> (SentryPhase, String) {
+        (p, name.to_string())
+    }
+
+    #[test]
+    fn body_error_mid_batch_raises_after_for_every_call_that_ran() {
+        let (space, disp, rec, oid) = abc(true);
+        let calls: [(ObjectId, &str, &[Value]); 3] =
+            [(oid, "a", &[]), (oid, "b", &[]), (oid, "c", &[])];
+        assert!(disp.invoke_batch(&space, TxnId::NULL, &calls).is_err());
+        use SentryPhase::{After, Before};
+        assert_eq!(
+            seen(&rec),
+            vec![
+                phase(Before, "a"),
+                phase(Before, "b"),
+                phase(After, "a"),
+                phase(After, "b"), // the failing call's after sees its Err
+            ],
+            "nothing of `c`: the batch stopped at `b`"
+        );
+    }
+
+    #[test]
+    fn before_veto_mid_batch_still_raises_earlier_after_events() {
+        let (space, disp, rec, oid) = abc(false);
+        disp.add_sentry(Arc::new(Veto("b")));
+        let calls: [(ObjectId, &str, &[Value]); 3] =
+            [(oid, "a", &[]), (oid, "b", &[]), (oid, "c", &[])];
+        assert!(disp.invoke_batch(&space, TxnId::NULL, &calls).is_err());
+        use SentryPhase::{After, Before};
+        assert_eq!(
+            seen(&rec),
+            vec![phase(Before, "a"), phase(Before, "b"), phase(After, "a")],
+            "`b` was vetoed before its body, so it has no after-event"
+        );
+    }
+
+    #[test]
+    fn invoke_is_invoke_batch_of_one() {
+        let (space, disp, rec, oid) = abc(false);
+        let single = disp.invoke(&space, TxnId::NULL, oid, "b", &[]).unwrap();
+        let single_seen = seen(&rec);
+        let batch = disp
+            .invoke_batch(&space, TxnId::NULL, &[(oid, "b", &[])])
+            .unwrap();
+        assert_eq!(batch, vec![single]);
+        assert_eq!(seen(&rec), single_seen);
+        assert_eq!(single_seen.len(), 2, "before + after");
     }
 }

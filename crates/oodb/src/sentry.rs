@@ -75,7 +75,7 @@ impl InlineWrapperSentry {
                     .on_detected(call.txn, call.receiver, &call.method_name);
                 Ok(())
             }
-            fn after(&self, _c: &reach_object::MethodCall, _r: &Result<Value>) {}
+            fn after(&self, _calls: &[(reach_object::MethodCall, Result<Value>)]) {}
         }
         world.dispatcher.add_sentry(Arc::new(Bridge(
             Arc::clone(&world.sink),

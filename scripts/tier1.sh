@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, and the smoke runs of
-# the crash-point torture, group-commit, and server-overload harnesses.
+# the crash-point torture, group-commit, and server-overload harnesses
+# and of the benchmark package (benchmark/, a workspace of its own).
 # Every experiment invocation runs under a hard timeout so a wedged
 # harness fails the gate instead of hanging it.
 #
@@ -29,6 +30,28 @@ done
 # finish in well under a minute; ten is a hang, not a slow machine.
 EXP_TIMEOUT=600
 
+# bench_gate <file> <gate_key> <fresh_key> <bin> <label>
+# Run `<bin> --smoke` and fail if the <fresh_key> it writes into <file>
+# lands >10% below the committed <gate_key>. The gate is read BEFORE
+# the run: the bin rewrites the file.
+bench_gate() {
+  local file=$1 gate_key=$2 fresh_key=$3 bin=$4 label=$5
+  local unit="${fresh_key%_per_s}/s" gate fresh floor
+  echo "== tier-1: ${label} gate (>10% regression vs committed gate fails) =="
+  gate=$(sed -n "s/^  \"${gate_key}\": \([0-9]*\).*/\1/p" "$file")
+  if [[ -z "$gate" ]]; then
+    echo "${file} missing or has no ${gate_key}" >&2; exit 1
+  fi
+  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin "$bin" -- --smoke
+  fresh=$(sed -n "s/^  \"${fresh_key}\": \([0-9]*\).*/\1/p" "$file")
+  floor=$((gate * 9 / 10))
+  echo "   measured ${fresh} ${unit}, gate ${gate} (floor ${floor})"
+  if (( fresh < floor )); then
+    echo "${label} regression: ${fresh} ${unit} < ${floor} (90% of gate ${gate})" >&2
+    exit 1
+  fi
+}
+
 echo "== tier-1: release build =="
 cargo build --release
 
@@ -50,56 +73,22 @@ timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_snapshot -- 
 echo "== tier-1: distributed-commit smoke (2PC invariants at 2/4 shards) =="
 timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_dist -- --smoke
 
+# benchmark/ is a workspace of its own (path deps on crates/*), so the
+# build and tests above never compile it: an API change in crates/* can
+# break the yardstick unnoticed. run.sh builds it, then drives every
+# workload briefly with its in-run correctness checks.
+echo "== tier-1: benchmark package smoke (builds against crates/*, every workload correct) =="
+timeout "$EXP_TIMEOUT" bash benchmark/run.sh --smoke
+
 if [[ "$STRESS" == 1 ]]; then
   echo "== tier-1: concurrency stress smoke (perturbed schedules + differential fuzz) =="
   timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --features sched --bin exp_stress -- --smoke
 fi
 
 if [[ "$BENCH_CHECK" == 1 ]]; then
-  echo "== tier-1: E13 throughput gate (>10% regression vs committed gate fails) =="
-  # Read the gate BEFORE the run: exp_throughput rewrites BENCH_E13.json.
-  gate=$(sed -n 's/^  "gate_events_per_s": \([0-9]*\).*/\1/p' BENCH_E13.json)
-  if [[ -z "$gate" ]]; then
-    echo "BENCH_E13.json missing or has no gate_events_per_s" >&2; exit 1
-  fi
-  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_throughput -- --smoke
-  fresh=$(sed -n 's/^  "events_per_s": \([0-9]*\).*/\1/p' BENCH_E13.json)
-  floor=$((gate * 9 / 10))
-  echo "   measured ${fresh} events/s, gate ${gate} (floor ${floor})"
-  if (( fresh < floor )); then
-    echo "E13 throughput regression: ${fresh} events/s < ${floor} (90% of gate ${gate})" >&2
-    exit 1
-  fi
-
-  echo "== tier-1: E21 index-lookup gate (>10% regression vs committed gate fails) =="
-  # Same protocol as E13: read the gate BEFORE exp_index rewrites the file.
-  gate=$(sed -n 's/^  "gate_lookups_per_s": \([0-9]*\).*/\1/p' BENCH_E21.json)
-  if [[ -z "$gate" ]]; then
-    echo "BENCH_E21.json missing or has no gate_lookups_per_s" >&2; exit 1
-  fi
-  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_index -- --smoke
-  fresh=$(sed -n 's/^  "lookups_per_s": \([0-9]*\).*/\1/p' BENCH_E21.json)
-  floor=$((gate * 9 / 10))
-  echo "   measured ${fresh} lookups/s, gate ${gate} (floor ${floor})"
-  if (( fresh < floor )); then
-    echo "E21 index-lookup regression: ${fresh} lookups/s < ${floor} (90% of gate ${gate})" >&2
-    exit 1
-  fi
-
-  echo "== tier-1: E22 distributed-commit gate (>10% regression vs committed gate fails) =="
-  # Same protocol again: read the gate BEFORE exp_dist rewrites the file.
-  gate=$(sed -n 's/^  "gate_commits_per_s": \([0-9]*\).*/\1/p' BENCH_E22.json)
-  if [[ -z "$gate" ]]; then
-    echo "BENCH_E22.json missing or has no gate_commits_per_s" >&2; exit 1
-  fi
-  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_dist -- --smoke
-  fresh=$(sed -n 's/^  "commits_per_s": \([0-9]*\).*/\1/p' BENCH_E22.json)
-  floor=$((gate * 9 / 10))
-  echo "   measured ${fresh} cross-shard commits/s, gate ${gate} (floor ${floor})"
-  if (( fresh < floor )); then
-    echo "E22 distributed-commit regression: ${fresh} commits/s < ${floor} (90% of gate ${gate})" >&2
-    exit 1
-  fi
+  bench_gate BENCH_E13.json gate_events_per_s events_per_s exp_throughput "E13 throughput"
+  bench_gate BENCH_E21.json gate_lookups_per_s lookups_per_s exp_index "E21 index-lookup"
+  bench_gate BENCH_E22.json gate_commits_per_s commits_per_s exp_dist "E22 distributed-commit"
 fi
 
 echo "== tier-1: OK =="
