@@ -38,35 +38,35 @@ fn throughput(mode: CompositionMode, compositors: usize, events: usize) -> (f64,
     )
     .unwrap();
     let sys = &w.sys;
+    // Completions are read off the router's `composites_completed`
+    // counter, which is gated on the registry switch (both strategies
+    // pay the same instrumentation, so their ratio is unaffected).
+    sys.enable_metrics();
     let ev = sys
         .define_method_event("prim", w.class, "report", MethodPhase::After)
         .unwrap();
-    let mut composite_types = Vec::with_capacity(compositors);
     for k in 0..compositors {
         // Each compositor runs a deliberately *wide* automaton — a
         // disjunction of long histories — so one feed does real work
-        // (realistic complex patterns); completions land in the
-        // composite manager's local history, which is how we count them
-        // (no rules attached — this isolates composition cost).
+        // (realistic complex patterns); no rules are attached — this
+        // isolates composition cost.
         let branch = |n: u32| EventExpr::History {
             expr: Arc::new(EventExpr::Primitive(ev)),
             count: n,
         };
-        let comp = sys
-            .define_composite(
-                &format!("comp-{k}"),
-                EventExpr::Conjunction(vec![
-                    branch(20 + (k as u32 % 5)),
-                    branch(25 + (k as u32 % 7)),
-                    branch(30 + (k as u32 % 11)),
-                    branch(35 + (k as u32 % 13)),
-                ]),
-                CompositionScope::CrossTransaction,
-                Lifespan::Interval(Duration::from_secs(3600)),
-                ConsumptionPolicy::Cumulative,
-            )
-            .unwrap();
-        composite_types.push(comp);
+        sys.define_composite(
+            &format!("comp-{k}"),
+            EventExpr::Conjunction(vec![
+                branch(20 + (k as u32 % 5)),
+                branch(25 + (k as u32 % 7)),
+                branch(30 + (k as u32 % 11)),
+                branch(35 + (k as u32 % 13)),
+            ]),
+            CompositionScope::CrossTransaction,
+            Lifespan::Interval(Duration::from_secs(3600)),
+            ConsumptionPolicy::Cumulative,
+        )
+        .unwrap();
     }
     let db = &w.db;
     let oid = w.sensors[0];
@@ -83,13 +83,9 @@ fn throughput(mode: CompositionMode, compositors: usize, events: usize) -> (f64,
     db.commit(t).unwrap();
     sys.wait_quiescent();
     let elapsed = start.elapsed().as_secs_f64();
-    // Completions = composite occurrences recorded in manager histories
-    // (plus those already drained to the global history at EOT).
-    let fired: usize = sys.global_history().len()
-        + composite_types
-            .iter()
-            .map(|ty| sys.manager(*ty).unwrap().history.len())
-            .sum::<usize>();
+    // A count, not a ring length: histories are bounded windows and
+    // stop growing at their capacity.
+    let fired = sys.metrics_snapshot().composites_completed as usize;
     (events as f64 / app_elapsed, events as f64 / elapsed, fired)
 }
 

@@ -8,8 +8,14 @@
 //! aborted."
 //!
 //! [`LocalHistory`] is the per-ECA-manager ring buffer;
-//! [`GlobalHistory`] is the post-EOT consolidated log the collector
-//! drains into. Experiment E12 measures the contention difference.
+//! [`GlobalHistory`] is the post-EOT consolidated **window** the
+//! collector drains into: the most recent [`DEFAULT_HISTORY_CAPACITY`]
+//! occurrences in global sequence order, not an archive. An occurrence
+//! leaves it a few dozen transactions after its EOT, while it is still
+//! cache-warm. A long audit trail belongs to a firing listener
+//! ([`crate::ReachSystem::add_firing_listener`]) or to an explicitly
+//! sized [`GlobalHistory::new`], not to the default. Experiment E12
+//! measures the contention difference between the two histories.
 
 use crate::event::EventOccurrence;
 use reach_common::sync::Mutex;
@@ -17,8 +23,16 @@ use reach_common::TxnId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Default ring capacity per manager.
-pub const DEFAULT_LOCAL_CAPACITY: usize = 4096;
+/// Default capacity of every event history — each manager's local ring
+/// and the global window alike. The size is measured, not a taste
+/// (EXPERIMENTS.md E24, `monitor_embedded`): a 1 Mi-entry global log
+/// held 330 MiB of occurrences and made every commit free ones
+/// allocated a million events earlier; a 65 536-entry window (a 20 MB
+/// ring) gives the memory back but still evicts cache-cold objects on
+/// the commit path and ran 8 % *below* the unbounded parent; at 4096
+/// the evicted occurrences are a few dozen transactions old and the
+/// run is 13 % above it.
+pub const DEFAULT_HISTORY_CAPACITY: usize = 4096;
 
 /// The per-manager event log.
 pub struct LocalHistory {
@@ -78,11 +92,11 @@ impl LocalHistory {
 
 impl Default for LocalHistory {
     fn default() -> Self {
-        Self::new(DEFAULT_LOCAL_CAPACITY)
+        Self::new(DEFAULT_HISTORY_CAPACITY)
     }
 }
 
-/// The consolidated, post-EOT history.
+/// The consolidated, post-EOT history window.
 pub struct GlobalHistory {
     log: Mutex<VecDeque<Arc<EventOccurrence>>>,
     capacity: usize,
@@ -131,11 +145,16 @@ impl GlobalHistory {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Occurrences the window holds at most.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
 }
 
 impl Default for GlobalHistory {
     fn default() -> Self {
-        Self::new(1 << 20)
+        Self::new(DEFAULT_HISTORY_CAPACITY)
     }
 }
 

@@ -49,8 +49,9 @@ pub struct ReachConfig {
     /// default (~100µs on file-backed logs).
     pub group_window: Option<Duration>,
     /// Automatic fuzzy checkpoint every this many bytes of WAL growth
-    /// (checked after each commit/abort); `None` leaves checkpoints to
-    /// explicit [`ReachSystem::checkpoint`] calls.
+    /// (checked after each commit/abort); `None` leaves the storage
+    /// manager's own setting alone — off for a file-backed database
+    /// unless the caller armed it, 8 MiB for an in-memory one.
     pub checkpoint_bytes: Option<u64>,
     /// Event-sequence clock shared with other engine instances. The
     /// distribution layer hands every shard the same clock so `seq`
@@ -111,8 +112,9 @@ impl ReachSystem {
         if let Some(window) = config.group_window {
             db.storage().wal().set_group_window(window);
         }
-        db.storage()
-            .set_checkpoint_threshold(config.checkpoint_bytes);
+        if let Some(bytes) = config.checkpoint_bytes {
+            db.storage().set_checkpoint_threshold(Some(bytes));
+        }
         let engine = Engine::new(Arc::clone(&db));
         engine.set_strategy(config.strategy);
         router.set_handler(Arc::new(EngineHandler(Arc::clone(&engine))));

@@ -945,6 +945,53 @@ fn histories_are_local_then_collected_globally() {
     assert!(sys.global_history().len() >= global_before + 2);
 }
 
+/// `ReachConfig::checkpoint_bytes: None` leaves the storage manager's
+/// threshold alone (it used to disarm whatever the caller had armed);
+/// `Some(n)` sets it.
+#[test]
+fn reach_config_leaves_an_armed_checkpoint_threshold_alone() {
+    let taken_after = |armed: Option<u64>, config: ReachConfig| {
+        let db = Database::in_memory().unwrap();
+        if let Some(bytes) = armed {
+            db.storage().set_checkpoint_threshold(Some(bytes));
+        }
+        let (b, _) = db
+            .define_class("Row")
+            .attr("v", ValueType::Int, Value::Int(0))
+            .virtual_method("noop");
+        let class = b.define().unwrap();
+        let sys = ReachSystem::new(Arc::clone(&db), config);
+        let before = sys.metrics().ckpt.taken.get();
+        for i in 0..50 {
+            let t = db.begin().unwrap();
+            let oid = db.create(t, class).unwrap();
+            db.persist(t, oid).unwrap();
+            db.set_attr(t, oid, "v", Value::Int(i)).unwrap();
+            db.commit(t).unwrap();
+        }
+        sys.metrics().ckpt.taken.get() - before
+    };
+    assert!(
+        taken_after(Some(1024), ReachConfig::default()) >= 2,
+        "the default config disarmed the threshold the caller armed on storage"
+    );
+    assert!(
+        taken_after(
+            None,
+            ReachConfig {
+                checkpoint_bytes: Some(1024),
+                ..Default::default()
+            }
+        ) >= 2,
+        "checkpoint_bytes: Some(n) must arm the threshold"
+    );
+    assert_eq!(
+        taken_after(None, ReachConfig::default()),
+        0,
+        "a few KB of log is far below the in-memory default"
+    );
+}
+
 #[test]
 fn figure2_trace_records_the_message_flow() {
     let w = world();

@@ -99,6 +99,14 @@ impl ActiveTxns {
         e.writes += 1;
     }
 
+    /// Where `txn`'s undo must start reading the log: `None` if the
+    /// table does not know the transaction (crash-restart), `Some(None)`
+    /// if it is live but has logged no write, `Some(Some(lsn))` with a
+    /// frame boundary at or below its first write record otherwise.
+    pub fn first_write_lsn(&self, txn: TxnId) -> Option<Option<Lsn>> {
+        self.map.lock().get(&txn).map(|e| e.first_write_lsn)
+    }
+
     /// Append a transaction's outcome record (Commit/Abort) and drop its
     /// table entry as one step under the table lock; returns whether it
     /// had logged writes and the record's end LSN. The atomicity matters

@@ -33,6 +33,16 @@ use std::sync::Arc;
 /// The transaction id used for system-internal (catalog) writes.
 pub const SYSTEM_TXN: TxnId = TxnId(u64::MAX);
 
+/// Log growth that triggers a fuzzy checkpoint on an in-memory storage
+/// manager, so the volatile log is truncated below the safe cut the way
+/// an operator-configured file log is, instead of growing for as long
+/// as the process lives (5.6 KB per `monitor_embedded` batch
+/// transaction: 173 MB over the 20 s benchmark run). 8 MiB is one
+/// checkpoint per ~1 500 such transactions — under 0.1 % of a run —
+/// and was the value the flat-memory change was sized with
+/// (EXPERIMENTS.md E24).
+pub const IN_MEMORY_CHECKPOINT_BYTES: u64 = 8 << 20;
+
 /// Identity of a segment within one storage manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(pub u64);
@@ -71,10 +81,15 @@ pub struct StorageManager {
 }
 
 impl StorageManager {
-    /// A storage manager over in-memory disk and log (tests, benchmarks).
+    /// A storage manager over in-memory disk and log (tests, benchmarks),
+    /// with the byte-threshold checkpoint armed at
+    /// [`IN_MEMORY_CHECKPOINT_BYTES`]: nobody else will ever truncate a
+    /// log that lives on the heap.
     pub fn new_in_memory(pool_frames: usize) -> Result<Self> {
         let disk: Arc<dyn StableStorage> = Arc::new(MemDisk::new());
-        Self::bootstrap(disk, Arc::new(WriteAheadLog::in_memory()), pool_frames)
+        let sm = Self::bootstrap(disk, Arc::new(WriteAheadLog::in_memory()), pool_frames)?;
+        sm.set_checkpoint_threshold(Some(IN_MEMORY_CHECKPOINT_BYTES));
+        Ok(sm)
     }
 
     /// Open (or create) a database directory containing `data.db` and
@@ -365,11 +380,18 @@ impl StorageManager {
     }
 
     /// Abort: undo this transaction's logged operations in reverse order,
-    /// writing CLRs, then append the abort record.
+    /// writing CLRs, then append the abort record. The log is read from
+    /// the transaction's first write only — an abort costs what the
+    /// transaction and its contemporaries logged, not what the whole
+    /// surviving log holds. A crash-restart abort, whose transaction the
+    /// active table no longer knows, falls back to the full scan.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
-        let mut mine: Vec<(u64, WalRecord)> = self
-            .wal
-            .scan()?
+        let scanned = match self.active.first_write_lsn(txn) {
+            Some(Some(first)) => self.wal.scan_from(first)?,
+            Some(None) => Vec::new(),
+            None => self.wal.scan()?,
+        };
+        let mut mine: Vec<(u64, WalRecord)> = scanned
             .into_iter()
             .filter(|(_, r)| r.txn() == Some(txn))
             .collect();
@@ -972,6 +994,83 @@ mod tests {
         assert!(s.get(seg, fresh).is_err(), "inserted row must vanish");
         assert_eq!(s.get(seg, keep).unwrap(), b"keep-v1");
         assert_eq!(s.get(seg, dead).unwrap(), b"to-die");
+    }
+
+    /// Abort reads the log from the transaction's first write, not from
+    /// the base: behind 5 000 committed transactions, a 3-write abort
+    /// decodes only its own frames and writes the CLRs a full scan did.
+    #[test]
+    fn abort_scans_from_the_first_write_only() {
+        use crate::wal::FRAMES_DECODED;
+        let sm = sm();
+        let seg = sm.create_segment("t").unwrap();
+        let setup = TxnId::new(1);
+        sm.begin(setup).unwrap();
+        let kept = sm.insert(setup, seg, b"kept").unwrap();
+        let doomed = sm.insert(setup, seg, b"doomed").unwrap();
+        sm.commit(setup).unwrap();
+        for n in 0..5_000u64 {
+            let t = TxnId::new(2 + n);
+            sm.begin(t).unwrap();
+            sm.update(t, seg, kept, format!("v{n}").as_bytes()).unwrap();
+            sm.commit(t).unwrap();
+        }
+        let t = TxnId::new(10_000);
+        sm.begin(t).unwrap();
+        let first_write = sm.wal().tail();
+        let ins = sm.insert(t, seg, b"new").unwrap();
+        sm.update(t, seg, kept, b"scribble").unwrap();
+        sm.delete(t, seg, doomed).unwrap();
+        let ops = sm.wal().scan_from(first_write).unwrap();
+        assert_eq!(ops.len(), 3);
+        let full = sm.wal().scan().unwrap();
+        assert_eq!(
+            ops,
+            full[full.len() - 3..],
+            "scan_from yields the same records, at the same LSNs, as the tail of a full scan"
+        );
+
+        let decoded_before = FRAMES_DECODED.with(|n| n.get());
+        sm.abort(t).unwrap();
+        assert_eq!(
+            FRAMES_DECODED.with(|n| n.get()) - decoded_before,
+            3,
+            "abort decoded frames below the transaction's first write"
+        );
+
+        // Same CLRs as ever: newest operation first, each pointing at
+        // the record it compensates, then the Abort record.
+        let tail = sm.wal().scan_from(first_write).unwrap();
+        let clr = |page, slot, restore: Option<&[u8]>, undo_next| WalRecord::Clr {
+            txn: t,
+            page,
+            slot,
+            restore: restore.map(<[u8]>::to_vec),
+            undo_next,
+        };
+        let written: Vec<WalRecord> = tail[3..].iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(
+            written,
+            vec![
+                clr(doomed.page, doomed.slot, Some(b"doomed"), ops[2].0),
+                clr(kept.page, kept.slot, Some(b"v4999"), ops[1].0),
+                clr(ins.page, ins.slot, None, ops[0].0),
+                WalRecord::Abort { txn: t },
+            ]
+        );
+        assert_eq!(sm.get(seg, kept).unwrap(), b"v4999");
+        assert_eq!(sm.get(seg, doomed).unwrap(), b"doomed");
+        assert!(sm.get(seg, ins).is_err());
+
+        // A live transaction with no write reads no log at all; one the
+        // table does not know (crash-restart) falls back to a full scan.
+        let r = TxnId::new(10_001);
+        sm.begin(r).unwrap();
+        let decoded_before = FRAMES_DECODED.with(|n| n.get());
+        sm.abort(r).unwrap();
+        assert_eq!(FRAMES_DECODED.with(|n| n.get()), decoded_before);
+        sm.abort(TxnId::new(10_002)).unwrap();
+        assert!(FRAMES_DECODED.with(|n| n.get()) - decoded_before > 15_000);
     }
 
     #[test]

@@ -502,6 +502,13 @@ fn fnv1a(data: &[u8]) -> u32 {
     h
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Frames decoded by scans on this thread — lets a unit test assert
+    /// how much of the log an operation actually read.
+    pub(crate) static FRAMES_DECODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 enum Sink {
     Mem(Vec<u8>),
     File { file: File, len: u64, path: PathBuf },
@@ -952,6 +959,29 @@ impl WriteAheadLog {
         Ok(self.scan_report()?.records)
     }
 
+    /// Scan the log from `from` — a frame boundary, e.g. a tail captured
+    /// before an append — instead of from the base: only the bytes at
+    /// or above it are read and decoded. A `from` below the base (the
+    /// prefix was truncated) starts at the base.
+    pub fn scan_from(&self, from: Lsn) -> Result<Vec<(Lsn, WalRecord)>> {
+        let (from, frames) = {
+            let mut st = self.sink.lock();
+            let from = from.clamp(st.base, st.tail());
+            let offset = from - st.base + FIRST_LSN;
+            let frames = match &mut st.sink {
+                Sink::Mem(buf) => buf[offset as usize..].to_vec(),
+                Sink::File { file, len, .. } => {
+                    let mut buf = vec![0u8; (*len - offset) as usize];
+                    file.seek(SeekFrom::Start(offset))?;
+                    file.read_exact(&mut buf)?;
+                    buf
+                }
+            };
+            (from, frames)
+        };
+        Ok(Self::scan_frames(from, &frames)?.records)
+    }
+
     /// Salvage scan: every complete, checksum-valid frame from the
     /// beginning, plus a count of torn trailing bytes discarded. The
     /// scan stops at the first incomplete or checksum-failing frame —
@@ -962,26 +992,31 @@ impl WriteAheadLog {
 
     /// Salvage-scan a raw log image (header + frames).
     fn scan_image(image: &[u8]) -> Result<ScanReport> {
-        let base = parse_base(image);
+        Self::scan_frames(parse_base(image), &image[FIRST_LSN as usize..])
+    }
+
+    /// Salvage-scan raw frames, the first of which sits at `first_lsn`.
+    fn scan_frames(first_lsn: Lsn, frames: &[u8]) -> Result<ScanReport> {
         let mut records = Vec::new();
-        let mut pos = FIRST_LSN as usize;
-        while pos + 8 <= image.len() {
-            let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-            let sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-            if pos + 8 + len > image.len() {
+        let mut pos = 0;
+        while pos + 8 <= frames.len() {
+            let len = u32::from_le_bytes(frames[pos..pos + 4].try_into().unwrap()) as usize;
+            let sum = u32::from_le_bytes(frames[pos + 4..pos + 8].try_into().unwrap());
+            if pos + 8 + len > frames.len() {
                 break; // torn tail
             }
-            let payload = &image[pos + 8..pos + 8 + len];
+            let payload = &frames[pos + 8..pos + 8 + len];
             if fnv1a(payload) != sum {
                 break; // torn/corrupt tail
             }
-            let lsn = base + (pos as u64 - FIRST_LSN);
-            records.push((lsn, WalRecord::decode(payload)?));
+            records.push((first_lsn + pos as u64, WalRecord::decode(payload)?));
             pos += 8 + len;
         }
+        #[cfg(test)]
+        FRAMES_DECODED.with(|n| n.set(n.get() + records.len() as u64));
         Ok(ScanReport {
             records,
-            salvaged_bytes: (image.len() - pos) as u64,
+            salvaged_bytes: (frames.len() - pos) as u64,
         })
     }
 
@@ -1053,15 +1088,15 @@ impl WriteAheadLog {
         }
         let drop_bytes = cut - st.base;
         let new_base = cut;
-        match &mut st.sink {
+        let SinkState { sink, archive, .. } = &mut *st;
+        match sink {
             Sink::Mem(buf) => {
-                let dropped: Vec<u8> = buf
-                    .drain(FIRST_LSN as usize..(FIRST_LSN + drop_bytes) as usize)
-                    .collect();
-                buf[..FIRST_LSN as usize].copy_from_slice(&new_base.to_le_bytes());
-                if let Some(arch) = &mut st.archive {
-                    arch.extend_from_slice(&dropped);
+                let dropped = FIRST_LSN as usize..(FIRST_LSN + drop_bytes) as usize;
+                if let Some(arch) = archive {
+                    arch.extend_from_slice(&buf[dropped.clone()]);
                 }
+                buf.drain(dropped);
+                buf[..FIRST_LSN as usize].copy_from_slice(&new_base.to_le_bytes());
             }
             Sink::File { file, len, path } => {
                 let keep = (*len - FIRST_LSN - drop_bytes) as usize;
@@ -1088,7 +1123,7 @@ impl WriteAheadLog {
                 File::open(dir)?.sync_all()?;
                 *file = OpenOptions::new().read(true).write(true).open(&*path)?;
                 *len = FIRST_LSN + keep as u64;
-                if let Some(arch) = &mut st.archive {
+                if let Some(arch) = archive {
                     arch.extend_from_slice(&dropped);
                 }
             }

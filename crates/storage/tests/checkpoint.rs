@@ -146,3 +146,78 @@ fn byte_threshold_arms_automatic_checkpoints() {
     assert_eq!(sm.metrics().ckpt.taken.get(), frozen);
     assert_eq!(sm.scan(seg).unwrap().len(), 30);
 }
+
+/// An in-memory manager is armed by default, so a workload that logs
+/// past the threshold gets its volatile log truncated mid-flight — and
+/// what is left must still be a valid log: the surviving byte image
+/// plus the disk image recover to exactly the committed state, with an
+/// open writer rolled back.
+#[test]
+fn truncated_volatile_log_still_recovers_the_committed_state() {
+    use reach_storage::{StableStorage, WriteAheadLog};
+    use std::sync::Arc;
+
+    let sm = StorageManager::new_in_memory(64).unwrap();
+    let seg = sm.create_segment("t").unwrap();
+    let setup = TxnId::new(1);
+    sm.begin(setup).unwrap();
+    let rids: Vec<_> = (0..40u8)
+        .map(|i| sm.insert(setup, seg, &[i; 200]).unwrap())
+        .collect();
+    sm.commit(setup).unwrap();
+
+    // ~450 B of log per update: 25 000 of them is ≈ 11 MB, so the 8 MiB
+    // default threshold is crossed while transactions keep committing.
+    let mut expected: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 200]).collect();
+    let mut appended = 0u64;
+    for n in 0..25_000u64 {
+        let txn = TxnId::new(2 + n);
+        let row = (n % 40) as usize;
+        let payload = vec![(n % 251) as u8; 200];
+        sm.begin(txn).unwrap();
+        sm.update(txn, seg, rids[row], &payload).unwrap();
+        if n % 97 == 0 {
+            sm.abort(txn).unwrap();
+        } else {
+            sm.commit(txn).unwrap();
+            expected[row] = payload;
+        }
+        appended = appended.max(sm.wal().tail());
+    }
+    assert!(
+        sm.metrics().ckpt.taken.get() >= 1,
+        "the default in-memory threshold never fired"
+    );
+    assert!(sm.wal().base_lsn() > 8, "no prefix was truncated");
+    let image = sm.wal().image().unwrap();
+    assert!(
+        (image.len() as u64) < appended / 2,
+        "{} of {appended} appended bytes still resident",
+        image.len()
+    );
+    assert!(
+        image.len() as u64 <= reach_storage::sm::IN_MEMORY_CHECKPOINT_BYTES + 4096,
+        "resident log {} exceeds threshold + one transaction",
+        image.len()
+    );
+
+    // A writer caught open by the crash.
+    let loser = TxnId::new(1_000_000);
+    sm.begin(loser).unwrap();
+    sm.update(loser, seg, rids[0], &[0xEE; 200]).unwrap();
+    sm.wal().force().unwrap();
+
+    let disk = Arc::clone(sm.pool().disk()) as Arc<dyn StableStorage>;
+    let wal = Arc::new(WriteAheadLog::in_memory_from(sm.wal().image().unwrap()));
+    drop(sm);
+    let (sm2, report) = StorageManager::open_with(disk, wal, 64).unwrap();
+    assert_eq!(
+        report.losers,
+        vec![loser],
+        "the open writer must be the loser"
+    );
+    let seg2 = sm2.segment("t").unwrap();
+    for (row, rid) in rids.iter().enumerate() {
+        assert_eq!(sm2.get(seg2, *rid).unwrap(), expected[row], "row {row}");
+    }
+}

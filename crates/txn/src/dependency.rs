@@ -15,8 +15,15 @@
 //! For composite events whose constituents span *several* transactions,
 //! Table 1 requires the dependency on **all** of them ("all commit" /
 //! "all abort"), so a dependent transaction carries a set of conditions.
+//!
+//! **Retention.** A dependency may name a transaction that finished long
+//! ago (a composite's lifespan can span hours), so final outcomes are
+//! kept *indefinitely* — but only the outcome: two bits per transaction
+//! id in a paged bitmap (`OutcomeStore`), which is also what
+//! [`crate::TransactionManager::state`] answers from once the manager
+//! has retired a finished transaction's record.
 
-use reach_common::sync::{Condvar, Mutex};
+use reach_common::sync::{Condvar, Mutex, MutexGuard};
 use reach_common::{ReachError, Result, TxnId};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -54,12 +61,71 @@ impl CommitRule {
     }
 }
 
+/// Transaction ids covered by one page of the [`OutcomeStore`].
+const PAGE_IDS: u64 = 1 << 14;
+/// Outcomes per `u64` word (two bits each).
+const WORD_IDS: u64 = 32;
+
+/// Final outcomes at two bits per transaction id (0 = not finished,
+/// 1 = committed, 2 = aborted).
+///
+/// The transaction manager issues dense ids, so a bitmap page of 4 KiB
+/// covers 16 384 consecutive transactions — a million finished
+/// transactions cost 250 KB, against the ~17 MB a `HashMap<TxnId,
+/// Outcome>` of them did — and the page being written is the page being
+/// read, so lookups stay cache-resident. Pages are keyed by number in a
+/// map rather than indexed in a vector: the graph is a public type, and
+/// a stray huge id must cost one page, not an allocation proportional
+/// to its value.
+#[derive(Default)]
+struct OutcomeStore {
+    pages: HashMap<u64, Box<[u64; (PAGE_IDS / WORD_IDS) as usize]>>,
+}
+
+impl OutcomeStore {
+    fn slot(txn: TxnId) -> (u64, usize, u32) {
+        let id = txn.raw();
+        (
+            id / PAGE_IDS,
+            (id % PAGE_IDS / WORD_IDS) as usize,
+            (id % WORD_IDS) as u32 * 2,
+        )
+    }
+
+    fn get(&self, txn: TxnId) -> Option<Outcome> {
+        let (page, word, shift) = Self::slot(txn);
+        match self.pages.get(&page)?[word] >> shift & 0b11 {
+            1 => Some(Outcome::Committed),
+            2 => Some(Outcome::Aborted),
+            _ => None,
+        }
+    }
+
+    fn set(&mut self, txn: TxnId, outcome: Outcome) {
+        let (page, word, shift) = Self::slot(txn);
+        let bits: u64 = match outcome {
+            Outcome::Committed => 1,
+            Outcome::Aborted => 2,
+        };
+        let w = &mut self
+            .pages
+            .entry(page)
+            .or_insert_with(|| Box::new([0; (PAGE_IDS / WORD_IDS) as usize]))[word];
+        *w = *w & !(0b11 << shift) | bits << shift;
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    /// Known final outcomes.
-    outcomes: HashMap<TxnId, Outcome>,
+    /// Final outcomes of every finished transaction.
+    outcomes: OutcomeStore,
     /// Dependencies per dependent transaction.
     deps: HashMap<TxnId, Vec<CommitRule>>,
+    /// Threads blocked in `wait`/`wait_for_outcome`. Every finished
+    /// transaction records an outcome, almost none has a waiter, and
+    /// waking a condvar is a system call whether or not anyone sleeps
+    /// on it — so `record_all` only notifies when this is non-zero.
+    waiters: usize,
 }
 
 /// The dependency graph. Shared between the transaction manager (which
@@ -97,10 +163,32 @@ impl DependencyGraph {
 
     /// Record a transaction's final outcome and wake waiters.
     pub fn record(&self, txn: TxnId, outcome: Outcome) {
+        self.record_all(&[(txn, outcome)]);
+    }
+
+    /// Record the final outcomes of a finished transaction tree (the
+    /// top-level transaction and its subtransactions) under one lock
+    /// pass, then wake waiters — if there are any — once.
+    pub fn record_all(&self, outcomes: &[(TxnId, Outcome)]) {
         let mut inner = self.inner.lock();
-        inner.outcomes.insert(txn, outcome);
+        for (txn, outcome) in outcomes {
+            inner.outcomes.set(*txn, *outcome);
+        }
+        let waiters = inner.waiters;
         drop(inner);
-        self.changed.notify_all();
+        if waiters > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// One condvar wait, counted in `waiters` so that `record_all` knows
+    /// to notify; `true` if it timed out. The count changes under the
+    /// same lock `record_all` reads it under, so no wake-up is missed.
+    fn wait_changed(&self, inner: &mut MutexGuard<'_, Inner>, timeout: Duration) -> bool {
+        inner.waiters += 1;
+        let timed_out = self.changed.wait_for(inner, timeout).timed_out();
+        inner.waiters -= 1;
+        timed_out
     }
 
     /// Non-blocking check of `dependent`'s permission to commit.
@@ -115,9 +203,9 @@ impl DependencyGraph {
         };
         let mut all_resolved = true;
         for rule in rules {
-            match inner.outcomes.get(&rule.subject()) {
+            match inner.outcomes.get(rule.subject()) {
                 Some(outcome) => {
-                    if !rule.satisfied_by(*outcome) {
+                    if !rule.satisfied_by(outcome) {
                         return Permission::MustAbort;
                     }
                 }
@@ -140,7 +228,7 @@ impl DependencyGraph {
                 Permission::Wait => {}
                 p => return Ok(p),
             }
-            if self.changed.wait_for(&mut inner, timeout).timed_out() {
+            if self.wait_changed(&mut inner, timeout) {
                 return Err(ReachError::DependencyViolation(format!(
                     "{dependent} timed out waiting for its causal dependencies"
                 )));
@@ -153,10 +241,10 @@ impl DependencyGraph {
     pub fn wait_for_outcome(&self, txn: TxnId, timeout: Duration) -> Result<Outcome> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(o) = inner.outcomes.get(&txn) {
-                return Ok(*o);
+            if let Some(o) = inner.outcomes.get(txn) {
+                return Ok(o);
             }
-            if self.changed.wait_for(&mut inner, timeout).timed_out() {
+            if self.wait_changed(&mut inner, timeout) {
                 return Err(ReachError::DependencyViolation(format!(
                     "timed out waiting for outcome of {txn}"
                 )));
@@ -164,9 +252,10 @@ impl DependencyGraph {
         }
     }
 
-    /// The recorded outcome, if final.
+    /// The recorded outcome, if final — answered for any transaction
+    /// that ever finished, however long ago.
     pub fn outcome(&self, txn: TxnId) -> Option<Outcome> {
-        self.inner.lock().outcomes.get(&txn).copied()
+        self.inner.lock().outcomes.get(txn)
     }
 
     /// Drop bookkeeping for a finished dependent.
@@ -235,6 +324,43 @@ mod tests {
         assert_eq!(g.check(t(9)), Permission::Wait);
         g.record(t(2), Outcome::Aborted);
         assert_eq!(g.check(t(9)), Permission::MustAbort);
+    }
+
+    #[test]
+    fn outcome_store_keeps_neighbours_apart_and_overwrites() {
+        let ids = [
+            1,
+            31,
+            32,
+            33,
+            PAGE_IDS - 1,
+            PAGE_IDS,
+            7 * PAGE_IDS + 5,
+            u64::MAX,
+        ];
+        let outcome_of = |id: u64| {
+            if id.is_multiple_of(2) {
+                Outcome::Committed
+            } else {
+                Outcome::Aborted
+            }
+        };
+        let mut s = OutcomeStore::default();
+        for id in ids {
+            assert_eq!(s.get(t(id)), None);
+            s.set(t(id), outcome_of(id));
+        }
+        for id in ids {
+            assert_eq!(s.get(t(id)), Some(outcome_of(id)), "id {id}");
+        }
+        assert_eq!(s.get(t(2)), None);
+        assert_eq!(s.get(t(PAGE_IDS + 1)), None);
+        s.set(t(32), Outcome::Aborted);
+        assert_eq!(s.get(t(32)), Some(Outcome::Aborted));
+        assert_eq!(s.get(t(31)), Some(Outcome::Aborted));
+        assert_eq!(s.get(t(33)), Some(Outcome::Aborted));
+        // Sparse ids cost a page each, never an index-sized allocation.
+        assert_eq!(s.pages.len(), 4);
     }
 
     #[test]

@@ -14,6 +14,17 @@
 //!   and a [`DependencyGraph`] consulted before a dependent transaction
 //!   is allowed to commit;
 //! * lock transfer for the exclusive causally dependent mode.
+//!
+//! **Retention.** The manager's table holds *live* transactions only.
+//! When a top-level transaction finishes — commit, abort, 2PC decision,
+//! read-only end — its whole record tree (itself and every
+//! subtransaction) is retired in one lock pass, after listeners and
+//! `on_commit`/`on_abort` actions ran. What survives is each id's final
+//! state, two bits in the [`DependencyGraph`]'s outcome store, so
+//! [`TransactionManager::state`] and the causal-dependency checks keep
+//! answering `Committed`/`Aborted` for any finished id indefinitely. An
+//! in-doubt `Prepared` transaction is live and is never retired before
+//! its decision.
 
 use crate::dependency::{DependencyGraph, Outcome, Permission};
 use crate::events::{TxnEvent, TxnEventKind, TxnListener};
@@ -105,6 +116,8 @@ pub struct TransactionManager {
     clock: Arc<VirtualClock>,
     locks: Arc<LockManager>,
     deps: Arc<DependencyGraph>,
+    /// Live transactions only (see the module's retention note): small
+    /// enough to stay cache-resident however long the system runs.
     txns: Mutex<HashMap<TxnId, TxnRecord>>,
     /// Registries are read-mostly and sit on the begin/commit hot path
     /// of every (sub)transaction, so reads snapshot an `Arc` to the
@@ -326,7 +339,7 @@ impl TransactionManager {
     pub fn snapshot_stamp(&self, txn: TxnId) -> Result<CommitTs> {
         let stamp = {
             let txns = self.txns.lock();
-            let rec = txns.get(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+            let rec = txns.get(&txn).ok_or_else(|| self.not_live(txn))?;
             if rec.state != TxnState::Active {
                 return Err(ReachError::TxnNotActive(txn));
             }
@@ -349,9 +362,7 @@ impl TransactionManager {
     pub fn begin_nested(&self, parent: TxnId) -> Result<TxnId> {
         let top = {
             let mut txns = self.txns.lock();
-            let rec = txns
-                .get_mut(&parent)
-                .ok_or(ReachError::TxnNotFound(parent))?;
+            let rec = txns.get_mut(&parent).ok_or_else(|| self.not_live(parent))?;
             if rec.state != TxnState::Active && rec.state != TxnState::Committing {
                 return Err(ReachError::TxnNotActive(parent));
             }
@@ -396,13 +407,29 @@ impl TransactionManager {
         Ok(id)
     }
 
-    /// The current state of a transaction.
+    /// The current state of a transaction: from its record while it is
+    /// live, from the outcome store once it has been retired (outcomes
+    /// are recorded before the record is dropped, so a finished id is
+    /// always found in one or the other).
     pub fn state(&self, txn: TxnId) -> Result<TxnState> {
-        self.txns
-            .lock()
-            .get(&txn)
-            .map(|r| r.state)
-            .ok_or(ReachError::TxnNotFound(txn))
+        if let Some(rec) = self.txns.lock().get(&txn) {
+            return Ok(rec.state);
+        }
+        match self.deps.outcome(txn) {
+            Some(Outcome::Committed) => Ok(TxnState::Committed),
+            Some(Outcome::Aborted) => Ok(TxnState::Aborted),
+            None => Err(ReachError::TxnNotFound(txn)),
+        }
+    }
+
+    /// The error for an operation on an id with no live record:
+    /// `TxnNotActive` if it finished (and was retired), `TxnNotFound`
+    /// if the manager never issued it.
+    fn not_live(&self, txn: TxnId) -> ReachError {
+        match self.deps.outcome(txn) {
+            Some(_) => ReachError::TxnNotActive(txn),
+            None => ReachError::TxnNotFound(txn),
+        }
     }
 
     /// Whether the transaction is active (or committing, or prepared —
@@ -440,8 +467,8 @@ impl TransactionManager {
     /// Queue work for the *top-level* pre-commit point (deferred rules).
     pub fn defer(&self, txn: TxnId, hook: Hook) -> Result<()> {
         let mut txns = self.txns.lock();
-        let top = txns.get(&txn).ok_or(ReachError::TxnNotFound(txn))?.top;
-        let rec = txns.get_mut(&top).ok_or(ReachError::TxnNotFound(top))?;
+        let top = txns.get(&txn).ok_or_else(|| self.not_live(txn))?.top;
+        let rec = txns.get_mut(&top).ok_or_else(|| self.not_live(top))?;
         if rec.state != TxnState::Active && rec.state != TxnState::Committing {
             return Err(ReachError::TxnNotActive(top));
         }
@@ -452,7 +479,7 @@ impl TransactionManager {
     /// Register a compensation to run if `txn` aborts.
     pub fn on_abort(&self, txn: TxnId, action: Action) -> Result<()> {
         let mut txns = self.txns.lock();
-        let rec = txns.get_mut(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+        let rec = txns.get_mut(&txn).ok_or_else(|| self.not_live(txn))?;
         rec.on_abort.push(action);
         Ok(())
     }
@@ -460,7 +487,7 @@ impl TransactionManager {
     /// Register work to run after the top-level transaction commits.
     pub fn on_commit(&self, txn: TxnId, action: Action) -> Result<()> {
         let mut txns = self.txns.lock();
-        let rec = txns.get_mut(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+        let rec = txns.get_mut(&txn).ok_or_else(|| self.not_live(txn))?;
         rec.on_commit.push(action);
         Ok(())
     }
@@ -514,7 +541,7 @@ impl TransactionManager {
     pub fn commit(&self, txn: TxnId) -> Result<()> {
         let (parent, top, read_only) = {
             let txns = self.txns.lock();
-            let rec = txns.get(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+            let rec = txns.get(&txn).ok_or_else(|| self.not_live(txn))?;
             if rec.state != TxnState::Active {
                 return Err(ReachError::TxnNotActive(txn));
             }
@@ -570,22 +597,26 @@ impl TransactionManager {
             txns.get_mut(&txn).unwrap().state = TxnState::Committing;
         }
         self.emit(TxnEventKind::PreCommit, txn, None, txn);
-        // Drain the deferred queue; hooks may enqueue more (rule cascades)
-        // and a failing hook aborts the transaction.
+        // Drain the deferred queue a round at a time; hooks may enqueue
+        // more (rule cascades), which run after the round that queued
+        // them — still FIFO — and a failing hook aborts the transaction.
         loop {
-            let hook = {
-                let mut txns = self.txns.lock();
-                let rec = txns.get_mut(&txn).unwrap();
-                if rec.pre_commit.is_empty() {
-                    None
-                } else {
-                    Some(rec.pre_commit.remove(0))
+            let round = std::mem::take(
+                &mut self
+                    .txns
+                    .lock()
+                    .get_mut(&txn)
+                    .expect("a committing transaction is live")
+                    .pre_commit,
+            );
+            if round.is_empty() {
+                break;
+            }
+            for hook in round {
+                if let Err(e) = hook() {
+                    self.abort(txn)?;
+                    return Err(e);
                 }
-            };
-            let Some(hook) = hook else { break };
-            if let Err(e) = hook() {
-                self.abort(txn)?;
-                return Err(e);
             }
         }
         // Causal dependencies (this transaction may itself be a detached
@@ -638,7 +669,7 @@ impl TransactionManager {
     pub fn prepare(&self, txn: TxnId, gid: u64) -> Result<()> {
         {
             let txns = self.txns.lock();
-            let rec = txns.get(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+            let rec = txns.get(&txn).ok_or_else(|| self.not_live(txn))?;
             if rec.state != TxnState::Active {
                 return Err(ReachError::TxnNotActive(txn));
             }
@@ -685,7 +716,7 @@ impl TransactionManager {
     pub fn decide(&self, txn: TxnId, commit: bool) -> Result<()> {
         {
             let txns = self.txns.lock();
-            let rec = txns.get(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+            let rec = txns.get(&txn).ok_or_else(|| self.not_live(txn))?;
             if rec.state != TxnState::Prepared {
                 return Err(ReachError::TxnNotActive(txn));
             }
@@ -713,8 +744,8 @@ impl TransactionManager {
 
     /// The back half of a top-level commit, shared by the one-phase
     /// path and a 2PC commit decision: version publication, state to
-    /// Committed, lock release, dependency bookkeeping, listeners and
-    /// post-commit actions.
+    /// Committed, lock release, dependency bookkeeping, listeners,
+    /// post-commit actions and, last, retirement of the record tree.
     fn finish_commit_top(&self, txn: TxnId, commit_t0: Option<std::time::Instant>) -> Result<()> {
         // Version publication: every resource manager has reported
         // durable and the 2PL locks are still held, so the write set is
@@ -752,12 +783,13 @@ impl TransactionManager {
                 self.vacuum_versions();
             }
         }
-        let on_commit = {
+        let (on_commit, tree) = {
             let mut txns = self.txns.lock();
             let rec = txns.get_mut(&txn).unwrap();
             rec.state = TxnState::Committed;
             rec.on_abort.clear();
-            std::mem::take(&mut rec.on_commit)
+            let on_commit = std::mem::take(&mut rec.on_commit);
+            (on_commit, Self::finished_tree(&txns, txn))
         };
         // Strict 2PL: locks are released only now, after every resource
         // manager reported durable — with group commit, after the group
@@ -765,7 +797,7 @@ impl TransactionManager {
         // Releasing before that would let a reader see effects that a
         // crash could still roll back.
         self.locks.release_all(txn);
-        self.deps.record(txn, Outcome::Committed);
+        self.deps.record_all(&tree);
         self.deps.forget_dependent(txn);
         if let Some(t0) = commit_t0 {
             self.metrics.txn.commits.inc();
@@ -778,14 +810,46 @@ impl TransactionManager {
         for action in on_commit {
             action();
         }
+        self.retire(&tree);
         Ok(())
+    }
+
+    /// The final outcomes of finished top-level transaction `top` and
+    /// every subtransaction under it. Once `top`'s state is final the
+    /// tree is frozen (`begin_nested` refuses a finished parent), so the
+    /// list taken here is also exactly what [`Self::retire`] drops.
+    fn finished_tree(txns: &HashMap<TxnId, TxnRecord>, top: TxnId) -> Vec<(TxnId, Outcome)> {
+        let mut tree = Vec::new();
+        let mut stack = vec![top];
+        while let Some(id) = stack.pop() {
+            let rec = &txns[&id];
+            debug_assert!(matches!(rec.state, TxnState::Committed | TxnState::Aborted));
+            let outcome = if rec.state == TxnState::Committed {
+                Outcome::Committed
+            } else {
+                Outcome::Aborted
+            };
+            tree.push((id, outcome));
+            stack.extend_from_slice(&rec.children);
+        }
+        tree
+    }
+
+    /// Drop a finished tree's records in one lock pass. Runs last in
+    /// every finish path: listeners and post-commit/abort actions have
+    /// seen the records, and the outcomes are already in the store.
+    fn retire(&self, tree: &[(TxnId, Outcome)]) {
+        let mut txns = self.txns.lock();
+        for (id, _) in tree {
+            txns.remove(id);
+        }
     }
 
     /// Abort a transaction (and, recursively, its active subtransactions).
     pub fn abort(&self, txn: TxnId) -> Result<()> {
         let (parent, top, state, read_only) = {
             let txns = self.txns.lock();
-            let rec = txns.get(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+            let rec = txns.get(&txn).ok_or_else(|| self.not_live(txn))?;
             (rec.parent, rec.top, rec.state, rec.snapshot.is_some())
         };
         if state == TxnState::Committed || state == TxnState::Aborted {
@@ -819,7 +883,8 @@ impl TransactionManager {
             action();
         }
         let rms = Arc::clone(&self.resources.read());
-        match parent {
+        // `Some` for a top-level abort: the finished tree to retire.
+        let tree = match parent {
             Some(p) => {
                 // Subtransaction: roll the shared top-level back to the
                 // savepoints taken at this child's begin.
@@ -831,20 +896,26 @@ impl TransactionManager {
                 if let Some(prec) = txns.get_mut(&p) {
                     prec.active_children = prec.active_children.saturating_sub(1);
                 }
+                None
             }
             None => {
                 for rm in rms.iter() {
                     rm.abort_top(txn)?;
                 }
                 self.locks.release_all(txn);
-                self.deps.record(txn, Outcome::Aborted);
+                let tree = Self::finished_tree(&self.txns.lock(), txn);
+                self.deps.record_all(&tree);
                 self.deps.forget_dependent(txn);
+                Some(tree)
             }
-        }
+        };
         if self.metrics.on() {
             self.metrics.txn.aborts.inc();
         }
         self.emit(TxnEventKind::Aborted, txn, parent, top);
+        if let Some(tree) = tree {
+            self.retire(&tree);
+        }
         Ok(())
     }
 
@@ -856,7 +927,7 @@ impl TransactionManager {
     fn finish_read_only(&self, txn: TxnId, commit: bool) -> Result<()> {
         let (stamp, hooks) = {
             let mut txns = self.txns.lock();
-            let rec = txns.get_mut(&txn).ok_or(ReachError::TxnNotFound(txn))?;
+            let rec = txns.get_mut(&txn).ok_or_else(|| self.not_live(txn))?;
             if rec.state != TxnState::Active {
                 return Err(ReachError::TxnNotActive(txn));
             }
@@ -880,6 +951,14 @@ impl TransactionManager {
         self.locks.set_deadline(txn, None);
         self.snapshots.release(stamp);
         self.vacuum_versions();
+        // A snapshot transaction has no subtransactions: its tree is
+        // itself.
+        let outcome = if commit {
+            Outcome::Committed
+        } else {
+            Outcome::Aborted
+        };
+        self.deps.record(txn, outcome);
         if self.metrics.on() {
             if commit {
                 self.metrics.txn.commits.inc();
@@ -900,6 +979,7 @@ impl TransactionManager {
         for h in hooks {
             h();
         }
+        self.retire(&[(txn, outcome)]);
         Ok(())
     }
 
@@ -938,8 +1018,13 @@ impl TransactionManager {
         }
     }
 
-    /// Number of transactions the manager has ever seen (introspection).
-    pub fn known_count(&self) -> usize {
+    /// Number of transaction records the manager holds: live top-level
+    /// transactions (active, committing, prepared) plus every
+    /// subtransaction under them, finished or not. A finished top-level
+    /// transaction's tree is dropped when it ends; all that is
+    /// remembered of it is each id's final state (see [`Self::state`])
+    /// — not its parent, its top, or its hooks.
+    pub fn live_count(&self) -> usize {
         self.txns.lock().len()
     }
 
@@ -985,7 +1070,7 @@ impl TransactionManager {
 impl std::fmt::Debug for TransactionManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransactionManager")
-            .field("known", &self.known_count())
+            .field("live", &self.live_count())
             .field("active", &self.active_top_level())
             .finish()
     }
@@ -1360,6 +1445,173 @@ mod tests {
         assert_eq!(
             *rm.log.lock(),
             vec!["prepare 5", "commit", "prepare 6", "abort"]
+        );
+    }
+
+    // ---- retirement ----
+
+    #[test]
+    fn retired_top_and_children_keep_answering_state() {
+        let tm = manager();
+        let top = tm.begin().unwrap();
+        let kept = tm.begin_nested(top).unwrap();
+        let grandchild = tm.begin_nested(kept).unwrap();
+        tm.commit(grandchild).unwrap();
+        tm.commit(kept).unwrap();
+        let undone = tm.begin_nested(top).unwrap();
+        tm.abort(undone).unwrap();
+        assert_eq!(
+            tm.live_count(),
+            4,
+            "subtransactions live as long as their top"
+        );
+        tm.commit(top).unwrap();
+        assert_eq!(tm.live_count(), 0, "the whole tree is retired with its top");
+        assert_eq!(tm.state(top).unwrap(), TxnState::Committed);
+        assert_eq!(tm.state(kept).unwrap(), TxnState::Committed);
+        assert_eq!(tm.state(grandchild).unwrap(), TxnState::Committed);
+        assert_eq!(tm.state(undone).unwrap(), TxnState::Aborted);
+        assert!(!tm.is_active(top));
+
+        let doomed = tm.begin().unwrap();
+        let child = tm.begin_nested(doomed).unwrap();
+        tm.abort(doomed).unwrap();
+        assert_eq!(tm.live_count(), 0);
+        assert_eq!(tm.state(doomed).unwrap(), TxnState::Aborted);
+        assert_eq!(tm.state(child).unwrap(), TxnState::Aborted);
+        // An id the manager never issued is still "not found".
+        assert!(matches!(
+            tm.state(TxnId::new(9_999)),
+            Err(ReachError::TxnNotFound(_))
+        ));
+    }
+
+    #[test]
+    fn operations_on_a_retired_id_are_not_active_errors() {
+        let tm = manager();
+        let t = tm.begin().unwrap();
+        let c = tm.begin_nested(t).unwrap();
+        tm.commit(c).unwrap();
+        tm.commit(t).unwrap();
+        let a = tm.begin().unwrap();
+        tm.abort(a).unwrap();
+        let r = tm.begin_read_only().unwrap();
+        tm.commit(r).unwrap();
+        assert_eq!(tm.state(r).unwrap(), TxnState::Committed);
+        for id in [t, c, a, r] {
+            assert!(matches!(tm.commit(id), Err(ReachError::TxnNotActive(x)) if x == id));
+            assert!(matches!(tm.abort(id), Err(ReachError::TxnNotActive(x)) if x == id));
+            assert!(matches!(tm.begin_nested(id), Err(ReachError::TxnNotActive(x)) if x == id));
+            assert!(matches!(tm.prepare(id, 1), Err(ReachError::TxnNotActive(x)) if x == id));
+            assert!(matches!(tm.decide(id, true), Err(ReachError::TxnNotActive(x)) if x == id));
+            assert!(tm.defer(id, Box::new(|| Ok(()))).is_err());
+        }
+        assert_eq!(tm.live_count(), 0);
+    }
+
+    #[test]
+    fn listeners_and_post_commit_actions_run_before_retirement() {
+        struct Probe {
+            tm: PMutex<Option<Arc<TransactionManager>>>,
+            seen: PMutex<Vec<(TxnEventKind, Option<TxnId>)>>,
+        }
+        impl TxnListener for Probe {
+            fn on_txn_event(&self, e: &TxnEvent) {
+                let tm = self.tm.lock().clone().unwrap();
+                if matches!(e.kind, TxnEventKind::Committed | TxnEventKind::Aborted)
+                    && e.parent.is_none()
+                {
+                    // The record (hence the tree shape) is still there.
+                    self.seen.lock().push((e.kind, tm.top_of(e.txn).ok()));
+                }
+            }
+        }
+        let tm = Arc::new(manager());
+        let probe = Arc::new(Probe {
+            tm: PMutex::new(Some(Arc::clone(&tm))),
+            seen: PMutex::new(Vec::new()),
+        });
+        tm.add_listener(Arc::clone(&probe) as Arc<dyn TxnListener>);
+        let t = tm.begin().unwrap();
+        let tm2 = Arc::clone(&tm);
+        let in_action = Arc::new(PMutex::new(None));
+        let slot = Arc::clone(&in_action);
+        tm.on_commit(t, Box::new(move || *slot.lock() = tm2.top_of(t).ok()))
+            .unwrap();
+        tm.commit(t).unwrap();
+        let a = tm.begin().unwrap();
+        tm.abort(a).unwrap();
+        assert_eq!(
+            *probe.seen.lock(),
+            vec![
+                (TxnEventKind::Committed, Some(t)),
+                (TxnEventKind::Aborted, Some(a))
+            ]
+        );
+        assert_eq!(*in_action.lock(), Some(t));
+        assert!(tm.top_of(t).is_err(), "and gone afterwards");
+        *probe.tm.lock() = None;
+    }
+
+    #[test]
+    fn prepared_txn_stays_live_while_others_retire() {
+        let tm = manager();
+        let t = tm.begin().unwrap();
+        tm.prepare(t, 42).unwrap();
+        for _ in 0..1_000 {
+            let other = tm.begin().unwrap();
+            let c = tm.begin_nested(other).unwrap();
+            tm.commit(c).unwrap();
+            tm.commit(other).unwrap();
+        }
+        assert_eq!(tm.live_count(), 1, "only the in-doubt transaction remains");
+        assert_eq!(tm.state(t).unwrap(), TxnState::Prepared);
+        assert_eq!(tm.dependencies().outcome(t), None);
+        tm.decide(t, true).unwrap();
+        assert_eq!(tm.live_count(), 0);
+        assert_eq!(tm.state(t).unwrap(), TxnState::Committed);
+    }
+
+    /// Table 1's "all commit" / "all abort" cells with origins that
+    /// finished long ago: the outcome outlives the record.
+    #[test]
+    fn dependencies_resolve_against_transactions_finished_100k_ids_ago() {
+        let tm = manager();
+        let committed = tm.begin().unwrap();
+        tm.commit(committed).unwrap();
+        let aborted = tm.begin().unwrap();
+        tm.abort(aborted).unwrap();
+        for _ in 0..50_000 {
+            let t = tm.begin().unwrap();
+            let c = tm.begin_nested(t).unwrap();
+            tm.commit(c).unwrap();
+            tm.commit(t).unwrap();
+        }
+        assert_eq!(tm.live_count(), 0);
+        let deps = tm.dependencies();
+        let all_commit = tm.begin().unwrap();
+        assert!(all_commit.raw() > committed.raw() + 100_000);
+        deps.add(
+            all_commit,
+            crate::dependency::CommitRule::IfCommitted(committed),
+        );
+        deps.add(
+            all_commit,
+            crate::dependency::CommitRule::IfAborted(aborted),
+        );
+        tm.commit(all_commit).unwrap();
+        let refused = tm.begin().unwrap();
+        deps.add(
+            refused,
+            crate::dependency::CommitRule::IfCommitted(committed),
+        );
+        deps.add(refused, crate::dependency::CommitRule::IfCommitted(aborted));
+        assert!(tm.commit(refused).is_err());
+        assert_eq!(tm.state(refused).unwrap(), TxnState::Aborted);
+        assert_eq!(
+            deps.wait_for_outcome(aborted, Duration::from_millis(1))
+                .unwrap(),
+            Outcome::Aborted
         );
     }
 

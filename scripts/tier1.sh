@@ -12,7 +12,9 @@
 #                  E22 distributed-commit smokes and fail if any lands
 #                  >10% below its committed gate (gate_events_per_s in
 #                  BENCH_E13.json, gate_lookups_per_s in BENCH_E21.json,
-#                  gate_commits_per_s in BENCH_E22.json)
+#                  gate_commits_per_s in BENCH_E22.json), and the
+#                  flat-memory gate on the benchmark's two in-memory
+#                  workloads (peak RSS must not scale with run length)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,6 +54,32 @@ bench_gate() {
   fi
 }
 
+# flat_rss <workload>
+# Memory must not grow with the number of transactions that have
+# finished: run the benchmark's <workload> for 2 s and for 6 s and fail
+# if the longer run's peak_rss_mb exceeds 1.5x the shorter's. (Before
+# finished transactions were retired, three times the transactions cost
+# 214 -> 544 MiB = 2.5x on monitor_embedded and 219 -> 416 MiB = 1.9x on
+# dist_2pc; now 75 -> 79 MiB = 1.06x and 144 -> 167 MiB = 1.16x, the
+# rest being the benchmark's own per-transaction samples.)
+flat_rss() {
+  local workload=$1 secs short long rss=()
+  echo "== tier-1: flat-memory gate, ${workload} (6 s run within 1.5x of the 2 s run's peak RSS) =="
+  for secs in 2 6; do
+    rss+=("$(timeout "$EXP_TIMEOUT" bash benchmark/run.sh --workload "$workload" --seed 1 --trace 0 --seconds "$secs" \
+      | tail -n 1 | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')")
+  done
+  short=${rss[0]} long=${rss[1]}
+  if [[ -z "$short" || -z "$long" ]]; then
+    echo "flat_rss ${workload}: no peak_rss_mb in the result line" >&2; exit 1
+  fi
+  echo "   peak_rss_mb ${short} MiB at 2 s, ${long} MiB at 6 s"
+  if awk -v s="$short" -v l="$long" 'BEGIN { exit !(l > 1.5 * s) }'; then
+    echo "${workload} memory grows with run length: ${long} MiB > 1.5 x ${short} MiB" >&2
+    exit 1
+  fi
+}
+
 echo "== tier-1: release build =="
 cargo build --release
 
@@ -86,6 +114,8 @@ if [[ "$STRESS" == 1 ]]; then
 fi
 
 if [[ "$BENCH_CHECK" == 1 ]]; then
+  flat_rss monitor_embedded
+  flat_rss dist_2pc
   bench_gate BENCH_E13.json gate_events_per_s events_per_s exp_throughput "E13 throughput"
   bench_gate BENCH_E21.json gate_lookups_per_s lookups_per_s exp_index "E21 index-lookup"
   bench_gate BENCH_E22.json gate_commits_per_s commits_per_s exp_dist "E22 distributed-commit"
