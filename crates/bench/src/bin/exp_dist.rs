@@ -16,10 +16,6 @@
 //! 2PC gid, cross-shard commits MUST, every raised signal must fire its
 //! immediate rule exactly once, and no dead letters may appear.
 //!
-//! Results land in `BENCH_E22.json` in the working directory; the
-//! committed `gate_commits_per_s` is the regression floor checked by
-//! `scripts/tier1.sh --bench-check`.
-//!
 //! ```sh
 //! cargo run --release -p reach-bench --bin exp_dist [--smoke]
 //! ```
@@ -159,18 +155,6 @@ fn run_phase(dep: &Deployment, txns: u64, signals_per_txn: u64, cross: bool) -> 
     }
 }
 
-fn json_phase(r: &PhaseResult) -> String {
-    format!(
-        "{{\"commits\": {}, \"commits_per_s\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-         \"events_per_s\": {:.0}}}",
-        r.commits,
-        r.commits_per_s(),
-        r.p50_us,
-        r.p99_us,
-        r.events_per_s()
-    )
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (txns, signals_per_txn, shard_counts): (u64, u64, &[u32]) = if smoke {
@@ -185,7 +169,6 @@ fn main() {
         "shards", "mode", "commits/s", "p50µs", "p99µs", "events/s"
     );
 
-    let mut rows = Vec::new();
     let mut headline_cross_per_s = 0.0f64;
     let mut headline_events_per_s = 0.0f64;
     for &shards in shard_counts {
@@ -209,24 +192,7 @@ fn main() {
             headline_cross_per_s = cross.commits_per_s();
             headline_events_per_s = cross.events_per_s();
         }
-        rows.push(format!(
-            "    {{\"shards\": {shards}, \"single\": {}, \"cross\": {}}}",
-            json_phase(&single),
-            json_phase(&cross)
-        ));
     }
-
-    // The committed gate is checked against the 2-shard cross-shard
-    // commit rate — the headline cost this experiment exists to bound.
-    let gate = 3_000u64;
-    let json = format!(
-        "{{\n  \"experiment\": \"E22\",\n  \"smoke\": {smoke},\n  \
-         \"commits_per_s\": {headline_cross_per_s:.0},\n  \
-         \"events_per_s\": {headline_events_per_s:.0},\n  \
-         \"gate_commits_per_s\": {gate},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_E22.json", &json).expect("write BENCH_E22.json");
 
     println!(
         "{} ok: 2-shard cross-shard commits at {:.0}/s ({:.0} events/s) with \

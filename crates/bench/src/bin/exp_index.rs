@@ -9,33 +9,17 @@
 //! and once as the same predicate made index-ineligible (`v + 0 == k`,
 //! `Plan::ExtentScan`), across populations from 1 k to 100 k objects.
 //!
-//! The claim gated in CI: indexed lookup throughput is *flat* — within
+//! The claim asserted: indexed lookup throughput is *flat* — within
 //! 2× across the whole size range — while the scan degrades linearly.
-//!
-//! Results land in `BENCH_E21.json`; `gate_lookups_per_s` is the
-//! committed conservative floor (the CI bench-check fails if a fresh
-//! smoke run lands below 90% of it).
 //!
 //! ```sh
 //! cargo run --release -p reach-bench --bin exp_index [--smoke]
-//! cargo run --release -p reach-bench --bin exp_index -- --torture SEED [ops]
 //! ```
-//!
-//! `--torture` runs the B+Tree crash-point sweep instead: one fault-free
-//! oracle run of a split/abort index workload records the WAL frame
-//! sequence, then every frame is crashed, rebooted, recovered, and the
-//! rebuilt tree compared against the committed-prefix pair set.
 
 use open_oodb::pm::query::Plan;
 use open_oodb::Database;
 use reach_object::{Value, ValueType};
-use reach_storage::torture::{index_oracle_frames, index_torture_at, WorkloadSpec};
 use std::time::Instant;
-
-/// Committed throughput floor for the smoke row (lookups/s at the
-/// largest smoke population). Conservative: CI machines are slow and
-/// shared; the local measurement is an order of magnitude above this.
-const GATE_LOOKUPS_PER_S: u64 = 20_000;
 
 struct SizeRow {
     objects: usize,
@@ -134,7 +118,8 @@ fn measure(objects: usize, lookups: u64) -> SizeRow {
     }
 }
 
-fn run_bench(smoke: bool) {
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let (sizes, lookups): (&[usize], u64) = if smoke {
         (&[1_000, 10_000], 2_000)
     } else {
@@ -160,7 +145,7 @@ fn run_bench(smoke: bool) {
         );
     }
 
-    // The gated claims. Indexed throughput must be flat across the
+    // The asserted claims. Indexed throughput must be flat across the
     // population range (±2×); the scan must be at least 5× slower than
     // the index at the largest population (locally it is >100×).
     let fastest = rows.iter().map(|r| r.lookups_per_s).fold(0.0, f64::max);
@@ -185,28 +170,6 @@ fn run_bench(smoke: bool) {
         last.scans_per_s
     );
 
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"objects\": {}, \"build_ms\": {:.1}, \"lookups\": {}, \
-                 \"lookups_per_s\": {:.0}, \"scans\": {}, \"scans_per_s\": {:.0}}}",
-                r.objects, r.build_ms, r.lookups, r.lookups_per_s, r.scans, r.scans_per_s
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"E21\",\n  \"smoke\": {smoke},\n  \
-         \"lookups_per_s\": {},\n  \"scan_per_s_at_max\": {},\n  \
-         \"flatness\": {:.2},\n  \
-         \"gate_lookups_per_s\": {GATE_LOOKUPS_PER_S},\n  \"rows\": [\n    {}\n  ]\n}}\n",
-        last.lookups_per_s as u64,
-        last.scans_per_s as u64,
-        fastest / slowest,
-        row_json.join(",\n    ")
-    );
-    std::fs::write("BENCH_E21.json", &json).expect("write BENCH_E21.json");
-
     println!(
         "{} ok: {:.0} lookups/s at {} objects ({:.2}x spread across sizes), \
          scan at {:.0}/s",
@@ -216,55 +179,4 @@ fn run_bench(smoke: bool) {
         fastest / slowest,
         last.scans_per_s
     );
-}
-
-fn run_torture(seed: u64, ops: usize) {
-    let spec = WorkloadSpec {
-        seed,
-        ops,
-        ..Default::default()
-    };
-    let oracle = index_oracle_frames(&spec).expect("oracle run");
-    println!(
-        "index torture sweep: seed={seed:#x} ops={ops} -> {} WAL frames (= crash points)",
-        oracle.len()
-    );
-    let start = Instant::now();
-    let mut total_redone = 0usize;
-    let mut total_undone = 0usize;
-    let mut total_losers = 0usize;
-    for n in 1..=oracle.len() {
-        let result = index_torture_at(&spec, &oracle, n);
-        total_redone += result.report.redone;
-        total_undone += result.report.undone;
-        total_losers += result.report.losers.len();
-    }
-    let elapsed = start.elapsed();
-    println!("crash points verified   {:>10}", oracle.len());
-    println!("records redone (total)  {:>10}", total_redone);
-    println!("operations undone       {:>10}", total_undone);
-    println!("loser txns rolled back  {:>10}", total_losers);
-    println!(
-        "wall time               {:>10.2?}  ({:.1} ms/crash point)",
-        elapsed,
-        elapsed.as_secs_f64() * 1e3 / oracle.len() as f64
-    );
-    println!("every crash point rebuilt the B+Tree to exactly the committed pair set");
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--torture") {
-        let seed: u64 = args
-            .get(pos + 1)
-            .map(|s| s.parse().expect("seed must be a u64"))
-            .unwrap_or(0xC0FFEE);
-        let ops: usize = args
-            .get(pos + 2)
-            .map(|s| s.parse().expect("ops must be a usize"))
-            .unwrap_or(120);
-        run_torture(seed, ops);
-        return;
-    }
-    run_bench(args.iter().any(|a| a == "--smoke"));
 }

@@ -1,9 +1,10 @@
 //! Experiment E15 — observability: the firing-path report and what it
 //! costs to produce.
 //!
-//! Runs the E13 mixed-coupling monitoring workload (`exp_throughput`'s
-//! sensors + immediate guard + deferred audit + detached correlated
-//! storm alarm) twice over fresh worlds:
+//! Runs the E13 mixed-coupling monitoring workload (sensors +
+//! immediate guard + deferred audit + detached correlated storm alarm,
+//! the rule set of the benchmark's `monitor_embedded`) twice over fresh
+//! worlds:
 //!
 //! 1. **registry off** — the instrumented-but-disabled path every record
 //!    site takes by default (one relaxed atomic load + branch), which is
@@ -12,8 +13,7 @@
 //!    then dumps the full per-stage metrics report.
 //!
 //! The difference between the two wall-clock figures is the price of
-//! turning observability on; the first figure against `exp_throughput`
-//! is the price of having it compiled in at all.
+//! turning observability on.
 //!
 //! ```sh
 //! cargo run --release -p reach-bench --bin exp_observe [events]

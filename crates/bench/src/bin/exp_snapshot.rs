@@ -16,8 +16,6 @@
 //! writers' count exactly — any excess is a reader touching the lock
 //! manager.
 //!
-//! Results land in `BENCH_E20.json` in the working directory.
-//!
 //! ```sh
 //! cargo run --release -p reach-bench --bin exp_snapshot [--smoke]
 //! ```
@@ -145,20 +143,6 @@ fn print_row(r: &PhaseResult) {
     );
 }
 
-fn json_mode(r: &PhaseResult) -> String {
-    format!(
-        "{{\"reads\": {}, \"reads_per_s\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-         \"max_us\": {:.1}, \"writer_commits\": {}, \"reader_lock_grants\": {}}}",
-        r.reads,
-        r.reads_per_s(),
-        r.p50_us,
-        r.p99_us,
-        r.max_us,
-        r.writer_commits,
-        r.reader_lock_grants
-    )
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (writers, readers, reads_each) = if smoke {
@@ -211,15 +195,6 @@ fn main() {
         eprintln!("violation: writers starved; phases are not measuring contention");
         failed = true;
     }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"E20\",\n  \"writers\": {writers},\n  \"readers\": {readers},\n  \
-         \"reads_per_reader\": {reads_each},\n  \"smoke\": {smoke},\n  \
-         \"locking\": {},\n  \"snapshot\": {}\n}}\n",
-        json_mode(&locking),
-        json_mode(&snapshot)
-    );
-    std::fs::write("BENCH_E20.json", &json).expect("write BENCH_E20.json");
 
     if failed {
         std::process::exit(1);

@@ -1,5 +1,5 @@
 //! `reach-bench` — shared workload builders for the experiment
-//! regenerators (`src/bin/*`) and the criterion benches (`benches/*`).
+//! regenerators (`src/bin/*`).
 //!
 //! Every table and figure of the paper has a regenerator binary; see
 //! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the

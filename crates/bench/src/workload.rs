@@ -1,10 +1,8 @@
-//! Deterministic workload generators for the experiment harness.
+//! Deterministic workload generator for the experiment harness.
 //!
-//! Experiments must be repeatable, so every generator takes an explicit
-//! seed. The streams model the paper's motivating domains: sensor
-//! telemetry (power plants, §6.1), market ticks (commodity trading,
-//! §3.4's continuous context), and workflow steps (§3.4's chronicle
-//! context).
+//! Experiments must be repeatable, so the generator takes an explicit
+//! seed. The stream models the paper's motivating domain: sensor
+//! telemetry (power plants, §6.1).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,35 +42,6 @@ pub fn sensor_stream(seed: u64, sensors: usize, len: usize, anomaly_pct: u32) ->
         .collect()
 }
 
-/// A reproducible random walk of market prices starting at `start`.
-pub fn price_walk(seed: u64, len: usize, start: f64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut price = start;
-    (0..len)
-        .map(|_| {
-            let step: f64 = rng.gen_range(-0.05..0.05);
-            price = (price * (1.0 + step)).max(1.0);
-            price
-        })
-        .collect()
-}
-
-/// Workflow step stream: (case id, step index) pairs where each case
-/// advances through `steps_per_case` steps, interleaved across cases.
-pub fn workflow_steps(seed: u64, cases: usize, steps_per_case: usize) -> Vec<(usize, usize)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut progress = vec![0usize; cases];
-    let mut out = Vec::with_capacity(cases * steps_per_case);
-    while out.len() < cases * steps_per_case {
-        let case = rng.gen_range(0..cases);
-        if progress[case] < steps_per_case {
-            out.push((case, progress[case]));
-            progress[case] += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,26 +61,5 @@ mod tests {
             a.iter().all(|r| r.anomalous == (r.value >= 1_000)),
             "threshold consistent"
         );
-    }
-
-    #[test]
-    fn price_walk_is_deterministic_and_positive() {
-        let a = price_walk(7, 1000, 100.0);
-        let b = price_walk(7, 1000, 100.0);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|p| *p >= 1.0));
-        assert_ne!(a, price_walk(8, 1000, 100.0), "different seed differs");
-    }
-
-    #[test]
-    fn workflow_steps_respect_per_case_order() {
-        let steps = workflow_steps(3, 5, 4);
-        assert_eq!(steps.len(), 20);
-        let mut seen = [0usize; 5];
-        for (case, step) in steps {
-            assert_eq!(step, seen[case], "steps of one case are in order");
-            seen[case] += 1;
-        }
-        assert!(seen.iter().all(|s| *s == 4));
     }
 }

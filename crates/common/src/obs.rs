@@ -8,9 +8,8 @@
 //! [`Span`]s. A single [`MetricsRegistry`] is created by the storage
 //! manager (the lowest layer) and threaded *up* through the
 //! transaction manager, the OODB sentries and the REACH core, so every
-//! layer records into the same instance and `exp_torture`,
-//! `exp_observe` and `Reach::metrics_snapshot()` all report from one
-//! source of truth.
+//! layer records into the same instance and `exp_observe` and
+//! `Reach::metrics_snapshot()` report from one source of truth.
 //!
 //! **Overhead contract.** The registry is created disabled. Every
 //! gated record path first calls [`MetricsRegistry::on`] — a single

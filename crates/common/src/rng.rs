@@ -46,12 +46,20 @@ impl SplitMix64 {
 
 /// Resolve the seed for a randomized test: the `REACH_SEED` environment
 /// variable (decimal or `0x`-prefixed hex) when set, otherwise
-/// `default`.
+/// `default`. A value that does not parse panics: falling back to
+/// `default` would let a typo in a CI seed matrix run every leg on one
+/// seed, green.
 pub fn seed_from_env(default: u64) -> u64 {
     match std::env::var("REACH_SEED") {
-        Ok(v) => crate::sync::parse_seed(&v).unwrap_or(default),
-        Err(_) => default,
+        Ok(v) => parse_reach_seed(&v),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(e) => panic!("REACH_SEED: {e}"),
     }
+}
+
+fn parse_reach_seed(v: &str) -> u64 {
+    crate::sync::parse_seed(v)
+        .unwrap_or_else(|| panic!("REACH_SEED={v:?} is not a decimal or 0x-prefixed hex u64"))
 }
 
 /// Print the seed a test is about to use, in replay-ready form. Under
@@ -87,6 +95,18 @@ mod tests {
             }
         }
         assert!((300..700).contains(&hits), "p=0.5 wildly off: {hits}/1000");
+    }
+
+    #[test]
+    fn reach_seed_parses_decimal_and_hex() {
+        assert_eq!(parse_reach_seed("12648430"), 0xC0FFEE);
+        assert_eq!(parse_reach_seed("0xC0FFEE00"), 0xC0FFEE00);
+    }
+
+    #[test]
+    #[should_panic(expected = "REACH_SEED=\"0xC0FFEG\" is not")]
+    fn reach_seed_garbage_panics_with_the_offending_string() {
+        parse_reach_seed("0xC0FFEG");
     }
 
     #[test]

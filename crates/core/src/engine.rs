@@ -178,8 +178,8 @@ pub enum TieBreak {
 
 /// Plain-value snapshot of the engine's rule-accounting counters. The
 /// counters themselves live in the stack-wide metrics registry
-/// (`MetricsRegistry::engine`) so `exp_torture`, `exp_observe` and
-/// `Reach::metrics_snapshot()` all read one source of truth.
+/// (`MetricsRegistry::engine`) so `exp_observe` and
+/// `Reach::metrics_snapshot()` read one source of truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     pub immediate_runs: u64,
@@ -270,11 +270,6 @@ pub struct Engine {
     /// Deferred-drain policy: simple-event rules before composite-event
     /// rules (§6.4's third policy).
     simple_events_first: RwLock<bool>,
-    /// Ablation switch: evaluate immediate conditions inside their own
-    /// subtransaction (the naive design) instead of as queries in the
-    /// triggering transaction. Default false; the `ablation` bench
-    /// measures the difference.
-    conditions_in_subtxn: std::sync::atomic::AtomicBool,
     /// Deferred firings per top-level transaction. A transaction has
     /// an entry exactly while its pre-commit drain hook is installed.
     deferred: Mutex<HashMap<TxnId, Vec<Pending>>>,
@@ -309,7 +304,6 @@ impl Engine {
             strategy: RwLock::new(ExecutionStrategy::Serial),
             tiebreak: RwLock::new(TieBreak::OldestFirst),
             simple_events_first: RwLock::new(false),
-            conditions_in_subtxn: std::sync::atomic::AtomicBool::new(false),
             deferred: Mutex::new(HashMap::new()),
             rule_txns: Mutex::new(HashSet::new()),
             pool: Mutex::new(None),
@@ -409,11 +403,6 @@ impl Engine {
 
     pub fn set_simple_events_first(&self, on: bool) {
         *self.simple_events_first.write() = on;
-    }
-
-    /// Ablation: run immediate conditions in their own subtransactions.
-    pub fn set_conditions_in_subtxn(&self, on: bool) {
-        self.conditions_in_subtxn.store(on, Ordering::Release);
     }
 
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -550,30 +539,6 @@ impl Engine {
         occ: &Arc<EventOccurrence>,
     ) -> Result<bool> {
         self.metrics.engine.immediate_runs.inc();
-        if self.conditions_in_subtxn.load(Ordering::Acquire) {
-            // Ablation path: the naive design pays a subtransaction per
-            // condition evaluation.
-            let tm = self.db.txn_manager();
-            let child = tm.begin_nested(parent)?;
-            let ctx = RuleCtx {
-                db: &self.db,
-                txn: child,
-                event: occ,
-            };
-            let outcome = rule.eval_condition(&ctx);
-            let _ = tm.commit(child);
-            return match outcome {
-                Ok(true) => Ok(true),
-                Ok(false) => {
-                    self.metrics.engine.conditions_false.inc();
-                    Ok(false)
-                }
-                Err(e) => {
-                    self.metrics.engine.failures.inc();
-                    Err(e)
-                }
-            };
-        }
         let ctx = RuleCtx {
             db: &self.db,
             txn: parent,

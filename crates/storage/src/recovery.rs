@@ -232,9 +232,9 @@ pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
     }
     sm.wal().force()?;
     sm.pool().flush_all()?;
-    // Publish the figures into the shared registry so exp_torture and
-    // exp_observe report recovery from this single source (ungated: a
-    // reboot is rare and the write happens once).
+    // Publish the figures into the shared registry so exp_observe
+    // reports recovery from this single source (ungated: a reboot is
+    // rare and the write happens once).
     let m = sm.metrics();
     m.recovery
         .records_scanned

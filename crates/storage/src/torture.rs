@@ -20,7 +20,7 @@
 
 use crate::disk::{MemDisk, StableStorage};
 use crate::heap::RecordId;
-use crate::recovery::{recover, RecoveryReport};
+use crate::recovery::recover;
 use crate::sm::{StorageManager, SYSTEM_TXN};
 use crate::wal::{Lsn, WalRecord, WriteAheadLog};
 use reach_common::fault::{FaultInjector, FaultPlan, FaultPoint};
@@ -206,24 +206,11 @@ pub fn visible_state(sm: &StorageManager) -> Result<State> {
         .collect())
 }
 
-/// Outcome of one crash-point run, for reporting.
-#[derive(Debug, Clone)]
-pub struct CrashPointResult {
-    /// The WAL frame index the machine was crashed at.
-    pub crash_at_frame: usize,
-    /// What recovery did on reboot.
-    pub report: RecoveryReport,
-    /// Torn-tail bytes discarded, read back from the rebooted storage
-    /// manager's metrics registry (the single source `exp_torture` and
-    /// `exp_observe` report from) rather than from the report struct.
-    pub salvaged_bytes: u64,
-}
-
 /// Simulate a clean crash at WAL frame `n` (1-based): run the workload
 /// until the injected crash stops it, reboot over the surviving bytes,
 /// recover, and verify the visible state against the oracle prefix.
 /// Panics (with the crash point in the message) on any divergence.
-pub fn torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usize) -> CrashPointResult {
+pub fn torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usize) {
     assert!(n >= 1 && n <= oracle.len());
     let disk = Arc::new(MemDisk::new());
     let wal = Arc::new(WriteAheadLog::in_memory());
@@ -247,16 +234,12 @@ pub fn torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usize) ->
     // ---- reboot ----
     let image = wal.image().expect("in-memory image");
     let revived = Arc::new(WriteAheadLog::in_memory_from(image));
-    let (sm2, report) = StorageManager::open_with(
+    let (sm2, _) = StorageManager::open_with(
         Arc::clone(&disk) as Arc<dyn StableStorage>,
         revived,
         spec.pool_frames,
     )
     .unwrap_or_else(|e| panic!("recovery after crash at frame {n} failed: {e}"));
-
-    // Capture the registry's per-reboot recovery figures now — the
-    // idempotence re-run below publishes its own (empty) pass over them.
-    let salvaged_bytes = sm2.metrics().recovery.salvaged_bytes.get();
 
     let expected = committed_state(&oracle[..n - 1]);
     let got = visible_state(&sm2).unwrap();
@@ -272,12 +255,6 @@ pub fn torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usize) ->
         "second recovery after crash at frame {n} was not a no-op: {second:?}"
     );
     assert_eq!(visible_state(&sm2).unwrap(), expected);
-
-    CrashPointResult {
-        crash_at_frame: n,
-        report,
-        salvaged_bytes,
-    }
 }
 
 /// Like [`torture_at`], but the *recovery* run itself is crashed at its
@@ -643,11 +620,7 @@ pub fn visible_index_state(sm: &StorageManager) -> Result<IndexState> {
 /// splits, root growth, catalog updates, and restart-undo of loser
 /// inserts/deletes; the B-link invariant (right links + exclusive high
 /// keys) is what makes every such prefix searchable.
-pub fn index_torture_at(
-    spec: &WorkloadSpec,
-    oracle: &[(Lsn, WalRecord)],
-    n: usize,
-) -> CrashPointResult {
+pub fn index_torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usize) {
     assert!(n >= 1 && n <= oracle.len());
     let disk = Arc::new(MemDisk::new());
     let wal = Arc::new(WriteAheadLog::in_memory());
@@ -671,13 +644,12 @@ pub fn index_torture_at(
     // ---- reboot ----
     let image = wal.image().expect("in-memory image");
     let revived = Arc::new(WriteAheadLog::in_memory_from(image));
-    let (sm2, report) = StorageManager::open_with(
+    let (sm2, _) = StorageManager::open_with(
         Arc::clone(&disk) as Arc<dyn StableStorage>,
         revived,
         spec.pool_frames,
     )
     .unwrap_or_else(|e| panic!("index recovery after crash at frame {n} failed: {e}"));
-    let salvaged_bytes = sm2.metrics().recovery.salvaged_bytes.get();
 
     let expected = committed_index_state(&oracle[..n - 1]);
     let got = visible_index_state(&sm2).unwrap();
@@ -693,10 +665,4 @@ pub fn index_torture_at(
         "second recovery after index crash at frame {n} was not a no-op: {second:?}"
     );
     assert_eq!(visible_index_state(&sm2).unwrap(), expected);
-
-    CrashPointResult {
-        crash_at_frame: n,
-        report,
-        salvaged_bytes,
-    }
 }

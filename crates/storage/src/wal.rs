@@ -1100,9 +1100,16 @@ impl WriteAheadLog {
             }
             Sink::File { file, len, path } => {
                 let keep = (*len - FIRST_LSN - drop_bytes) as usize;
-                let mut dropped = vec![0u8; drop_bytes as usize];
-                file.seek(SeekFrom::Start(FIRST_LSN))?;
-                file.read_exact(&mut dropped)?;
+                // Only an archive wants the dropped prefix's bytes;
+                // without one, seek past them.
+                let mut dropped = Vec::new();
+                if archive.is_some() {
+                    dropped.resize(drop_bytes as usize, 0);
+                    file.seek(SeekFrom::Start(FIRST_LSN))?;
+                    file.read_exact(&mut dropped)?;
+                } else {
+                    file.seek(SeekFrom::Start(FIRST_LSN + drop_bytes))?;
+                }
                 let mut rest = vec![0u8; keep];
                 file.read_exact(&mut rest)?;
                 let tmp = path.with_extension("truncating");
@@ -1579,33 +1586,43 @@ mod tests {
 
     #[test]
     fn file_log_truncation_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("reach-wal-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trunc.log");
-        let _ = std::fs::remove_file(&path);
-        let cut;
-        {
-            let log = WriteAheadLog::open(&path).unwrap();
-            let mut starts = Vec::new();
-            for rec in sample_records() {
-                starts.push(log.append(&rec).unwrap());
+        // Archive off seeks past the dropped prefix, archive on reads
+        // it; the surviving log must be the same either way.
+        for archive in [false, true] {
+            let dir = std::env::temp_dir()
+                .join(format!("reach-wal-trunc-{}-{archive}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("trunc.log");
+            let _ = std::fs::remove_file(&path);
+            let cut;
+            {
+                let log = WriteAheadLog::open(&path).unwrap();
+                log.set_archive(archive);
+                let mut starts = Vec::new();
+                for rec in sample_records() {
+                    starts.push(log.append(&rec).unwrap());
+                }
+                log.force().unwrap();
+                let before = log.scan().unwrap();
+                cut = starts[4];
+                log.truncate_prefix(cut).unwrap();
+                assert_eq!(log.base_lsn(), cut);
+                if archive {
+                    assert_eq!(log.scan_all().unwrap(), before, "archive keeps the past");
+                }
             }
-            log.force().unwrap();
-            cut = starts[4];
-            log.truncate_prefix(cut).unwrap();
+            let log = WriteAheadLog::open(&path).unwrap();
             assert_eq!(log.base_lsn(), cut);
+            let recs = log.scan().unwrap();
+            assert_eq!(recs.len(), sample_records().len() - 4);
+            assert_eq!(recs[0].0, cut);
+            assert_eq!(recs[0].1, sample_records()[4]);
+            let lsn = log
+                .append(&WalRecord::Begin { txn: TxnId::new(5) })
+                .unwrap();
+            assert_eq!(lsn, log.scan().unwrap().last().unwrap().0);
+            std::fs::remove_file(&path).unwrap();
         }
-        let log = WriteAheadLog::open(&path).unwrap();
-        assert_eq!(log.base_lsn(), cut);
-        let recs = log.scan().unwrap();
-        assert_eq!(recs.len(), sample_records().len() - 4);
-        assert_eq!(recs[0].0, cut);
-        assert_eq!(recs[0].1, sample_records()[4]);
-        let lsn = log
-            .append(&WalRecord::Begin { txn: TxnId::new(5) })
-            .unwrap();
-        assert_eq!(lsn, log.scan().unwrap().last().unwrap().0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
