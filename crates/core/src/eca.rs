@@ -175,8 +175,9 @@ pub enum CompositionMode {
     Parallel,
 }
 
-/// A passive delivery observer.
-pub type Observer = Arc<dyn Fn(&EventOccurrence) + Send + Sync>;
+/// A passive delivery observer. It gets the shared occurrence, so one
+/// that keeps it takes a reference count, not a copy.
+pub type Observer = Arc<dyn Fn(&Arc<EventOccurrence>) + Send + Sync>;
 
 /// Composition ownership predicate: may this router's compositor for
 /// the given event type be fed? (See `Router::set_composition_gate`.)
@@ -210,6 +211,11 @@ pub struct MethodObservation<'a> {
 pub struct Router {
     schema: Arc<Schema>,
     managers: RwLock<HashMap<EventTypeId, Arc<EcaManager>>>,
+    /// The composite managers, in event-type order: what closing a
+    /// transaction and sweeping lifespans visit. Copied on write, so an
+    /// EOT takes a reference count instead of sorting a snapshot of
+    /// the whole table.
+    composites: RwLock<Arc<Vec<Arc<EcaManager>>>>,
     by_name: RwLock<HashMap<String, EventTypeId>>,
     // Detector indexes (primitive specs -> event types). A key can have
     // several registered event types (e.g. two rules, each with its own
@@ -274,6 +280,7 @@ impl Router {
         Arc::new(Router {
             schema,
             managers: RwLock::new(HashMap::new()),
+            composites: RwLock::new(Arc::default()),
             by_name: RwLock::new(HashMap::new()),
             method_index: RwLock::new(HashMap::new()),
             state_index: RwLock::new(HashMap::new()),
@@ -462,6 +469,12 @@ impl Router {
         }
         let mgr = Arc::new(EcaManager::new(id, name.to_string(), spec, &self.metrics));
         self.managers.write().insert(id, Arc::clone(&mgr));
+        if mgr.compositor.is_some() {
+            let mut composites = self.composites.write();
+            let composites = Arc::make_mut(&mut composites);
+            let at = composites.partition_point(|m| m.event_type < id);
+            composites.insert(at, Arc::clone(&mgr));
+        }
         self.by_name.write().insert(name.to_string(), id);
         // In parallel mode, composite managers get their worker now.
         if mgr.compositor.is_some() && *self.mode.read() == CompositionMode::Parallel {
@@ -505,6 +518,20 @@ impl Router {
         v
     }
 
+    /// Visit every manager, in no particular order, under the manager
+    /// table's read lock — no snapshot is built. `f` must not register
+    /// event types or deliver occurrences.
+    pub(crate) fn for_each_manager(&self, mut f: impl FnMut(&EcaManager)) {
+        for mgr in self.managers.read().values() {
+            f(mgr);
+        }
+    }
+
+    /// The composite managers, in event-type order.
+    fn composites(&self) -> Arc<Vec<Arc<EcaManager>>> {
+        Arc::clone(&self.composites.read())
+    }
+
     // ---- composition mode ----
 
     /// Switch composition dispatch. Call before raising events.
@@ -516,14 +543,12 @@ impl Router {
         *self.mode.write() = mode;
         match mode {
             CompositionMode::Parallel => {
-                for mgr in self.managers() {
-                    if mgr.compositor.is_some() {
-                        self.spawn_worker(&mgr);
-                    }
+                for mgr in self.composites().iter() {
+                    self.spawn_worker(mgr);
                 }
             }
             CompositionMode::Synchronous => {
-                for mgr in self.managers() {
+                for mgr in self.composites().iter() {
                     mgr.worker_tx.write().take();
                 }
                 let mut workers = self.workers.lock();
@@ -963,10 +988,8 @@ impl Router {
     pub fn close_txn(self: &Arc<Self>, txn: TxnId, fire_windows: bool) {
         match *self.mode.read() {
             CompositionMode::Synchronous => {
-                for mgr in self.managers() {
-                    if mgr.compositor.is_some() {
-                        self.close_compositor(&mgr, txn, fire_windows);
-                    }
+                for mgr in self.composites().iter() {
+                    self.close_compositor(mgr, txn, fire_windows);
                 }
             }
             CompositionMode::Parallel => {
@@ -982,10 +1005,8 @@ impl Router {
     pub fn expire(self: &Arc<Self>, now: TimePoint) {
         match *self.mode.read() {
             CompositionMode::Synchronous => {
-                for mgr in self.managers() {
-                    if mgr.compositor.is_some() {
-                        self.expire_compositor(&mgr, now);
-                    }
+                for mgr in self.composites().iter() {
+                    self.expire_compositor(mgr, now);
                 }
             }
             CompositionMode::Parallel => {
@@ -1018,7 +1039,7 @@ impl Router {
     /// Total semi-composed instances across all compositors (§3.3 GC
     /// observability).
     pub fn total_live_instances(&self) -> usize {
-        self.managers().iter().map(|m| m.live_instances()).sum()
+        self.composites().iter().map(|m| m.live_instances()).sum()
     }
 }
 

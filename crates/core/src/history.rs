@@ -7,7 +7,13 @@
 //! by a background process after a transaction has committed or has been
 //! aborted."
 //!
-//! [`LocalHistory`] is the per-ECA-manager ring buffer;
+//! [`LocalHistory`] is the per-ECA-manager ring buffer. The "background
+//! process" is, here, the committing thread itself: at every top-level
+//! end `ReachSystem` drains that transaction's occurrences from every
+//! local history, which costs the transaction's own occurrences and
+//! nothing else — occurrences of no transaction (cross-transaction
+//! composites, temporal events) sit in a part of the ring the drain does
+//! not visit, and never reach the global history.
 //! [`GlobalHistory`] is the post-EOT consolidated **window** the
 //! collector drains into: the most recent [`DEFAULT_HISTORY_CAPACITY`]
 //! occurrences in global sequence order, not an archive. An occurrence
@@ -25,25 +31,56 @@ use std::sync::Arc;
 
 /// Default capacity of every event history — each manager's local ring
 /// and the global window alike. The size is measured, not a taste
-/// (EXPERIMENTS.md E24, `monitor_embedded`): a 1 Mi-entry global log
-/// held 330 MiB of occurrences and made every commit free ones
-/// allocated a million events earlier; a 65 536-entry window (a 20 MB
-/// ring) gives the memory back but still evicts cache-cold objects on
-/// the commit path and ran 8 % *below* the unbounded parent; at 4096
-/// the evicted occurrences are a few dozen transactions old and the
-/// run is 13 % above it.
+/// (EXPERIMENTS.md E24 and E25, `monitor_embedded`): a 1 Mi-entry
+/// global log held 330 MiB of occurrences; at 65 536 the run peaks at
+/// 186 MiB against 94 MiB here, and is a few per cent slower. (E24
+/// blamed that setting's slowdown on cache-cold frees, but with one
+/// constant it also filled a composite's local ring to 65 536 top-less
+/// entries that every EOT rescanned — E25 measures that scan as most
+/// of it.)
 pub const DEFAULT_HISTORY_CAPACITY: usize = 4096;
 
-/// The per-manager event log.
+/// The per-manager event log: one capacity, two parts.
+///
+/// Occurrences of a top-level transaction (`owned`) leave at that
+/// transaction's end, when the collector drains them, so `owned` only
+/// ever holds occurrences of live transactions. Occurrences of no
+/// transaction (`topless`: cross-transaction composite completions,
+/// temporal events) are never collected and leave only by eviction.
+/// Keeping them apart is what makes the collector's drain cost the
+/// finishing transaction's own occurrences instead of a scan of a
+/// ring the top-less ones keep full.
 pub struct LocalHistory {
-    ring: Mutex<VecDeque<Arc<EventOccurrence>>>,
+    parts: Mutex<Parts>,
     capacity: usize,
+}
+
+#[derive(Default)]
+struct Parts {
+    owned: VecDeque<Arc<EventOccurrence>>,
+    topless: VecDeque<Arc<EventOccurrence>>,
+}
+
+impl Parts {
+    fn len(&self) -> usize {
+        self.owned.len() + self.topless.len()
+    }
+
+    /// Drop the oldest occurrence by `seq` across both parts.
+    fn evict_oldest(&mut self) {
+        let part = match (self.owned.front(), self.topless.front()) {
+            (Some(o), Some(t)) if t.seq < o.seq => &mut self.topless,
+            (Some(_), _) => &mut self.owned,
+            (None, _) => &mut self.topless,
+        };
+        part.pop_front();
+    }
 }
 
 impl LocalHistory {
     pub fn new(capacity: usize) -> Self {
         LocalHistory {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            parts: Mutex::new(Parts::default()),
             capacity,
         }
     }
@@ -51,21 +88,27 @@ impl LocalHistory {
     /// Record occurrences in slice order under one lock acquisition,
     /// evicting the oldest beyond capacity.
     pub fn record(&self, occs: &[Arc<EventOccurrence>]) {
-        let mut ring = self.ring.lock();
+        let mut parts = self.parts.lock();
         for occ in occs {
-            if ring.len() == self.capacity {
-                ring.pop_front();
+            if parts.len() == self.capacity {
+                parts.evict_oldest();
             }
-            ring.push_back(Arc::clone(occ));
+            let part = if occ.top_txn.is_some() {
+                &mut parts.owned
+            } else {
+                &mut parts.topless
+            };
+            part.push_back(Arc::clone(occ));
         }
     }
 
     /// Occurrences belonging to `txn`'s top level, removed from the
-    /// local ring — the collector calls this after EOT.
+    /// local history — the collector calls this after EOT. Visits the
+    /// owned part only: live transactions' occurrences, in record order.
     pub fn drain_for_txn(&self, top: TxnId) -> Vec<Arc<EventOccurrence>> {
-        let mut ring = self.ring.lock();
+        let mut parts = self.parts.lock();
         let mut out = Vec::new();
-        ring.retain(|occ| {
+        parts.owned.retain(|occ| {
             if occ.top_txn == Some(top) {
                 out.push(Arc::clone(occ));
                 false
@@ -76,13 +119,16 @@ impl LocalHistory {
         out
     }
 
-    /// Snapshot of the current ring (oldest first).
+    /// Snapshot of the current history, oldest (`seq`) first.
     pub fn snapshot(&self) -> Vec<Arc<EventOccurrence>> {
-        self.ring.lock().iter().cloned().collect()
+        let parts = self.parts.lock();
+        let mut out: Vec<_> = parts.owned.iter().chain(&parts.topless).cloned().collect();
+        out.sort_by_key(|o| o.seq);
+        out
     }
 
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.parts.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -187,14 +233,44 @@ mod tests {
         assert_eq!(snap[0].seq, Timestamp::new(3));
     }
 
+    fn topless(seq: u64) -> Arc<EventOccurrence> {
+        let mut o = Arc::unwrap_or_clone(occ(seq, 0));
+        o.txn = None;
+        o.top_txn = None;
+        Arc::new(o)
+    }
+
+    fn seqs(occs: &[Arc<EventOccurrence>]) -> Vec<u64> {
+        occs.iter().map(|o| o.seq.raw()).collect()
+    }
+
+    /// One capacity over both parts: the oldest occurrence by `seq`
+    /// goes first, whichever part holds it.
+    #[test]
+    fn eviction_is_oldest_by_seq_across_owned_and_topless() {
+        let h = LocalHistory::new(4);
+        h.record(&[topless(1), occ(2, 10), occ(3, 10), topless(4)]);
+        h.record(&[occ(5, 20)]); // evicts topless 1
+        assert_eq!(seqs(&h.snapshot()), vec![2, 3, 4, 5]);
+        h.record(&[topless(6)]); // evicts owned 2
+        assert_eq!(seqs(&h.snapshot()), vec![3, 4, 5, 6]);
+        h.record(&[topless(7), topless(8)]); // evicts owned 3, topless 4
+        assert_eq!(seqs(&h.snapshot()), vec![5, 6, 7, 8]);
+        assert_eq!(h.len(), 4);
+    }
+
+    /// A drain returns exactly that transaction's occurrences in record
+    /// order and leaves other transactions' and top-less ones in place.
     #[test]
     fn drain_removes_only_that_transaction() {
         let h = LocalHistory::new(100);
-        h.record(&[occ(1, 10), occ(2, 20), occ(3, 10)]);
-        let drained = h.drain_for_txn(TxnId::new(10));
-        assert_eq!(drained.len(), 2);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.snapshot()[0].txn, Some(TxnId::new(20)));
+        h.record(&[occ(1, 10), topless(2), occ(3, 20), occ(4, 10), topless(5)]);
+        h.record(&[occ(6, 10)]);
+        assert_eq!(seqs(&h.drain_for_txn(TxnId::new(10))), vec![1, 4, 6]);
+        assert_eq!(seqs(&h.snapshot()), vec![2, 3, 5]);
+        assert!(h.drain_for_txn(TxnId::new(10)).is_empty());
+        assert_eq!(seqs(&h.drain_for_txn(TxnId::new(20))), vec![3]);
+        assert_eq!(seqs(&h.snapshot()), vec![2, 5]);
     }
 
     #[test]

@@ -643,12 +643,14 @@ impl ReachSystem {
     }
 
     /// Drain every local history of `top`'s occurrences into the global
-    /// history — the §6.3 post-EOT collection.
+    /// history — the §6.3 post-EOT collection, inline on the ending
+    /// thread. Costs `top`'s own occurrences (and one lock per manager):
+    /// no local history keeps a finished transaction's occurrences, and
+    /// the drain does not visit top-less ones.
     fn collect_histories(&self, top: TxnId) {
         let mut drained = Vec::new();
-        for mgr in self.router.managers() {
-            drained.extend(mgr.history.drain_for_txn(top));
-        }
+        self.router
+            .for_each_manager(|mgr| drained.extend(mgr.history.drain_for_txn(top)));
         if !drained.is_empty() {
             self.global_history.absorb(drained);
         }

@@ -10,8 +10,9 @@
 //! global history windowed, the second 2 000 added ≈ 100 MiB.
 //!
 //! The invariant is tested, not the mechanism: live bytes by a counting
-//! allocator, plus the four bounds an operator could read off the
-//! public surface.
+//! allocator, plus the bounds an operator could read off the public
+//! surface — including that no local history holds an occurrence of a
+//! transaction that has ended.
 
 use open_oodb::Database;
 use reach_core::event::MethodPhase;
@@ -185,6 +186,25 @@ fn finished_transactions_leave_nothing_behind() {
     );
     assert_eq!(db.txn_manager().live_count(), 0);
     assert!(sys.global_history().len() <= sys.global_history().capacity());
+    // End-of-transaction collection only visits the owned part of each
+    // local history, which is O(the transaction's own occurrences) only
+    // if nothing of a finished transaction is ever left behind there.
+    // The cross-transaction storms belong to no transaction and stay.
+    let mut topless = 0;
+    for mgr in sys.router().managers() {
+        for occ in mgr.history.snapshot() {
+            match occ.top_txn {
+                Some(top) => assert!(
+                    db.txn_manager().is_active(top),
+                    "{}: occurrence {} of finished transaction {top} left in the local history",
+                    mgr.name,
+                    occ.seq
+                ),
+                None => topless += 1,
+            }
+        }
+    }
+    assert!(topless > 0, "the storm composite's completions are kept");
     let wal = db.storage().wal();
     let resident = wal.tail() - wal.base_lsn();
     assert!(

@@ -78,8 +78,8 @@ impl DistCompositor {
         &self.history
     }
 
-    fn observe(&self, shard: u32, occ: &EventOccurrence) {
-        let occ = Arc::new(occ.clone());
+    fn observe(&self, shard: u32, occ: &Arc<EventOccurrence>) {
+        let occ = Arc::clone(occ);
         match occ.top_txn {
             Some(top) => self
                 .buffers

@@ -164,12 +164,31 @@ fn finished_distributed_transactions_leave_nothing_behind() {
         grown <= 2 << 20,
         "{TXNS} more transfers grew the live heap by {grown} bytes"
     );
+    let mut topless = 0;
     for sys in dist.systems() {
         assert_eq!(sys.db().txn_manager().live_count(), 0);
         assert!(sys.global_history().len() <= sys.global_history().capacity());
+        // What end-of-transaction collection's O(own occurrences) drain
+        // rests on: nothing of a finished transaction — driver, 2PC
+        // participant or detached rule — stays in a local history. The
+        // transfer composites belong to no transaction and stay.
+        for mgr in sys.router().managers() {
+            for occ in mgr.history.snapshot() {
+                match occ.top_txn {
+                    Some(top) => assert!(
+                        sys.db().txn_manager().is_active(top),
+                        "{}: occurrence {} of finished transaction {top} left in the local history",
+                        mgr.name,
+                        occ.seq
+                    ),
+                    None => topless += 1,
+                }
+            }
+        }
         let wal = sys.db().storage().wal();
         assert!(wal.tail() - wal.base_lsn() <= LOG_BOUND + 4096);
     }
+    assert!(topless > 0, "the transfer composites' completions are kept");
     assert!(dist.global_history().len() <= dist.global_history().capacity());
     assert_eq!(fired.load(Ordering::Relaxed), WARM_UP + TXNS);
     assert!(dist.dead_letters().is_empty());

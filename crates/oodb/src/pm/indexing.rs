@@ -209,13 +209,15 @@ impl IndexingPm {
         indexes.len() != before
     }
 
-    /// Whether a usable index exists for `class.attribute` (an index on
-    /// the class itself or any ancestor covers the lookup).
-    pub fn has_index(&self, class: ClassId, attribute: &str) -> bool {
+    /// The class of the index that serves lookups on `class.attribute`,
+    /// if any: the class itself or an ancestor. An ancestor's index also
+    /// holds the ancestor's other descendants.
+    pub fn index_class(&self, class: ClassId, attribute: &str) -> Option<ClassId> {
         let indexes = self.indexes.read();
         indexes
             .iter()
-            .any(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))
+            .find(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))
+            .map(|i| i.class)
     }
 
     /// Exact-match lookup (served from the shadow — no I/O).

@@ -582,7 +582,21 @@ impl QueryPm {
         let class = self.space.schema().class_by_name(&q.class_name)?;
         // Plan: try to answer a sargable predicate from an index.
         if let Some(pred) = &q.predicate {
-            if let Some((candidates, plan, residual)) = self.try_index(class, &q.var, pred) {
+            if let Some((mut candidates, plan, residual, indexed)) =
+                self.try_index(class, &q.var, pred)
+            {
+                // An ancestor's index also answers with the ancestor's
+                // other descendants; keep instances of `class` only.
+                if indexed != class {
+                    let schema = self.space.schema();
+                    let mut keep = Vec::with_capacity(candidates.len());
+                    for oid in candidates {
+                        if schema.is_subclass(self.space.class_of(oid)?, class) {
+                            keep.push(oid);
+                        }
+                    }
+                    candidates = keep;
+                }
                 let out = self.filter(txn, &q.var, candidates, residual.as_ref())?;
                 return Ok((out, plan));
             }
@@ -621,13 +635,14 @@ impl QueryPm {
 
     /// Recognize `var.attr <op> literal` (possibly under a top-level
     /// `and`) and answer it from an index. Returns the candidate set,
-    /// the plan, and the residual predicate still to apply.
+    /// the plan, the residual predicate still to apply and the class
+    /// the index is on.
     fn try_index(
         &self,
         class: ClassId,
         var: &str,
         pred: &Expr,
-    ) -> Option<(Vec<reach_common::ObjectId>, Plan, Option<Expr>)> {
+    ) -> Option<(Vec<reach_common::ObjectId>, Plan, Option<Expr>, ClassId)> {
         // Split a top-level conjunction into clauses.
         fn clauses(e: &Expr, out: &mut Vec<Expr>) {
             if let Expr::Bin(BinOp::And, l, r) = e {
@@ -641,9 +656,9 @@ impl QueryPm {
         clauses(pred, &mut cs);
         for (i, clause) in cs.iter().enumerate() {
             if let Some((attr, op, value)) = sargable(clause, var) {
-                if !self.indexing.has_index(class, &attr) {
+                let Some(indexed) = self.indexing.index_class(class, &attr) else {
                     continue;
-                }
+                };
                 let (candidates, plan) = match op {
                     BinOp::Eq => (
                         self.indexing.lookup_eq(class, &attr, &value)?,
@@ -707,7 +722,7 @@ impl QueryPm {
                 let residual = rest
                     .into_iter()
                     .reduce(|a, b| Expr::Bin(BinOp::And, Box::new(a), Box::new(b)));
-                return Some((candidates, plan, residual));
+                return Some((candidates, plan, residual, indexed));
             }
         }
         None

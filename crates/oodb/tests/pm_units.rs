@@ -204,3 +204,40 @@ fn subclass_instances_answer_base_class_queries_via_base_index() {
     assert_eq!(hits, vec![c]);
     db.commit(t).unwrap();
 }
+
+/// A subclass query answered from an ancestor's index returns instances
+/// of the subclass only — not its siblings or the ancestor's own — just
+/// as the extent scan of the same predicate does.
+#[test]
+fn subclass_query_via_ancestor_index_excludes_other_classes() {
+    let db = Database::in_memory().unwrap();
+    let shape = db
+        .define_class("Shape")
+        .attr("area", ValueType::Int, Value::Int(0))
+        .define()
+        .unwrap();
+    let circle = db.define_class("Circle").base(shape).define().unwrap();
+    let square = db.define_class("Square").base(shape).define().unwrap();
+    db.create_index(shape, "area").unwrap();
+    let t = db.begin().unwrap();
+    let area = [("area", Value::Int(10))];
+    let c = db.create_with(t, circle, &area).unwrap();
+    let q = db.create_with(t, square, &area).unwrap();
+    let s = db.create_with(t, shape, &area).unwrap();
+    db.commit(t).unwrap();
+    let t = db.begin().unwrap();
+    for (src, want) in [
+        ("select x from Circle x where x.area == 10", vec![c]),
+        ("select x from Square x where x.area >= 10", vec![q]),
+        ("select x from Shape x where x.area == 10", vec![c, q, s]),
+    ] {
+        let (hits, plan) = db.query_with_plan(t, src).unwrap();
+        assert_ne!(plan, Plan::ExtentScan, "{src}");
+        assert_eq!(hits, want, "{src}");
+    }
+    let scan = db
+        .query(t, "select x from Circle x where x.area + 0 == 10")
+        .unwrap();
+    assert_eq!(scan, vec![c]);
+    db.commit(t).unwrap();
+}

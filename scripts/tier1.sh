@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build (every reach-bench bin included), full
 # test suite, the paper's Table 1 and Figure 2 regenerated and diffed
-# against their committed outputs, and the smoke runs of the
-# group-commit, server-overload, snapshot-read and distributed-commit
-# harnesses and of the benchmark package (benchmark/, a workspace of
-# its own). Every experiment invocation runs under a hard timeout so a
-# wedged harness fails the gate instead of hanging it. The gate writes
-# no tracked file.
+# against their committed outputs, the smoke runs of the group-commit,
+# server-overload, snapshot-read and distributed-commit harnesses, and
+# the benchmark package's own tests (benchmark/, a workspace of its
+# own: every workload's smoke in both modes, the manifest contract,
+# determinism). Every experiment invocation runs under a hard timeout
+# so a wedged harness fails the gate instead of hanging it. The gate
+# writes no tracked file.
 #
 #   --stress       additionally run the E18 concurrency stress smoke
 #                  (schedule-perturbed serializability sweep + algebra
@@ -94,10 +95,12 @@ timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_dist -- --sm
 
 # benchmark/ is a workspace of its own (path deps on crates/*), so the
 # build and tests above never compile it: an API change in crates/* can
-# break the yardstick unnoticed. run.sh builds it, then drives every
-# workload briefly with its in-run correctness checks.
-echo "== tier-1: benchmark package smoke (builds against crates/*, every workload correct) =="
-timeout "$EXP_TIMEOUT" bash benchmark/run.sh --smoke
+# break the yardstick unnoticed. Its test suite builds it, drives every
+# workload briefly in both modes with the in-run correctness checks
+# (what `run.sh --smoke` does), and checks the BENCHMARK.json contract
+# and the generators' determinism.
+echo "== tier-1: benchmark package tests (builds against crates/*, every workload correct, manifest contract) =="
+timeout "$EXP_TIMEOUT" cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 if [[ "$STRESS" == 1 ]]; then
   echo "== tier-1: concurrency stress smoke (perturbed schedules + differential fuzz) =="
