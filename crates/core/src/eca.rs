@@ -34,7 +34,7 @@ use reach_common::sync::{Mutex, RwLock};
 use reach_common::{
     ClassId, EventTypeId, IdGen, MethodId, MetricsRegistry, Stage, TimePoint, Timestamp, TxnId,
 };
-use reach_object::Schema;
+use reach_object::{Schema, StateChange};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,6 +236,10 @@ pub struct Router {
     /// Every begin/commit of every (sub)transaction reports a flow
     /// point; with zero flow registrations the raise is one load.
     flow_count: AtomicU64,
+    /// Registered state-change event count — the state sentry's gate:
+    /// with zero registrations an attribute write raises nothing and
+    /// the sentry returns after one load.
+    state_count: AtomicU64,
     /// The event sequence clock. Normally private to this router; a
     /// sharded deployment injects one shared clock into every shard's
     /// router so occurrence `seq` values form a single global order and
@@ -291,6 +295,7 @@ impl Router {
             ids: IdGen::new(),
             method_phase_count: [AtomicU64::new(0), AtomicU64::new(0)],
             flow_count: AtomicU64::new(0),
+            state_count: AtomicU64::new(0),
             seq,
             mode: RwLock::new(CompositionMode::Synchronous),
             workers: Mutex::new(HashMap::new()),
@@ -426,6 +431,7 @@ impl Router {
                         .entry((*class, attribute.clone()))
                         .or_default()
                         .push(id);
+                    self.state_count.fetch_add(1, Ordering::Release);
                 }
                 PrimitiveEvent::Lifecycle { class, deletion } => {
                     self.lifecycle_index
@@ -483,16 +489,22 @@ impl Router {
         id
     }
 
-    /// Whether any method event of `phase` is registered anywhere.
-    /// One relaxed-side atomic load — the sentries consult this before
-    /// paying for a raise that cannot match (E13's hot path raises the
-    /// before phase 50k times against zero registrations otherwise).
     /// Whether any flow event is registered anywhere (see
     /// [`Router::raise_flow`]).
     pub fn observes_flow(&self) -> bool {
         self.flow_count.load(Ordering::Acquire) > 0
     }
 
+    /// Whether any state-change event is registered anywhere. The state
+    /// sentry consults this before resolving the writing transaction.
+    pub fn observes_state_change(&self) -> bool {
+        self.state_count.load(Ordering::Acquire) > 0
+    }
+
+    /// Whether any method event of `phase` is registered anywhere.
+    /// One relaxed-side atomic load — the sentries consult this before
+    /// paying for a raise that cannot match (E13's hot path raises the
+    /// before phase 50k times against zero registrations otherwise).
     pub fn observes_method_phase(&self, phase: MethodPhase) -> bool {
         let slot = match phase {
             MethodPhase::Before => 0,
@@ -637,25 +649,26 @@ impl Router {
         }
     }
 
-    /// A state change was observed.
-    #[allow(clippy::too_many_arguments)]
+    /// A state change was observed in top-level transaction `top`.
     pub fn raise_state_change(
         self: &Arc<Self>,
-        txn: TxnId,
+        change: &StateChange<'_>,
         top: TxnId,
         at: TimePoint,
-        receiver: reach_common::ObjectId,
-        class: ClassId,
-        attribute: &str,
-        old: reach_object::Value,
-        new: reach_object::Value,
     ) {
+        let StateChange {
+            txn,
+            oid,
+            class,
+            attribute,
+            ..
+        } = *change;
         for ty in self.lookup(&self.state_index, class, |c| (c, attribute.to_string())) {
             let data = EventData {
-                receiver: Some(receiver),
+                receiver: Some(oid),
                 attribute: Some(attribute.to_string()),
-                old: Some(old.clone()),
-                new: Some(new.clone()),
+                old: Some(change.old.clone()),
+                new: Some(change.new.clone()),
                 ..Default::default()
             };
             self.trace.log(|| {

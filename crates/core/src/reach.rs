@@ -753,25 +753,19 @@ impl MethodSentry for MethodBridge {
 struct StateBridge(Arc<ReachSystem>);
 
 impl StateSentry for StateBridge {
-    fn on_change(&self, change: &StateChange) {
+    fn on_change(&self, change: &StateChange<'_>) {
         let sys = &self.0;
-        if change.txn.is_null() {
+        // With no state-change event registered a write cannot match:
+        // one load, before the transaction lookup.
+        if !sys.router.observes_state_change() || change.txn.is_null() {
             return;
         }
         let Ok(top) = sys.db.txn_manager().top_of(change.txn) else {
             return;
         };
         let t0 = sys.db.metrics().span_start();
-        sys.router.raise_state_change(
-            change.txn,
-            top,
-            sys.db.clock().now(),
-            change.oid,
-            change.class,
-            &change.attribute,
-            change.old.clone(),
-            change.new.clone(),
-        );
+        sys.router
+            .raise_state_change(change, top, sys.db.clock().now());
         if let Some(t0) = t0 {
             let m = sys.db.metrics();
             m.sentry.inline_invocations.inc();

@@ -564,6 +564,47 @@ fn state_change_events_fire_rules() {
     assert_eq!(*seen, vec![(Value::Int(0), Value::Int(33))]);
 }
 
+/// The state sentry skips writes while no state-change event exists;
+/// defining one mid-stream must start detection with the very next
+/// write, and only for its own attribute.
+#[test]
+fn state_event_defined_after_writes_began_fires_for_later_writes_only() {
+    let w = world();
+    let sys = &w.sys;
+    let oid = w.sensor_obj();
+    let db = sys.db();
+    let t = db.begin().unwrap();
+    db.set_attr(t, oid, "value", Value::Int(1)).unwrap();
+    db.set_attr(t, oid, "value", Value::Int(2)).unwrap();
+    let ev = sys
+        .define_state_event("value-changed", w.sensor, "value")
+        .unwrap();
+    let seen = Arc::new(reach_common::sync::Mutex::new(Vec::new()));
+    let s = Arc::clone(&seen);
+    sys.define_rule(
+        RuleBuilder::new("watch-value")
+            .on(ev)
+            .coupling(CouplingMode::Immediate)
+            .then(move |ctx| {
+                s.lock().push((ctx.old_value(), ctx.new_value()));
+                Ok(())
+            }),
+    )
+    .unwrap();
+    db.set_attr(t, oid, "alarms", Value::Int(9)).unwrap();
+    db.set_attr(t, oid, "value", Value::Int(3)).unwrap();
+    db.set_attr(t, oid, "alarms", Value::Int(10)).unwrap();
+    db.set_attr(t, oid, "value", Value::Int(4)).unwrap();
+    db.commit(t).unwrap();
+    assert_eq!(
+        *seen.lock(),
+        vec![
+            (Value::Int(2), Value::Int(3)),
+            (Value::Int(3), Value::Int(4))
+        ]
+    );
+}
+
 #[test]
 fn lifecycle_destructor_event_fires() {
     let w = world();

@@ -258,17 +258,34 @@ impl Schema {
 
     /// Slot index of an attribute in the flattened layout.
     pub fn attr_slot(&self, id: ClassId, name: &str) -> Result<usize> {
-        self.with(id, |rc| rc.attr_index.get(name).copied())?
-            .ok_or_else(|| ReachError::AttributeNotFound {
-                class: self.class_name(id).unwrap_or_else(|_| id.to_string()),
-                attribute: name.to_string(),
-            })
+        Ok(self.attr_slot_type(id, name)?.0)
+    }
+
+    /// Slot index and declared type of an attribute, in one lookup —
+    /// what every attribute write needs, without copying the layout.
+    pub fn attr_slot_type(&self, id: ClassId, name: &str) -> Result<(usize, ValueType)> {
+        self.with(id, |rc| {
+            rc.attr_index
+                .get(name)
+                .map(|&slot| (slot, rc.attrs[slot].ty))
+        })?
+        .ok_or_else(|| ReachError::AttributeNotFound {
+            class: self.class_name(id).unwrap_or_else(|_| id.to_string()),
+            attribute: name.to_string(),
+        })
     }
 
     /// Declared type of an attribute.
     pub fn attr_type(&self, id: ClassId, name: &str) -> Result<ValueType> {
-        let slot = self.attr_slot(id, name)?;
-        self.with(id, |rc| rc.attrs[slot].ty)
+        Ok(self.attr_slot_type(id, name)?.1)
+    }
+
+    /// Name of the attribute at `slot` in the flattened layout.
+    pub fn attr_name(&self, id: ClassId, slot: usize) -> Result<String> {
+        self.with(id, |rc| rc.attrs.get(slot).map(|a| a.name.clone()))?
+            .ok_or_else(|| {
+                ReachError::SchemaError(format!("class {id} has no attribute slot {slot}"))
+            })
     }
 
     /// Default values for a fresh instance of the class.

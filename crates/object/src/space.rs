@@ -56,20 +56,25 @@ impl ObjectState {
     }
 }
 
-/// What a state sentry observes on every attribute write.
-#[derive(Debug, Clone)]
-pub struct StateChange {
+/// What a state sentry observes on every attribute write. It borrows
+/// from the write itself, so running the chain copies nothing: a
+/// sentry that keeps a value (an undo entry, an index key) clones what
+/// it keeps.
+#[derive(Debug, Clone, Copy)]
+pub struct StateChange<'a> {
     pub txn: TxnId,
     pub oid: ObjectId,
     pub class: ClassId,
-    pub attribute: String,
-    pub old: Value,
-    pub new: Value,
+    /// The attribute's slot in the class's flattened layout.
+    pub slot: usize,
+    pub attribute: &'a str,
+    pub old: &'a Value,
+    pub new: &'a Value,
 }
 
 /// Observer of attribute writes (the state-change event detector).
 pub trait StateSentry: Send + Sync {
-    fn on_change(&self, change: &StateChange);
+    fn on_change(&self, change: &StateChange<'_>);
 }
 
 /// Observer of object lifecycle: constructor/destructor events. The
@@ -94,8 +99,11 @@ pub struct ObjectSpace {
     extents: Arc<ExtentRegistry>,
     objects: RwLock<HashMap<ObjectId, ObjectState>>,
     persistent: RwLock<HashSet<ObjectId>>,
-    state_sentries: RwLock<Vec<Arc<dyn StateSentry>>>,
-    lifecycle_sentries: RwLock<Vec<Arc<dyn LifecycleSentry>>>,
+    /// Sentry lists are registered once and read on every write, so a
+    /// reader snapshots the `Arc` and registration swaps in a new Vec
+    /// (copy-on-write).
+    state_sentries: RwLock<Arc<Vec<Arc<dyn StateSentry>>>>,
+    lifecycle_sentries: RwLock<Arc<Vec<Arc<dyn LifecycleSentry>>>>,
     fault: RwLock<Option<FaultHandler>>,
     ids: IdGen,
     /// `(residue, stride)` of the oid partition this space allocates
@@ -110,8 +118,8 @@ impl ObjectSpace {
             extents: Arc::new(ExtentRegistry::new()),
             objects: RwLock::new(HashMap::new()),
             persistent: RwLock::new(HashSet::new()),
-            state_sentries: RwLock::new(Vec::new()),
-            lifecycle_sentries: RwLock::new(Vec::new()),
+            state_sentries: RwLock::new(Arc::default()),
+            lifecycle_sentries: RwLock::new(Arc::default()),
             fault: RwLock::new(None),
             ids: IdGen::new(),
             partition: RwLock::new((0, 1)),
@@ -152,12 +160,12 @@ impl ObjectSpace {
 
     /// Register a state-change sentry.
     pub fn add_state_sentry(&self, s: Arc<dyn StateSentry>) {
-        self.state_sentries.write().push(s);
+        Arc::make_mut(&mut self.state_sentries.write()).push(s);
     }
 
     /// Register a lifecycle (constructor/destructor) sentry.
     pub fn add_lifecycle_sentry(&self, s: Arc<dyn LifecycleSentry>) {
-        self.lifecycle_sentries.write().push(s);
+        Arc::make_mut(&mut self.lifecycle_sentries.write()).push(s);
     }
 
     // ---- lifecycle ----
@@ -177,8 +185,7 @@ impl ObjectSpace {
     ) -> Result<ObjectId> {
         let mut attrs = self.schema.defaults(class)?;
         for (name, value) in overrides {
-            let slot = self.schema.attr_slot(class, name)?;
-            let ty = self.schema.attributes(class)?[slot].ty;
+            let (slot, ty) = self.schema.attr_slot_type(class, name)?;
             if !value.conforms_to(ty) {
                 return Err(ReachError::TypeMismatch {
                     expected: format!("{ty:?}"),
@@ -211,8 +218,8 @@ impl ObjectSpace {
     }
 
     fn fire_lifecycle(&self, txn: TxnId, oid: ObjectId, state: &ObjectState, create: bool) {
-        let sentries = self.lifecycle_sentries.read().clone();
-        for s in &sentries {
+        let sentries = Arc::clone(&self.lifecycle_sentries.read());
+        for s in sentries.iter() {
             if create {
                 s.on_create(txn, oid, state);
             } else {
@@ -304,13 +311,12 @@ impl ObjectSpace {
     /// Write an attribute by name, running the state-sentry chain.
     pub fn set_attr(&self, txn: TxnId, oid: ObjectId, name: &str, value: Value) -> Result<()> {
         self.ensure_resident(oid)?;
-        let (class, old) = {
+        let (class, slot, old) = {
             let mut objects = self.objects.write();
             let state = objects
                 .get_mut(&oid)
                 .ok_or(ReachError::ObjectNotFound(oid))?;
-            let slot = self.schema.attr_slot(state.class, name)?;
-            let ty = self.schema.attributes(state.class)?[slot].ty;
+            let (slot, ty) = self.schema.attr_slot_type(state.class, name)?;
             if !value.conforms_to(ty) {
                 return Err(ReachError::TypeMismatch {
                     expected: format!("{ty:?}"),
@@ -318,21 +324,20 @@ impl ObjectSpace {
                 });
             }
             let old = std::mem::replace(&mut state.attrs[slot], value.clone());
-            (state.class, old)
+            (state.class, slot, old)
         };
-        let sentries = self.state_sentries.read().clone();
-        if !sentries.is_empty() {
-            let change = StateChange {
-                txn,
-                oid,
-                class,
-                attribute: name.to_string(),
-                old,
-                new: value,
-            };
-            for s in &sentries {
-                s.on_change(&change);
-            }
+        let change = StateChange {
+            txn,
+            oid,
+            class,
+            slot,
+            attribute: name,
+            old: &old,
+            new: &value,
+        };
+        let sentries = Arc::clone(&self.state_sentries.read());
+        for s in sentries.iter() {
+            s.on_change(&change);
         }
         Ok(())
     }
@@ -409,23 +414,34 @@ mod tests {
     fn set_attr_runs_state_sentries() {
         let (_, space, class) = setup();
         let oid = space.create(TxnId::NULL, class).unwrap();
-        let seen: Arc<Mutex<Vec<StateChange>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Recorder(Arc<Mutex<Vec<StateChange>>>);
+        type Seen = (TxnId, usize, String, Value, Value);
+        let seen: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
+        struct Recorder(Arc<Mutex<Vec<Seen>>>);
         impl StateSentry for Recorder {
-            fn on_change(&self, c: &StateChange) {
-                self.0.lock().push(c.clone());
+            fn on_change(&self, c: &StateChange<'_>) {
+                self.0.lock().push((
+                    c.txn,
+                    c.slot,
+                    c.attribute.to_string(),
+                    c.old.clone(),
+                    c.new.clone(),
+                ));
             }
         }
         space.add_state_sentry(Arc::new(Recorder(Arc::clone(&seen))));
         space
             .set_attr(TxnId::new(3), oid, "y", Value::Int(12))
             .unwrap();
-        let changes = seen.lock();
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].attribute, "y");
-        assert_eq!(changes[0].old, Value::Int(0));
-        assert_eq!(changes[0].new, Value::Int(12));
-        assert_eq!(changes[0].txn, TxnId::new(3));
+        assert_eq!(
+            *seen.lock(),
+            vec![(
+                TxnId::new(3),
+                1,
+                "y".to_string(),
+                Value::Int(0),
+                Value::Int(12)
+            )]
+        );
     }
 
     #[test]

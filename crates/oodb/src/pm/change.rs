@@ -24,9 +24,11 @@ use std::sync::{Arc, Weak};
 
 #[derive(Debug, Clone)]
 enum Change {
+    /// `slot` indexes the class's flattened layout: reconstruction
+    /// applies it directly, and only a rollback resolves the name.
     Attr {
         oid: ObjectId,
-        attribute: String,
+        slot: usize,
         old: Value,
     },
     Create {
@@ -92,12 +94,16 @@ impl ChangePm {
         // Compensations run under TxnId::NULL: not re-tracked, but other
         // sentries (indexing) still observe them.
         match change {
-            Change::Attr {
-                oid,
-                attribute,
-                old,
-            } => {
-                let _ = self.space.set_attr(TxnId::NULL, oid, &attribute, old);
+            Change::Attr { oid, slot, old } => {
+                // Through the name-addressed write path, so the state
+                // sentries see the compensation like any other write.
+                let name = self
+                    .space
+                    .class_of(oid)
+                    .and_then(|class| self.space.schema().attr_name(class, slot));
+                if let Ok(name) = name {
+                    let _ = self.space.set_attr(TxnId::NULL, oid, &name, old);
+                }
             }
             Change::Create { oid } => {
                 let _ = self.space.delete(TxnId::NULL, oid);
@@ -211,12 +217,10 @@ impl ChangePm {
                 .cloned()
                 .collect()
         };
-        let schema = self.space.schema();
         for change in undo.into_iter().rev() {
             match change {
-                Change::Attr { attribute, old, .. } => {
+                Change::Attr { slot, old, .. } => {
                     if let Some(s) = state.as_mut() {
-                        let slot = schema.attr_slot(s.class, &attribute)?;
                         s.attrs[slot] = old;
                     }
                 }
@@ -229,12 +233,12 @@ impl ChangePm {
 }
 
 impl StateSentry for ChangePm {
-    fn on_change(&self, change: &StateChange) {
+    fn on_change(&self, change: &StateChange<'_>) {
         self.record(
             change.txn,
             Change::Attr {
                 oid: change.oid,
-                attribute: change.attribute.clone(),
+                slot: change.slot,
                 old: change.old.clone(),
             },
         );

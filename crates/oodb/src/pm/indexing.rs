@@ -216,7 +216,7 @@ impl IndexingPm {
         let indexes = self.indexes.read();
         indexes
             .iter()
-            .find(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))
+            .find(|i| self.serves(i, class, attribute))
             .map(|i| i.class)
     }
 
@@ -228,9 +228,7 @@ impl IndexingPm {
         value: &Value,
     ) -> Option<Vec<ObjectId>> {
         let indexes = self.indexes.read();
-        let idx = indexes
-            .iter()
-            .find(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))?;
+        let idx = indexes.iter().find(|i| self.serves(i, class, attribute))?;
         let m = self.sm.metrics();
         if m.on() {
             m.index.lookups.inc();
@@ -252,9 +250,7 @@ impl IndexingPm {
         high: Bound<Value>,
     ) -> Option<Vec<ObjectId>> {
         let indexes = self.indexes.read();
-        let idx = indexes
-            .iter()
-            .find(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))?;
+        let idx = indexes.iter().find(|i| self.serves(i, class, attribute))?;
         let m = self.sm.metrics();
         if m.on() {
             m.index.range_scans.inc();
@@ -317,19 +313,13 @@ impl IndexingPm {
         }
     }
 
-    fn apply_to_matching<F: FnMut(&mut Index)>(&self, class: ClassId, attribute: &str, mut f: F) {
-        let mut indexes = self.indexes.write();
-        for idx in indexes.iter_mut() {
-            if idx.attribute == attribute && self.schema.is_subclass(class, idx.class) {
-                f(idx);
-            }
-        }
+    /// Whether `idx` holds the values of `class.attribute`: an index on
+    /// the class itself or on an ancestor.
+    fn serves(&self, idx: &Index, class: ClassId, attribute: &str) -> bool {
+        idx.attribute == attribute && self.schema.is_subclass(class, idx.class)
     }
 
     fn index_object(&self, txn: TxnId, oid: ObjectId, state: &ObjectState, insert: bool) {
-        let Ok(attrs) = self.schema.attributes(state.class) else {
-            return;
-        };
         let top = self.top_of(txn);
         let mut ops: Vec<IndexOp> = Vec::new();
         let mut indexes = self.indexes.write();
@@ -337,7 +327,7 @@ impl IndexingPm {
             if !self.schema.is_subclass(state.class, idx.class) {
                 continue;
             }
-            if let Some(slot) = attrs.iter().position(|a| a.name == idx.attribute) {
+            if let Ok(slot) = self.schema.attr_slot(state.class, &idx.attribute) {
                 let key = IndexKey(state.attrs[slot].clone());
                 if top.is_some() {
                     ops.push(IndexOp {
@@ -375,10 +365,18 @@ fn flatten(tree: &Tree) -> BTreeSet<(Vec<u8>, u64)> {
 }
 
 impl StateSentry for IndexingPm {
-    fn on_change(&self, change: &StateChange) {
+    fn on_change(&self, change: &StateChange<'_>) {
+        // Most written attributes carry no index: settle that under the
+        // read lock, before resolving the transaction or taking the
+        // write lock.
+        let serves = |idx: &Index| self.serves(idx, change.class, change.attribute);
+        if !self.indexes.read().iter().any(serves) {
+            return;
+        }
         let top = self.top_of(change.txn);
         let mut ops: Vec<IndexOp> = Vec::new();
-        self.apply_to_matching(change.class, &change.attribute, |idx| {
+        let mut indexes = self.indexes.write();
+        for idx in indexes.iter_mut().filter(|idx| serves(idx)) {
             if top.is_some() {
                 ops.push(IndexOp {
                     store_id: idx.store_id,
@@ -404,7 +402,8 @@ impl StateSentry for IndexingPm {
                 .entry(IndexKey(change.new.clone()))
                 .or_default()
                 .insert(change.oid);
-        });
+        }
+        drop(indexes);
         if let Some(top) = top {
             self.buffer_ops(top, ops);
         }

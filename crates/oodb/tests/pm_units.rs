@@ -3,7 +3,7 @@
 //! dictionary persistence, index maintenance under mixed workloads.
 
 use open_oodb::pm::query::{parse_query, Plan};
-use open_oodb::{Database, TransactionPm};
+use open_oodb::{Database, DatabaseConfig, TransactionPm};
 use reach_object::{Value, ValueType};
 use reach_txn::TxnState;
 use std::sync::Arc;
@@ -239,5 +239,143 @@ fn subclass_query_via_ancestor_index_excludes_other_classes() {
         .query(t, "select x from Circle x where x.area + 0 == 10")
         .unwrap();
     assert_eq!(scan, vec![c]);
+    db.commit(t).unwrap();
+}
+
+/// A snapshot reader that meets an object for the first time while a
+/// writer holds uncommitted writes to several of its attributes — one
+/// of them rolled back with a subtransaction — gets the committed
+/// pre-image: the Change PM's reconstruction undoes the writer's log
+/// slot by slot. After a restart no version chain exists yet, so the
+/// read takes exactly that path.
+#[test]
+fn first_snapshot_read_under_uncommitted_writes_sees_the_committed_image() {
+    let dir = std::env::temp_dir().join(format!("reach-pm-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let declare = |db: &Database| {
+        db.define_class("Reading")
+            .attr("a", ValueType::Int, Value::Int(1))
+            .attr("b", ValueType::Str, Value::Str("one".into()))
+            .attr("c", ValueType::Int, Value::Int(3))
+            .define()
+            .unwrap()
+    };
+    let oid = {
+        let db = Database::open(&dir, DatabaseConfig::default()).unwrap();
+        let class = declare(&db);
+        let t = db.begin().unwrap();
+        let oid = db.create(t, class).unwrap();
+        db.persist(t, oid).unwrap();
+        db.commit(t).unwrap();
+        db.checkpoint().unwrap();
+        oid
+    };
+    let db = Database::open(&dir, DatabaseConfig::default()).unwrap();
+    declare(&db);
+    let w = db.begin().unwrap();
+    db.set_attr(w, oid, "a", Value::Int(10)).unwrap();
+    db.set_attr(w, oid, "b", Value::Str("two".into())).unwrap();
+    let child = db.begin_nested(w).unwrap();
+    db.set_attr(child, oid, "c", Value::Int(30)).unwrap();
+    db.set_attr(child, oid, "a", Value::Int(11)).unwrap();
+    db.abort(child).unwrap();
+    db.set_attr(w, oid, "c", Value::Int(40)).unwrap();
+    db.set_attr(w, oid, "a", Value::Int(12)).unwrap();
+    assert_eq!(db.snapshot_pm().retained_versions(), 0, "no chain yet");
+
+    let image = |t| ["a", "b", "c"].map(|name| db.get_attr(t, oid, name).unwrap());
+    let committed = [Value::Int(1), Value::Str("one".into()), Value::Int(3)];
+    let written = [Value::Int(12), Value::Str("two".into()), Value::Int(40)];
+    let reader = db.begin_read_only().unwrap();
+    assert_eq!(image(reader), committed);
+    assert_eq!(image(w), written);
+    db.commit(w).unwrap();
+    assert_eq!(image(reader), committed, "the reader's stamp predates w");
+    db.commit(reader).unwrap();
+    let later = db.begin_read_only().unwrap();
+    assert_eq!(image(later), written);
+    db.commit(later).unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Writes to subclass instances of an indexed and an unindexed attribute
+/// — committed, aborted, and rolled back with a subtransaction inside a
+/// committed parent — leave the index shadow and the persistent tree in
+/// step, and the index answering with the committed values.
+#[test]
+fn subclass_writes_keep_the_index_shadow_and_tree_in_step() {
+    let db = Database::in_memory().unwrap();
+    let shape = db
+        .define_class("Shape")
+        .attr("area", ValueType::Int, Value::Int(0))
+        .attr("label", ValueType::Str, Value::Str(String::new()))
+        .define()
+        .unwrap();
+    let circle = db
+        .define_class("Circle")
+        .base(shape)
+        .attr("radius", ValueType::Int, Value::Int(0))
+        .define()
+        .unwrap();
+    db.create_index(shape, "area").unwrap();
+    let verify = || db.indexing_pm().verify_shadow().unwrap();
+
+    let t = db.begin().unwrap();
+    let c = db
+        .create_with(t, circle, &[("area", Value::Int(1))])
+        .unwrap();
+    let s = db
+        .create_with(t, shape, &[("area", Value::Int(2))])
+        .unwrap();
+    db.commit(t).unwrap();
+    verify();
+
+    let t = db.begin().unwrap();
+    db.set_attr(t, c, "area", Value::Int(10)).unwrap();
+    db.set_attr(t, c, "label", Value::Str("big".into()))
+        .unwrap();
+    db.set_attr(t, c, "radius", Value::Int(5)).unwrap();
+    db.set_attr(t, s, "label", Value::Str("plain".into()))
+        .unwrap();
+    db.commit(t).unwrap();
+    verify();
+
+    let t = db.begin().unwrap();
+    db.set_attr(t, c, "area", Value::Int(20)).unwrap();
+    db.set_attr(t, c, "radius", Value::Int(6)).unwrap();
+    db.abort(t).unwrap();
+    verify();
+
+    let t = db.begin().unwrap();
+    db.set_attr(t, c, "label", Value::Str("kept".into()))
+        .unwrap();
+    let child = db.begin_nested(t).unwrap();
+    db.set_attr(child, c, "area", Value::Int(30)).unwrap();
+    db.set_attr(child, c, "radius", Value::Int(7)).unwrap();
+    db.abort(child).unwrap();
+    db.set_attr(t, s, "area", Value::Int(40)).unwrap();
+    db.commit(t).unwrap();
+    verify();
+
+    let t = db.begin().unwrap();
+    for (src, want) in [
+        ("select x from Shape x where x.area == 10", vec![c]),
+        ("select x from Shape x where x.area == 40", vec![s]),
+        (
+            "select x from Shape x where x.area >= 20 and x.area < 40",
+            vec![],
+        ),
+        ("select x from Circle x where x.area == 10", vec![c]),
+    ] {
+        let (hits, plan) = db.query_with_plan(t, src).unwrap();
+        assert_ne!(plan, Plan::ExtentScan, "{src}");
+        assert_eq!(hits, want, "{src}");
+    }
+    assert_eq!(db.get_attr(t, c, "radius").unwrap(), Value::Int(5));
+    assert_eq!(
+        db.get_attr(t, c, "label").unwrap(),
+        Value::Str("kept".into())
+    );
     db.commit(t).unwrap();
 }

@@ -33,7 +33,7 @@ use reach_object::Value;
 use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -118,6 +118,10 @@ struct Shared {
     shutdown: AtomicBool,
     next_session: AtomicU64,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    /// Sessions removed from the table whose cleanup (orphan aborts,
+    /// socket close) has not finished yet. Shutdown waits for this too:
+    /// an empty table alone does not mean the aborts have run.
+    retiring: AtomicUsize,
 }
 
 impl Shared {
@@ -141,12 +145,27 @@ impl Shared {
     /// Remove `session` from the table and clean it up. Idempotent:
     /// only the caller that actually removes it runs the cleanup.
     fn retire(&self, session: &Arc<Session>) {
-        let removed = self.sessions.lock().remove(&session.id).is_some();
+        let removed = {
+            let mut sessions = self.sessions.lock();
+            let removed = sessions.remove(&session.id).is_some();
+            if removed {
+                self.retiring.fetch_add(1, Ordering::SeqCst);
+            }
+            removed
+        };
         if removed {
             self.abort_orphans(session);
             session.force_close();
             self.metrics().server.sessions_closed.inc();
+            self.retiring.fetch_sub(1, Ordering::SeqCst);
         }
+    }
+
+    /// No session is live or still being cleaned up. The table is read
+    /// first: `retire` counts a session as retiring under the table
+    /// lock, before its removal can be seen.
+    fn drained(&self) -> bool {
+        self.sessions.lock().is_empty() && self.retiring.load(Ordering::SeqCst) == 0
     }
 
     /// Push an encoded notification frame to every subscribed session;
@@ -217,7 +236,7 @@ impl ServerHandle {
         // tick, finish whatever request they are executing, and retire
         // their sessions (aborting owned transactions).
         let deadline = Instant::now() + self.shared.cfg.drain_timeout;
-        while Instant::now() < deadline && !self.shared.sessions.lock().is_empty() {
+        while Instant::now() < deadline && !self.shared.drained() {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Whatever is left gets its socket pulled; the reader wakes
@@ -227,7 +246,7 @@ impl ServerHandle {
             s.force_close();
         }
         let deadline = Instant::now() + self.shared.cfg.drain_timeout;
-        while Instant::now() < deadline && !self.shared.sessions.lock().is_empty() {
+        while Instant::now() < deadline && !self.shared.drained() {
             std::thread::sleep(Duration::from_millis(5));
         }
         if let Some(h) = self.reaper.lock().take() {
@@ -250,6 +269,7 @@ pub fn serve(sys: Arc<ReachSystem>, cfg: ServerConfig) -> Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         next_session: AtomicU64::new(1),
         sessions: Mutex::new(HashMap::new()),
+        retiring: AtomicUsize::new(0),
     });
 
     // Rule-firing pushes: encode once per firing, fan out to

@@ -63,6 +63,18 @@ pub enum TxnState {
     Aborted,
 }
 
+impl TxnState {
+    /// Whether a transaction in this state may still operate: active,
+    /// committing, or prepared (an in-doubt transaction still holds its
+    /// locks).
+    pub fn is_live(self) -> bool {
+        matches!(
+            self,
+            TxnState::Active | TxnState::Committing | TxnState::Prepared
+        )
+    }
+}
+
 /// Participant that must make a transaction's effects atomic (the
 /// Persistence/Change PMs implement this against the storage manager and
 /// object space). Savepoints make *sub*transaction rollback possible.
@@ -435,10 +447,7 @@ impl TransactionManager {
     /// Whether the transaction is active (or committing, or prepared —
     /// an in-doubt transaction still holds locks and is very much live).
     pub fn is_active(&self, txn: TxnId) -> bool {
-        matches!(
-            self.state(txn),
-            Ok(TxnState::Active) | Ok(TxnState::Committing) | Ok(TxnState::Prepared)
-        )
+        self.state(txn).is_ok_and(TxnState::is_live)
     }
 
     /// The enclosing top-level transaction.
@@ -494,32 +503,33 @@ impl TransactionManager {
 
     // ---- locking ----
 
-    /// Acquire a lock honouring nested-transaction ancestry. Read-only
-    /// snapshot transactions are refused: their whole point is zero
-    /// lock-manager traffic, and silently taking a lock here would let
-    /// one block behind a writer after all.
+    /// Acquire a lock honouring nested-transaction ancestry. A
+    /// transaction that is not live is refused — nothing would ever
+    /// release a lock granted to it — and so are read-only snapshot
+    /// transactions: their whole point is zero lock-manager traffic,
+    /// and silently taking a lock here would let one block behind a
+    /// writer after all.
     pub fn lock(&self, txn: TxnId, oid: ObjectId, mode: LockMode) -> Result<()> {
-        // One registry pass covers both the read-only check and the
-        // ancestor chain — this runs on every object access, and paying
-        // the registry mutex twice per call dominated the lock-grant
-        // stage in the E15 profile.
+        // One registry pass covers the liveness check, the read-only
+        // check and the ancestor chain — this runs on every object
+        // access, and paying the registry mutex twice per call
+        // dominated the lock-grant stage in the E15 profile.
         let ancestors = {
             let txns = self.txns.lock();
-            match txns.get(&txn) {
-                Some(rec) if rec.snapshot.is_some() => {
-                    return Err(ReachError::ReadOnlyTxn(txn));
-                }
-                Some(rec) => {
-                    let mut out = Vec::new();
-                    let mut cur = rec.parent;
-                    while let Some(p) = cur {
-                        out.push(p);
-                        cur = txns.get(&p).and_then(|r| r.parent);
-                    }
-                    out
-                }
-                None => Vec::new(),
+            let rec = txns.get(&txn).ok_or_else(|| self.not_live(txn))?;
+            if !rec.state.is_live() {
+                return Err(ReachError::TxnNotActive(txn));
             }
+            if rec.snapshot.is_some() {
+                return Err(ReachError::ReadOnlyTxn(txn));
+            }
+            let mut out = Vec::new();
+            let mut cur = rec.parent;
+            while let Some(p) = cur {
+                out.push(p);
+                cur = txns.get(&p).and_then(|r| r.parent);
+            }
+            out
         };
         self.locks.acquire(txn, oid, mode, &ancestors)
     }
@@ -1164,6 +1174,45 @@ mod tests {
         );
         tm.commit(parent).unwrap();
         assert_eq!(tm.locks().held_mode(parent, ObjectId::new(1)), None);
+    }
+
+    #[test]
+    fn lock_refuses_transactions_that_are_not_live() {
+        let tm = manager();
+        let oid = ObjectId::new(1);
+        let t = tm.begin().unwrap();
+        tm.commit(t).unwrap();
+        assert!(matches!(
+            tm.lock(t, oid, LockMode::Exclusive),
+            Err(ReachError::TxnNotActive(id)) if id == t
+        ));
+        let aborted = tm.begin().unwrap();
+        tm.abort(aborted).unwrap();
+        assert!(matches!(
+            tm.lock(aborted, oid, LockMode::Shared),
+            Err(ReachError::TxnNotActive(id)) if id == aborted
+        ));
+        // A committed subtransaction stays in the registry until its top
+        // ends; its state, not its absence, refuses it.
+        let parent = tm.begin().unwrap();
+        let child = tm.begin_nested(parent).unwrap();
+        tm.commit(child).unwrap();
+        assert!(matches!(
+            tm.lock(child, oid, LockMode::Exclusive),
+            Err(ReachError::TxnNotActive(id)) if id == child
+        ));
+        let never = TxnId::new(9_999);
+        assert!(matches!(
+            tm.lock(never, oid, LockMode::Exclusive),
+            Err(ReachError::TxnNotFound(id)) if id == never
+        ));
+        // None of the refusals left a lock behind: a live writer gets
+        // the object at once instead of timing out.
+        tm.lock(parent, oid, LockMode::Exclusive).unwrap();
+        tm.commit(parent).unwrap();
+        let next = tm.begin().unwrap();
+        tm.lock(next, oid, LockMode::Exclusive).unwrap();
+        tm.commit(next).unwrap();
     }
 
     #[test]
