@@ -38,5 +38,5 @@ pub use dispatch::{Dispatcher, MethodCall, MethodSentry, SentryPhase};
 pub use extent::ExtentRegistry;
 pub use method::{MethodBody, MethodCtx, MethodRegistry};
 pub use schema::{AttrDef, ClassDef, MethodDecl, Schema};
-pub use space::{LifecycleSentry, ObjectSpace, ObjectState, StateChange, StateSentry};
+pub use space::{LifecycleSentry, ObjectSpace, ObjectState, StateChange, StateSentry, UndoLog};
 pub use value::{Args, Value, ValueType};

@@ -8,6 +8,11 @@
 //! [`StateSentry`] chain — this is the low-level mechanism behind
 //! REACH's planned state-change event class (§3.1).
 //!
+//! Change tracking cannot ride that chain: sentries run after the
+//! write lock is released, and a lock-free snapshot reader that finds a
+//! changed object must also find the change's undo entry. So the space
+//! has one [`UndoLog`], told of every mutation under the lock.
+//!
 //! The space also exposes the two hook points the Persistence PM plugs
 //! into: a *fault handler* (called when a non-resident object is
 //! dereferenced — the moral equivalent of Open OODB's virtual-memory
@@ -20,7 +25,7 @@ use crate::value::Value;
 use reach_common::sync::RwLock;
 use reach_common::{ClassId, IdGen, ObjectId, ReachError, Result, TxnId};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The resident state of one object.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +94,20 @@ pub trait LifecycleSentry: Send + Sync {
     fn on_delete(&self, txn: TxnId, oid: ObjectId, state: &ObjectState);
 }
 
+/// Write-ahead change tracking: told of each mutation while the space
+/// still holds its write lock, so no reader sees the new state before
+/// the undo entry exists. `txn` is `TxnId::NULL` for system-internal
+/// mutations (compensations, fault-in).
+pub trait UndoLog: Send + Sync {
+    /// Slot `slot` of `oid` is about to be overwritten; `old` is its value.
+    fn on_write(&self, txn: TxnId, oid: ObjectId, slot: usize, old: &Value);
+    /// `oid` is being created.
+    fn on_create(&self, txn: TxnId, oid: ObjectId);
+    /// `oid` has been deleted; `state` was its state and `persistent`
+    /// its persistent mark, both gone from the space now.
+    fn on_delete(&self, txn: TxnId, oid: ObjectId, state: &ObjectState, persistent: bool);
+}
+
 /// Handler invoked when a dereferenced object is not resident; returns
 /// its state if it exists in stable storage (the persistence fault).
 pub type FaultHandler = Arc<dyn Fn(ObjectId) -> Result<Option<ObjectState>> + Send + Sync>;
@@ -104,6 +123,7 @@ pub struct ObjectSpace {
     /// (copy-on-write).
     state_sentries: RwLock<Arc<Vec<Arc<dyn StateSentry>>>>,
     lifecycle_sentries: RwLock<Arc<Vec<Arc<dyn LifecycleSentry>>>>,
+    undo_log: OnceLock<Arc<dyn UndoLog>>,
     fault: RwLock<Option<FaultHandler>>,
     ids: IdGen,
     /// `(residue, stride)` of the oid partition this space allocates
@@ -120,6 +140,7 @@ impl ObjectSpace {
             persistent: RwLock::new(HashSet::new()),
             state_sentries: RwLock::new(Arc::default()),
             lifecycle_sentries: RwLock::new(Arc::default()),
+            undo_log: OnceLock::new(),
             fault: RwLock::new(None),
             ids: IdGen::new(),
             partition: RwLock::new((0, 1)),
@@ -168,6 +189,13 @@ impl ObjectSpace {
         Arc::make_mut(&mut self.lifecycle_sentries.write()).push(s);
     }
 
+    /// Install the undo log (the Change PM). A space has at most one.
+    pub fn set_undo_log(&self, log: Arc<dyn UndoLog>) {
+        if self.undo_log.set(log).is_err() {
+            panic!("the object space already has an undo log");
+        }
+    }
+
     // ---- lifecycle ----
 
     /// Create an object with the class defaults.
@@ -200,20 +228,34 @@ impl ObjectSpace {
     fn install(&self, txn: TxnId, class: ClassId, attrs: Vec<Value>) -> ObjectId {
         let oid: ObjectId = self.ids.next();
         let state = ObjectState { class, attrs };
-        self.objects.write().insert(oid, state.clone());
+        {
+            let mut objects = self.objects.write();
+            if let Some(log) = self.undo_log.get() {
+                log.on_create(txn, oid);
+            }
+            objects.insert(oid, state.clone());
+        }
         self.extents.register(class, oid);
         self.fire_lifecycle(txn, oid, &state, true);
         oid
     }
 
-    /// Install a known object (persistence load / translation / undo
-    /// restore). The caller owns id uniqueness. Lifecycle sentries fire
-    /// with `TxnId::NULL` so change tracking ignores the install while
-    /// indexes stay consistent.
+    /// Install a known object (persistence fault-in, undo of a delete)
+    /// unless it is resident by now: two threads can fault the same
+    /// object in at once, and the second must not overwrite what the
+    /// first has written since. The caller owns id uniqueness.
+    /// Lifecycle sentries fire with `TxnId::NULL` so change tracking
+    /// ignores the install while indexes stay consistent.
     pub fn install_existing(&self, oid: ObjectId, state: ObjectState) {
+        {
+            let mut objects = self.objects.write();
+            if objects.contains_key(&oid) {
+                return;
+            }
+            objects.insert(oid, state.clone());
+        }
         self.ids_advance_past(oid);
         self.extents.register(state.class, oid);
-        self.objects.write().insert(oid, state.clone());
         self.fire_lifecycle(TxnId::NULL, oid, &state, true);
     }
 
@@ -237,13 +279,18 @@ impl ObjectSpace {
 
     /// Delete an object. Returns its last state (destructor arguments).
     pub fn delete(&self, txn: TxnId, oid: ObjectId) -> Result<ObjectState> {
-        let state = self
-            .objects
-            .write()
-            .remove(&oid)
-            .ok_or(ReachError::ObjectNotFound(oid))?;
+        let state = {
+            let mut objects = self.objects.write();
+            let state = objects
+                .remove(&oid)
+                .ok_or(ReachError::ObjectNotFound(oid))?;
+            let persistent = self.persistent.write().remove(&oid);
+            if let Some(log) = self.undo_log.get() {
+                log.on_delete(txn, oid, &state, persistent);
+            }
+            state
+        };
         self.extents.unregister(state.class, oid);
-        self.persistent.write().remove(&oid);
         self.fire_lifecycle(txn, oid, &state, false);
         Ok(state)
     }
@@ -323,6 +370,9 @@ impl ObjectSpace {
                     got: format!("{:?}", value.value_type()),
                 });
             }
+            if let Some(log) = self.undo_log.get() {
+                log.on_write(txn, oid, slot, &state.attrs[slot]);
+            }
             let old = std::mem::replace(&mut state.attrs[slot], value.clone());
             (state.class, slot, old)
         };
@@ -350,11 +400,6 @@ impl ObjectSpace {
             .get(&oid)
             .cloned()
             .ok_or(ReachError::ObjectNotFound(oid))
-    }
-
-    /// Overwrite the full state (undo of a rolled-back transaction).
-    pub fn restore(&self, oid: ObjectId, state: ObjectState) {
-        self.install_existing(oid, state);
     }
 
     /// Number of resident objects.

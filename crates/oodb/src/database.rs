@@ -117,21 +117,21 @@ impl Database {
             Arc::clone(sm.metrics()),
         ));
         let dictionary = Arc::new(DataDictionary::new(Arc::clone(&schema)));
-        // Sentry-driven PMs first so they observe everything that follows.
-        let indexing = IndexingPm::new(&space, &tm, Arc::clone(&sm));
+        // The index sentry and the undo log first, so they see every
+        // object that follows.
+        let indexing = IndexingPm::new(&space, Arc::clone(&sm));
         let change = ChangePm::new(Arc::downgrade(&tm), Arc::clone(&space));
         let persistence = PersistencePm::new(
             Arc::clone(&sm),
             Arc::clone(&space),
             Arc::clone(&change),
+            Arc::clone(&indexing),
             Arc::clone(&dictionary),
         )?;
-        // Resource-manager order matters: indexing flushes its buffered
-        // B+Tree operations inside the transaction's WAL window (the
-        // persistence PM's commit_top holds the sm.commit durability
-        // point), then persistence writes back dirty objects, and the
-        // change PM drops its log last.
-        tm.add_resource_manager(Arc::clone(&indexing) as Arc<dyn ResourceManager>);
+        // Two resource managers. Persistence writes back the Change PM's
+        // write set (index flush first) up to the durability point; the
+        // Change PM owns the log, which rolls back on abort and outlives
+        // commit until the MVCC bridge below has published it.
         tm.add_resource_manager(Arc::clone(&persistence) as Arc<dyn ResourceManager>);
         tm.add_resource_manager(Arc::clone(&change) as Arc<dyn ResourceManager>);
         // MVCC bridge: committed write sets become version-chain entries
@@ -420,7 +420,8 @@ impl Database {
 
     /// Create an index on `class.attribute`.
     pub fn create_index(&self, class: ClassId, attribute: &str) -> Result<()> {
-        self.indexing.create_index(&self.space, class, attribute)
+        self.indexing
+            .create_index(&self.space, &self.tm, class, attribute)
     }
 
     /// Take a fuzzy checkpoint: flush, log the dirty-page and

@@ -1,4 +1,5 @@
-//! The Change PM: transactional change tracking for the object space.
+//! The Change PM: transactional change tracking for the object space,
+//! and the one per-transaction write record of the OODB layer.
 //!
 //! Storage is only touched at commit (the Persistence PM's write-back),
 //! so *in-memory* object state is what must be rolled back when a
@@ -6,20 +7,30 @@
 //! top-level transaction, an ordered log of `attribute write / create /
 //! delete` entries and implements the [`ResourceManager`] savepoint
 //! protocol over it — giving REACH the nested-transaction rollback the
-//! commercial systems of §4 could not provide.
+//! commercial systems of §4 could not provide. It is the space's
+//! [`UndoLog`], not a sentry: an entry is appended under the space's
+//! write lock, before anyone can see the change it undoes, which is
+//! what lets [`ChangePm::committed_base`] serve lock-free readers.
+//!
+//! Every other policy manager reads the same log at commit instead of
+//! keeping its own: the Persistence PM writes back the
+//! [`ChangePm::write_set`], the Indexing PM flushes the persistent
+//! trees from `ChangePm::images`, and the Snapshot PM publishes the
+//! write set as MVCC versions. A log therefore lives from `begin_top`
+//! until that publication calls [`ChangePm::finish_publish`] —
+//! `commit_top` leaves it in place — or until `abort_top` undoes it.
 //!
 //! Undo is performed through the public mutation API with
-//! `TxnId::NULL`, so other sentries (notably indexing) observe the
+//! `TxnId::NULL`, so the sentries (notably indexing) observe the
 //! compensating operations and stay consistent for free.
 
 use crate::meta::PolicyManager;
 use reach_common::sync::Mutex;
-use reach_common::{ObjectId, Result, TxnId};
-use reach_object::{LifecycleSentry, ObjectSpace, ObjectState, StateChange, StateSentry, Value};
+use reach_common::{ClassId, ObjectId, Result, TxnId};
+use reach_object::{ObjectSpace, ObjectState, UndoLog, Value};
 use reach_txn::manager::ResourceManager;
 use reach_txn::TransactionManager;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 #[derive(Debug, Clone)]
@@ -34,22 +45,45 @@ enum Change {
     Create {
         oid: ObjectId,
     },
+    /// `persistent`: the object carried the persistent mark, which the
+    /// space drops on delete and an undo must give back.
     Delete {
         oid: ObjectId,
         state: ObjectState,
+        persistent: bool,
     },
 }
+
+impl Change {
+    fn oid(&self) -> ObjectId {
+        match self {
+            Change::Attr { oid, .. } | Change::Create { oid } | Change::Delete { oid, .. } => *oid,
+        }
+    }
+
+    /// Step `state` back over this change.
+    fn undo_onto(&self, state: &mut Option<ObjectState>) {
+        match self {
+            Change::Attr { slot, old, .. } => {
+                if let Some(s) = state.as_mut() {
+                    s.attrs[*slot] = old.clone();
+                }
+            }
+            Change::Create { .. } => *state = None,
+            Change::Delete { state: saved, .. } => *state = Some(saved.clone()),
+        }
+    }
+}
+
+/// One object's image before and after a transaction, `None` where it
+/// does not exist.
+pub(crate) type Images = (ObjectId, Option<ObjectState>, Option<ObjectState>);
 
 /// Per-transaction in-memory undo log.
 pub struct ChangePm {
     tm: Weak<TransactionManager>,
     space: Arc<ObjectSpace>,
     log: Mutex<HashMap<TxnId, Vec<Change>>>,
-    /// Commit-time parking lot for the MVCC bridge: when capture is on,
-    /// `commit_top` moves the transaction's log here instead of dropping
-    /// it, and the version publisher drains it after publication.
-    pending_publish: Mutex<HashMap<TxnId, Vec<Change>>>,
-    capture: AtomicBool,
 }
 
 impl ChangePm {
@@ -58,34 +92,20 @@ impl ChangePm {
             tm,
             space: Arc::clone(&space),
             log: Mutex::new(HashMap::new()),
-            pending_publish: Mutex::new(HashMap::new()),
-            capture: AtomicBool::new(false),
         });
-        space.add_state_sentry(Arc::clone(&pm) as Arc<dyn StateSentry>);
-        space.add_lifecycle_sentry(Arc::clone(&pm) as Arc<dyn LifecycleSentry>);
+        space.set_undo_log(Arc::clone(&pm) as Arc<dyn UndoLog>);
         pm
     }
 
-    /// Retain committed write sets for the MVCC version publisher (which
-    /// must call [`ChangePm::finish_publish`] to drain them). Off by
-    /// default so a ChangePm used without a publisher never accumulates.
-    pub fn enable_publish_capture(&self) {
-        self.capture.store(true, Ordering::SeqCst);
-    }
-
-    /// Resolve the owning *top-level* transaction of an event, if the
-    /// transaction is live and managed. System writes (`TxnId::NULL`) and
-    /// unknown transactions are not tracked.
-    fn top_of(&self, txn: TxnId) -> Option<TxnId> {
-        if txn.is_null() {
-            return None;
-        }
-        let tm = self.tm.upgrade()?;
-        tm.top_of(txn).ok()
-    }
-
+    /// Append `change` to the log of `txn`'s top-level transaction.
+    /// System writes (`TxnId::NULL`) and unknown transactions are not
+    /// tracked.
     fn record(&self, txn: TxnId, change: Change) {
-        if let Some(top) = self.top_of(txn) {
+        let top = match self.tm.upgrade() {
+            Some(tm) if !txn.is_null() => tm.top_of(txn),
+            _ => return,
+        };
+        if let Ok(top) = top {
             self.log.lock().entry(top).or_default().push(change);
         }
     }
@@ -108,47 +128,56 @@ impl ChangePm {
             Change::Create { oid } => {
                 let _ = self.space.delete(TxnId::NULL, oid);
             }
-            Change::Delete { oid, state } => {
+            Change::Delete {
+                oid,
+                state,
+                persistent,
+            } => {
+                if persistent {
+                    self.space.mark_persistent(oid);
+                }
                 self.space.install_existing(oid, state);
             }
         }
     }
 
-    /// Objects touched (written or created) by `top`, in first-touch
-    /// order, deduplicated. The Persistence PM uses this to find dirty
-    /// persistent objects at commit.
-    pub fn touched(&self, top: TxnId) -> Vec<ObjectId> {
-        let log = self.log.lock();
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        if let Some(changes) = log.get(&top) {
-            for c in changes {
-                let oid = match c {
-                    Change::Attr { oid, .. } | Change::Create { oid } => *oid,
-                    Change::Delete { .. } => continue,
-                };
-                if seen.insert(oid) {
-                    out.push(oid);
-                }
-            }
+    /// Undo `top`'s changes past `savepoint`, newest first, and only then
+    /// drop them from the log: a reader reconstructing committed state
+    /// (`committed_base` reads the space, then the log) must never find
+    /// the space still changed and the entry already gone. An entry
+    /// undone but still logged is harmless to it: applying `old` to a
+    /// state that already holds `old` is a no-op.
+    fn unwind(&self, top: TxnId, savepoint: usize) {
+        let tail: Vec<Change> = self
+            .log
+            .lock()
+            .get(&top)
+            .and_then(|changes| changes.get(savepoint..))
+            .map_or_else(Vec::new, <[Change]>::to_vec);
+        for change in tail.into_iter().rev() {
+            self.undo(change);
         }
-        out
+        if let Some(changes) = self.log.lock().get_mut(&top) {
+            changes.truncate(savepoint);
+        }
     }
 
-    /// Objects deleted by `top`.
-    pub fn deleted(&self, top: TxnId) -> Vec<ObjectId> {
+    /// `top`'s write set: each object it wrote, created or deleted, once,
+    /// in first-touch order, with whether its final state is *deleted*.
+    pub fn write_set(&self, top: TxnId) -> Vec<(ObjectId, bool)> {
         let log = self.log.lock();
-        log.get(&top)
-            .map(|changes| {
-                changes
-                    .iter()
-                    .filter_map(|c| match c {
-                        Change::Delete { oid, .. } => Some(*oid),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let mut order = Vec::new();
+        let mut deleted: HashMap<ObjectId, bool> = HashMap::new();
+        for c in log.get(&top).into_iter().flatten() {
+            let oid = c.oid();
+            if deleted
+                .insert(oid, matches!(c, Change::Delete { .. }))
+                .is_none()
+            {
+                order.push(oid);
+            }
+        }
+        order.into_iter().map(|oid| (oid, deleted[&oid])).collect()
     }
 
     /// Number of pending change entries for `top` (introspection).
@@ -156,33 +185,48 @@ impl ChangePm {
         self.log.lock().get(&top).map_or(0, |v| v.len())
     }
 
-    // ---- MVCC publication support ----
-
-    /// The committed write set parked by `commit_top` for `top`: each
-    /// written object with whether its final state is *deleted*. Objects
-    /// appear once, in first-touch order.
-    pub fn publish_set(&self, top: TxnId) -> Vec<(ObjectId, bool)> {
-        let pending = self.pending_publish.lock();
-        let mut order = Vec::new();
-        let mut alive: HashMap<ObjectId, bool> = HashMap::new();
-        if let Some(changes) = pending.get(&top) {
-            for c in changes {
-                let (oid, is_delete) = match c {
-                    Change::Attr { oid, .. } | Change::Create { oid } => (*oid, false),
-                    Change::Delete { oid, .. } => (*oid, true),
-                };
-                if !alive.contains_key(&oid) {
-                    order.push(oid);
+    /// The image before and after `top` of each object in its write set
+    /// whose class `keep` accepts, in write-set order: the in-place
+    /// state with `top`'s own log undone over it, in one reverse pass.
+    /// Strict 2PL makes `top`'s log the only one with entries for these
+    /// objects, and a deleted object's before-image comes from its undo
+    /// entry, never from the space — no fault-in brings it back.
+    pub(crate) fn images(&self, top: TxnId, keep: impl Fn(ClassId) -> bool) -> Vec<Images> {
+        let mut images: Vec<Images> = Vec::new();
+        let mut at: HashMap<ObjectId, usize> = HashMap::new();
+        // After-images first, outside the log lock.
+        for (oid, deleted) in self.write_set(top) {
+            let after = if deleted {
+                None
+            } else {
+                match self.space.snapshot(oid) {
+                    Ok(s) if keep(s.class) => Some(s),
+                    _ => continue,
                 }
-                alive.insert(oid, !is_delete);
+            };
+            at.insert(oid, images.len());
+            images.push((oid, after.clone(), after));
+        }
+        if let Some(changes) = self.log.lock().get(&top) {
+            for c in changes.iter().rev() {
+                if let Some(&i) = at.get(&c.oid()) {
+                    c.undo_onto(&mut images[i].1);
+                }
             }
         }
-        order.into_iter().map(|oid| (oid, !alive[&oid])).collect()
+        // A deleted object's class is known only now.
+        images.retain(|(_, before, after)| {
+            before
+                .as_ref()
+                .or(after.as_ref())
+                .is_some_and(|s| keep(s.class))
+        });
+        images
     }
 
-    /// Drop the parked write set of `top` (publication done).
+    /// Drop `top`'s log: its commit has been published as MVCC versions.
     pub fn finish_publish(&self, top: TxnId) {
-        self.pending_publish.lock().remove(&top);
+        self.log.lock().remove(&top);
     }
 
     /// The newest *committed* state of `oid`, reconstructed by undoing
@@ -191,71 +235,46 @@ impl ChangePm {
     /// the object does not exist in committed state.
     ///
     /// Strict 2PL makes this well-defined: at most one transaction holds
-    /// the exclusive lock, so at most one log (active or parked) has
-    /// entries for `oid`. The space is read *before* the logs — if a
-    /// writer mutates between the two reads, its freshly recorded undo
-    /// entry re-derives the same pre-image (applying `old` to a state
-    /// that still holds `old` is a no-op), so the interleaving is
-    /// harmless.
+    /// the exclusive lock, so at most one log has entries for `oid`. The
+    /// space is read *before* the log, and every entry is appended
+    /// before its change becomes visible and dropped only after it has
+    /// been undone (`unwind`), so the state read is always covered by
+    /// the entries read. A writer that mutates between the two reads
+    /// re-derives the same pre-image (applying `old` to a state that
+    /// still holds `old` is a no-op), so that interleaving is harmless.
     pub fn committed_base(&self, oid: ObjectId) -> Result<Option<ObjectState>> {
         let mut state = match self.space.snapshot(oid) {
             Ok(s) => Some(s),
             Err(reach_common::ReachError::ObjectNotFound(_)) => None,
             Err(e) => return Err(e),
         };
-        let undo: Vec<Change> = {
-            let log = self.log.lock();
-            let pending = self.pending_publish.lock();
-            log.values()
-                .chain(pending.values())
-                .flat_map(|changes| changes.iter())
-                .filter(|c| match c {
-                    Change::Attr { oid: o, .. }
-                    | Change::Create { oid: o }
-                    | Change::Delete { oid: o, .. } => *o == oid,
-                })
-                .cloned()
-                .collect()
-        };
+        let log = self.log.lock();
+        let undo: Vec<&Change> = log.values().flatten().filter(|c| c.oid() == oid).collect();
         for change in undo.into_iter().rev() {
-            match change {
-                Change::Attr { slot, old, .. } => {
-                    if let Some(s) = state.as_mut() {
-                        s.attrs[slot] = old;
-                    }
-                }
-                Change::Create { .. } => state = None,
-                Change::Delete { state: saved, .. } => state = Some(saved),
-            }
+            change.undo_onto(&mut state);
         }
         Ok(state)
     }
 }
 
-impl StateSentry for ChangePm {
-    fn on_change(&self, change: &StateChange<'_>) {
-        self.record(
-            change.txn,
-            Change::Attr {
-                oid: change.oid,
-                slot: change.slot,
-                old: change.old.clone(),
-            },
-        );
+impl UndoLog for ChangePm {
+    fn on_write(&self, txn: TxnId, oid: ObjectId, slot: usize, old: &Value) {
+        let old = old.clone();
+        self.record(txn, Change::Attr { oid, slot, old });
     }
-}
 
-impl LifecycleSentry for ChangePm {
-    fn on_create(&self, txn: TxnId, oid: ObjectId, _state: &ObjectState) {
+    fn on_create(&self, txn: TxnId, oid: ObjectId) {
         self.record(txn, Change::Create { oid });
     }
 
-    fn on_delete(&self, txn: TxnId, oid: ObjectId, state: &ObjectState) {
+    fn on_delete(&self, txn: TxnId, oid: ObjectId, state: &ObjectState, persistent: bool) {
+        let state = state.clone();
         self.record(
             txn,
             Change::Delete {
                 oid,
-                state: state.clone(),
+                state,
+                persistent,
             },
         );
     }
@@ -272,42 +291,20 @@ impl ResourceManager for ChangePm {
     }
 
     fn rollback_to(&self, top: TxnId, savepoint: u64) -> Result<()> {
-        let tail: Vec<Change> = {
-            let mut log = self.log.lock();
-            match log.get_mut(&top) {
-                Some(changes) if changes.len() > savepoint as usize => {
-                    changes.split_off(savepoint as usize)
-                }
-                _ => Vec::new(),
-            }
-        };
-        for change in tail.into_iter().rev() {
-            self.undo(change);
-        }
+        self.unwind(top, savepoint as usize);
         Ok(())
     }
 
-    fn commit_top(&self, txn: TxnId) -> Result<()> {
-        // The write set is final here (locks still held). With MVCC
-        // capture on, park it for the version publisher — which runs
-        // after every resource manager, still under those locks — rather
-        // than dropping it.
-        let entry = self.log.lock().remove(&txn);
-        if self.capture.load(Ordering::SeqCst) {
-            if let Some(changes) = entry {
-                if !changes.is_empty() {
-                    self.pending_publish.lock().insert(txn, changes);
-                }
-            }
-        }
+    fn commit_top(&self, _txn: TxnId) -> Result<()> {
+        // The log stays until the Snapshot PM has published it (see
+        // `finish_publish`): the version publisher runs after every
+        // resource manager, still under the writer's locks.
         Ok(())
     }
 
     fn abort_top(&self, txn: TxnId) -> Result<()> {
-        let changes = self.log.lock().remove(&txn).unwrap_or_default();
-        for change in changes.into_iter().rev() {
-            self.undo(change);
-        }
+        self.unwind(txn, 0);
+        self.log.lock().remove(&txn);
         Ok(())
     }
 }

@@ -19,30 +19,30 @@
 //!   stress runs call [`IndexingPm::verify_shadow`] to compare the two
 //!   structures pair-for-pair.
 //!
-//! Transactional protocol: sentry events update the shadow eagerly (the
-//! Change PM's undo also goes through the public mutation API, so
-//! aborted transactions leave the shadow consistent with no special
-//! code) and *buffer* the corresponding persistent operations per
-//! top-level transaction. The buffer flushes into the storage manager
-//! at `commit_top` — before the Persistence PM's durability point, so
-//! the logical IndexInsert/IndexDelete records sit inside the
-//! transaction's WAL window and a crash mid-commit undoes them. On
-//! abort the buffer is dropped: the persistent tree was never touched.
-//! Subtransaction rollback truncates the buffer to the savepoint taken
-//! at the child's begin, while the Change PM's compensating events
-//! (which run under `TxnId::NULL`) repair the shadow only.
+//! Transactional protocol: sentry events update the shadow eagerly and
+//! do nothing else (the Change PM's undo also goes through the public
+//! mutation API, so aborted transactions and rolled-back
+//! subtransactions leave the shadow consistent with no special code).
+//! The persistent trees are brought up to date once per top-level
+//! transaction by `IndexingPm::flush`, which the Persistence PM calls
+//! from its write-back, before its durability point — so the logical
+//! IndexInsert/IndexDelete records sit inside the transaction's WAL
+//! window and a crash mid-commit undoes them. The flush works from the
+//! Change PM's write set, so it logs each object's net change per index;
+//! an aborted transaction never touched the trees at all.
 
 use crate::meta::PolicyManager;
-use reach_common::sync::{Mutex, RwLock};
+use crate::pm::change::ChangePm;
+use reach_common::sync::RwLock;
 use reach_common::{ClassId, ObjectId, ReachError, Result, TxnId};
 use reach_object::{
     LifecycleSentry, ObjectSpace, ObjectState, Schema, StateChange, StateSentry, Value,
 };
 use reach_storage::StorageManager;
-use reach_txn::{ResourceManager, TransactionManager};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use reach_txn::TransactionManager;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// `Value` wrapper ordered by [`Value::compare`] so it can key a B-tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,44 +73,20 @@ struct Index {
     store_id: u64,
 }
 
-/// One buffered persistent-tree operation, keyed to its index.
-struct IndexOp {
-    store_id: u64,
-    key: Vec<u8>,
-    oid: u64,
-    insert: bool,
-}
-
 /// The indexing policy manager.
 pub struct IndexingPm {
     schema: Arc<Schema>,
-    /// Resolves event transactions to their top level (and runs the
-    /// internal bulk-load transaction of `create_index`).
-    tm: Weak<TransactionManager>,
     sm: Arc<StorageManager>,
     indexes: RwLock<Vec<Index>>,
-    /// Persistent ops buffered per top-level transaction, flushed at
-    /// `commit_top`, dropped at `abort_top`, truncated on subtransaction
-    /// rollback.
-    buffers: Mutex<HashMap<TxnId, Vec<IndexOp>>>,
 }
 
 impl IndexingPm {
-    /// Create the PM and subscribe it to the space's sentries. The
-    /// caller must also register it as the **first** resource manager —
-    /// its commit flush has to precede the Persistence PM's
-    /// `sm.commit` durability point.
-    pub fn new(
-        space: &ObjectSpace,
-        tm: &Arc<TransactionManager>,
-        sm: Arc<StorageManager>,
-    ) -> Arc<Self> {
+    /// Create the PM and subscribe it to the space's sentries.
+    pub fn new(space: &ObjectSpace, sm: Arc<StorageManager>) -> Arc<Self> {
         let pm = Arc::new(IndexingPm {
             schema: Arc::clone(space.schema()),
-            tm: Arc::downgrade(tm),
             sm,
             indexes: RwLock::new(Vec::new()),
-            buffers: Mutex::new(HashMap::new()),
         });
         space.add_state_sentry(Arc::clone(&pm) as Arc<dyn StateSentry>);
         space.add_lifecycle_sentry(Arc::clone(&pm) as Arc<dyn LifecycleSentry>);
@@ -129,8 +105,14 @@ impl IndexingPm {
     ///   memcomparable keys, no object needs to be faulted in;
     /// * otherwise the shadow is built from the (deep) extent and the
     ///   persistent tree is reconciled to it under an internal
-    ///   transaction (also the drop-then-recreate repair path).
-    pub fn create_index(&self, space: &ObjectSpace, class: ClassId, attribute: &str) -> Result<()> {
+    ///   transaction of `tm` (also the drop-then-recreate repair path).
+    pub fn create_index(
+        &self,
+        space: &ObjectSpace,
+        tm: &TransactionManager,
+        class: ClassId,
+        attribute: &str,
+    ) -> Result<()> {
         // Validate the attribute exists.
         self.schema.attr_slot(class, attribute)?;
         if self
@@ -167,10 +149,6 @@ impl IndexingPm {
             }
             let want = flatten(&tree);
             if want != persisted {
-                let tm = self
-                    .tm
-                    .upgrade()
-                    .ok_or_else(|| ReachError::Io("transaction manager gone".into()))?;
                 let txn = tm.begin()?;
                 for (k, o) in persisted.difference(&want) {
                     self.sm.index_delete(txn, store_id, k, *o)?;
@@ -264,15 +242,11 @@ impl IndexingPm {
         Some(out)
     }
 
-    /// Number of indexes (introspection).
-    pub fn index_count(&self) -> usize {
-        self.indexes.read().len()
-    }
-
     /// Differential check: every index's persistent B+Tree must hold
     /// exactly the shadow's `(memcomparable key, oid)` pairs. Call at a
     /// quiescent point (between transactions) — mid-transaction the
-    /// shadow legitimately runs ahead of the unflushed buffer.
+    /// shadow legitimately runs ahead of the trees, which see a
+    /// transaction's writes only at its flush.
     pub fn verify_shadow(&self) -> Result<()> {
         let indexes = self.indexes.read();
         for idx in indexes.iter() {
@@ -296,21 +270,53 @@ impl IndexingPm {
         Ok(())
     }
 
-    /// Resolve the owning top-level transaction of an event. `NULL`
-    /// (Change PM compensations) and unmanaged transactions buffer
-    /// nothing — their shadow effect is the whole story.
-    fn top_of(&self, txn: TxnId) -> Option<TxnId> {
-        if txn.is_null() {
-            return None;
+    /// Bring the persistent trees up to `txn`'s net effect; the
+    /// Persistence PM calls this from its write-back, inside the
+    /// transaction's WAL window. For each object of an indexed class in
+    /// the Change PM's write set and each index serving it, the
+    /// before-image's pair is deleted and the after-image's inserted
+    /// when the two keys differ: a value written 5 → 7 → 5, or an
+    /// object created and deleted again, logs nothing.
+    pub(crate) fn flush(&self, txn: TxnId, change: &ChangePm) -> Result<()> {
+        // Copy the descriptors and drop the lock: reading the images may
+        // fault an object in, whose lifecycle sentries take the write
+        // lock.
+        let indexes: Vec<(ClassId, String, u64)> = self
+            .indexes
+            .read()
+            .iter()
+            .map(|i| (i.class, i.attribute.clone(), i.store_id))
+            .collect();
+        if indexes.is_empty() {
+            return Ok(());
         }
-        let tm = self.tm.upgrade()?;
-        tm.top_of(txn).ok()
-    }
-
-    fn buffer_ops(&self, top: TxnId, ops: Vec<IndexOp>) {
-        if !ops.is_empty() {
-            self.buffers.lock().entry(top).or_default().extend(ops);
+        let indexed = |class| {
+            indexes
+                .iter()
+                .any(|(base, _, _)| self.schema.is_subclass(class, *base))
+        };
+        for (oid, before, after) in change.images(txn, indexed) {
+            for (base, attribute, store_id) in &indexes {
+                let key = |image: &Option<ObjectState>| {
+                    let s = image
+                        .as_ref()
+                        .filter(|s| self.schema.is_subclass(s.class, *base))?;
+                    let slot = self.schema.attr_slot(s.class, attribute).ok()?;
+                    Some(s.attrs[slot].index_key())
+                };
+                let (old, new) = (key(&before), key(&after));
+                if old == new {
+                    continue;
+                }
+                if let Some(k) = old {
+                    self.sm.index_delete(txn, *store_id, &k, oid.raw())?;
+                }
+                if let Some(k) = new {
+                    self.sm.index_insert(txn, *store_id, &k, oid.raw())?;
+                }
+            }
         }
+        Ok(())
     }
 
     /// Whether `idx` holds the values of `class.attribute`: an index on
@@ -319,9 +325,7 @@ impl IndexingPm {
         idx.attribute == attribute && self.schema.is_subclass(class, idx.class)
     }
 
-    fn index_object(&self, txn: TxnId, oid: ObjectId, state: &ObjectState, insert: bool) {
-        let top = self.top_of(txn);
-        let mut ops: Vec<IndexOp> = Vec::new();
+    fn index_object(&self, oid: ObjectId, state: &ObjectState, insert: bool) {
         let mut indexes = self.indexes.write();
         for idx in indexes.iter_mut() {
             if !self.schema.is_subclass(state.class, idx.class) {
@@ -329,27 +333,22 @@ impl IndexingPm {
             }
             if let Ok(slot) = self.schema.attr_slot(state.class, &idx.attribute) {
                 let key = IndexKey(state.attrs[slot].clone());
-                if top.is_some() {
-                    ops.push(IndexOp {
-                        store_id: idx.store_id,
-                        key: key.0.index_key(),
-                        oid: oid.raw(),
-                        insert,
-                    });
-                }
                 if insert {
                     idx.tree.entry(key).or_default().insert(oid);
-                } else if let Some(set) = idx.tree.get_mut(&key) {
-                    set.remove(&oid);
-                    if set.is_empty() {
-                        idx.tree.remove(&key);
-                    }
+                } else {
+                    unlink(&mut idx.tree, &key, oid);
                 }
             }
         }
-        drop(indexes);
-        if let Some(top) = top {
-            self.buffer_ops(top, ops);
+    }
+}
+
+/// Remove `oid` from under `key`, and the key once no object holds it.
+fn unlink(tree: &mut Tree, key: &IndexKey, oid: ObjectId) {
+    if let Some(set) = tree.get_mut(key) {
+        set.remove(&oid);
+        if set.is_empty() {
+            tree.remove(key);
         }
     }
 }
@@ -367,114 +366,29 @@ fn flatten(tree: &Tree) -> BTreeSet<(Vec<u8>, u64)> {
 impl StateSentry for IndexingPm {
     fn on_change(&self, change: &StateChange<'_>) {
         // Most written attributes carry no index: settle that under the
-        // read lock, before resolving the transaction or taking the
-        // write lock.
+        // read lock, before taking the write lock.
         let serves = |idx: &Index| self.serves(idx, change.class, change.attribute);
         if !self.indexes.read().iter().any(serves) {
             return;
         }
-        let top = self.top_of(change.txn);
-        let mut ops: Vec<IndexOp> = Vec::new();
         let mut indexes = self.indexes.write();
         for idx in indexes.iter_mut().filter(|idx| serves(idx)) {
-            if top.is_some() {
-                ops.push(IndexOp {
-                    store_id: idx.store_id,
-                    key: change.old.index_key(),
-                    oid: change.oid.raw(),
-                    insert: false,
-                });
-                ops.push(IndexOp {
-                    store_id: idx.store_id,
-                    key: change.new.index_key(),
-                    oid: change.oid.raw(),
-                    insert: true,
-                });
-            }
-            let old_key = IndexKey(change.old.clone());
-            if let Some(set) = idx.tree.get_mut(&old_key) {
-                set.remove(&change.oid);
-                if set.is_empty() {
-                    idx.tree.remove(&old_key);
-                }
-            }
+            unlink(&mut idx.tree, &IndexKey(change.old.clone()), change.oid);
             idx.tree
                 .entry(IndexKey(change.new.clone()))
                 .or_default()
                 .insert(change.oid);
         }
-        drop(indexes);
-        if let Some(top) = top {
-            self.buffer_ops(top, ops);
-        }
     }
 }
 
 impl LifecycleSentry for IndexingPm {
-    fn on_create(&self, txn: TxnId, oid: ObjectId, state: &ObjectState) {
-        self.index_object(txn, oid, state, true);
+    fn on_create(&self, _txn: TxnId, oid: ObjectId, state: &ObjectState) {
+        self.index_object(oid, state, true);
     }
 
-    fn on_delete(&self, txn: TxnId, oid: ObjectId, state: &ObjectState) {
-        self.index_object(txn, oid, state, false);
-    }
-}
-
-impl ResourceManager for IndexingPm {
-    fn begin_top(&self, _txn: TxnId) -> Result<()> {
-        // Buffers are created lazily on the first buffered op.
-        Ok(())
-    }
-
-    fn savepoint(&self, top: TxnId) -> Result<u64> {
-        Ok(self
-            .buffers
-            .lock()
-            .get(&top)
-            .map(|b| b.len() as u64)
-            .unwrap_or(0))
-    }
-
-    fn rollback_to(&self, top: TxnId, savepoint: u64) -> Result<()> {
-        // Drop the child's buffered ops; the Change PM's compensating
-        // events (running under NULL) repair the shadow, so after both
-        // the two structures agree again.
-        if let Some(buf) = self.buffers.lock().get_mut(&top) {
-            buf.truncate(savepoint as usize);
-        }
-        Ok(())
-    }
-
-    fn commit_top(&self, txn: TxnId) -> Result<()> {
-        // Flush in event order under the committing transaction; the
-        // logical WAL records land before the Persistence PM's
-        // `sm.commit`, so a crash mid-commit rolls them back through
-        // the tree. A compensated pair (insert then delete of the same
-        // entry) nets out by sequential application.
-        let ops = self.buffers.lock().remove(&txn).unwrap_or_default();
-        for op in ops {
-            if op.insert {
-                self.sm.index_insert(txn, op.store_id, &op.key, op.oid)?;
-            } else {
-                self.sm.index_delete(txn, op.store_id, &op.key, op.oid)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn prepare_top(&self, txn: TxnId, _gid: u64) -> Result<()> {
-        // 2PC phase one: flush the buffered tree operations now so they
-        // sit below the Prepare record the Persistence PM forces next.
-        // The eventual commit decision finds the buffer already drained
-        // (`commit_top` then no-ops); an abort decision rolls the
-        // logical records back through the tree like any other undo.
-        self.commit_top(txn)
-    }
-
-    fn abort_top(&self, txn: TxnId) -> Result<()> {
-        // Never flushed — the persistent tree was never touched.
-        self.buffers.lock().remove(&txn);
-        Ok(())
+    fn on_delete(&self, _txn: TxnId, oid: ObjectId, state: &ObjectState) {
+        self.index_object(oid, state, false);
     }
 }
 

@@ -9,7 +9,7 @@
 //! * [`PersistencePm::persist`] marks an object persistent within a
 //!   transaction; at top-level commit its state is externalized and
 //!   written through the storage manager (logged, recoverable);
-//! * dirty persistent objects (reported by the Change PM) are written
+//! * dirty persistent objects (the Change PM's write set) are written
 //!   back at commit;
 //! * deletions of persistent objects remove the stored record — giving
 //!   REACH the *explicit delete* whose absence under O2's
@@ -17,17 +17,23 @@
 //!   (§4);
 //! * data-dictionary name bindings are stored in their own segment so
 //!   roots survive restarts.
+//!
+//! All of it is one write-back, `write_back_all`, which a one-phase
+//! commit and a 2PC prepare both run before their durability point; it
+//! starts with the Indexing PM's flush, so the index records sit in the
+//! same WAL window as the objects.
 
 use crate::dictionary::DataDictionary;
 use crate::meta::PolicyManager;
 use crate::pm::change::ChangePm;
+use crate::pm::indexing::IndexingPm;
 use crate::translation::{externalize, internalize};
 use reach_common::sync::{Mutex, RwLock};
 use reach_common::{ObjectId, ReachError, Result, TxnId};
 use reach_object::ObjectSpace;
 use reach_storage::{RecordId, SegmentId, StorageManager};
 use reach_txn::ResourceManager;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const OBJECT_SEGMENT: &str = "sys.objects";
@@ -38,6 +44,7 @@ pub struct PersistencePm {
     sm: Arc<StorageManager>,
     space: Arc<ObjectSpace>,
     change: Arc<ChangePm>,
+    indexing: Arc<IndexingPm>,
     dictionary: Arc<DataDictionary>,
     objects_seg: SegmentId,
     roots_seg: SegmentId,
@@ -56,7 +63,7 @@ pub struct PersistencePm {
     /// Transactions whose write-back already ran under `prepare_top`
     /// (2PC): their `commit_top` must only seal the decision, not
     /// repeat the write-back.
-    prepared: Mutex<std::collections::HashSet<TxnId>>,
+    prepared: Mutex<HashSet<TxnId>>,
 }
 
 /// Observer of `persist()` calls.
@@ -69,6 +76,7 @@ impl PersistencePm {
         sm: Arc<StorageManager>,
         space: Arc<ObjectSpace>,
         change: Arc<ChangePm>,
+        indexing: Arc<IndexingPm>,
         dictionary: Arc<DataDictionary>,
     ) -> Result<Arc<Self>> {
         let objects_seg = sm.create_segment(OBJECT_SEGMENT)?;
@@ -77,6 +85,7 @@ impl PersistencePm {
             sm,
             space: Arc::clone(&space),
             change,
+            indexing,
             dictionary,
             objects_seg,
             roots_seg,
@@ -84,7 +93,7 @@ impl PersistencePm {
             pending: Mutex::new(HashMap::new()),
             roots_record: Mutex::new((None, None)),
             persist_hooks: RwLock::new(Vec::new()),
-            prepared: Mutex::new(std::collections::HashSet::new()),
+            prepared: Mutex::new(HashSet::new()),
         });
         let weak = Arc::downgrade(&pm);
         space.set_fault_handler(Arc::new(move |oid| match weak.upgrade() {
@@ -117,7 +126,7 @@ impl PersistencePm {
             .for_each_while(self.objects_seg, |rid, bytes| match internalize(bytes) {
                 Ok((oid, _)) => {
                     locations.insert(oid, rid);
-                    self.space.mark_persistent_known(oid);
+                    self.space.mark_persistent(oid);
                     std::ops::ControlFlow::Continue(())
                 }
                 Err(e) => {
@@ -212,6 +221,32 @@ impl PersistencePm {
         rec.1 = Some(bytes);
         Ok(())
     }
+
+    /// Everything `txn` must have in the log before its durability
+    /// point: the index flush, the newly persisted objects, then the
+    /// write set — a deleted object loses its stored record, a dirty
+    /// stored one is rewritten — and the name roots.
+    fn write_back_all(&self, txn: TxnId) -> Result<()> {
+        self.indexing.flush(txn, &self.change)?;
+        let pending = self.pending.lock().remove(&txn).unwrap_or_default();
+        let mut written = HashSet::new();
+        for oid in pending {
+            if self.space.is_resident(oid) && written.insert(oid) {
+                self.write_back(txn, oid)?;
+            }
+        }
+        for (oid, deleted) in self.change.write_set(txn) {
+            if deleted {
+                let rid = self.locations.lock().remove(&oid);
+                if let Some(rid) = rid {
+                    self.sm.delete(txn, self.objects_seg, rid)?;
+                }
+            } else if !written.contains(&oid) && self.is_stored(oid) {
+                self.write_back(txn, oid)?;
+            }
+        }
+        self.save_roots(txn)
+    }
 }
 
 impl ResourceManager for PersistencePm {
@@ -236,59 +271,15 @@ impl ResourceManager for PersistencePm {
         if self.prepared.lock().remove(&txn) {
             return self.sm.decide_commit(txn);
         }
-        // 1. Newly persisted objects.
-        let pending = self.pending.lock().remove(&txn).unwrap_or_default();
-        let mut written = std::collections::HashSet::new();
-        for oid in pending {
-            if self.space.is_resident(oid) && written.insert(oid) {
-                self.write_back(txn, oid)?;
-            }
-        }
-        // 2. Dirty persistent objects (touched this transaction).
-        for oid in self.change.touched(txn) {
-            if !written.contains(&oid) && self.space.is_persistent(oid) && self.is_stored(oid) {
-                self.write_back(txn, oid)?;
-                written.insert(oid);
-            }
-        }
-        // 3. Deleted persistent objects lose their stored record.
-        for oid in self.change.deleted(txn) {
-            let rid = self.locations.lock().remove(&oid);
-            if let Some(rid) = rid {
-                self.sm.delete(txn, self.objects_seg, rid)?;
-            }
-        }
-        // 4. Persist the name roots (cheap; always current).
-        self.save_roots(txn)?;
-        // 5. Durability point.
+        self.write_back_all(txn)?;
         self.sm.commit(txn)
     }
 
     fn prepare_top(&self, txn: TxnId, gid: u64) -> Result<()> {
-        // The same write-back as `commit_top` steps 1–4, then the
-        // forced Prepare record instead of the Commit: everything the
-        // eventual commit decision needs is durable, and everything an
-        // abort decision must undo is WAL-covered.
-        let pending = self.pending.lock().remove(&txn).unwrap_or_default();
-        let mut written = std::collections::HashSet::new();
-        for oid in pending {
-            if self.space.is_resident(oid) && written.insert(oid) {
-                self.write_back(txn, oid)?;
-            }
-        }
-        for oid in self.change.touched(txn) {
-            if !written.contains(&oid) && self.space.is_persistent(oid) && self.is_stored(oid) {
-                self.write_back(txn, oid)?;
-                written.insert(oid);
-            }
-        }
-        for oid in self.change.deleted(txn) {
-            let rid = self.locations.lock().remove(&oid);
-            if let Some(rid) = rid {
-                self.sm.delete(txn, self.objects_seg, rid)?;
-            }
-        }
-        self.save_roots(txn)?;
+        // The forced Prepare record instead of the Commit: everything
+        // the eventual commit decision needs is durable, and everything
+        // an abort decision must undo is WAL-covered.
+        self.write_back_all(txn)?;
         self.sm.prepare(txn, gid)?;
         self.prepared.lock().insert(txn);
         Ok(())
@@ -352,30 +343,4 @@ fn decode_roots(buf: &[u8]) -> Result<Vec<(String, ObjectId)>> {
         out.push((name, oid));
     }
     Ok(out)
-}
-
-/// Extension trait hook: marking a faulted/known object persistent
-/// without a transaction (restart path).
-trait SpaceExt {
-    fn mark_persistent_known(&self, oid: ObjectId);
-}
-
-impl SpaceExt for ObjectSpace {
-    fn mark_persistent_known(&self, oid: ObjectId) {
-        self.mark_persistent(oid);
-    }
-}
-
-/// Convenience used by tests and the Database facade: persist an object
-/// and bind it to a root name in one step.
-pub fn persist_named(
-    pm: &PersistencePm,
-    dictionary: &DataDictionary,
-    txn: TxnId,
-    name: &str,
-    oid: ObjectId,
-) -> Result<()> {
-    pm.persist(txn, oid)?;
-    dictionary.bind(name, oid);
-    Ok(())
 }

@@ -9,10 +9,12 @@
 //! * at writer commit the transaction manager calls
 //!   [`VersionPublisher::publish`] — after every resource manager
 //!   reported durable, while the writer's exclusive locks are still
-//!   held, before the commit clock advances. The PM takes the parked
-//!   write set from the Change PM, seeds the *pre-commit* committed
-//!   state as the chain baseline (reconstructed by undoing the parked
-//!   log), then publishes the post-commit state at the new timestamp;
+//!   held, before the commit clock advances. The PM reads the write set
+//!   from the Change PM's log, which outlives `commit_top` for exactly
+//!   this, seeds the *pre-commit* committed state as the chain baseline
+//!   (reconstructed by undoing that log), publishes the post-commit
+//!   state at the new timestamp, and then lets the Change PM drop the
+//!   log;
 //! * a snapshot read resolves through [`SnapshotPm::read`]: chain hit,
 //!   or — for objects never written since start-up — a race-free
 //!   baseline seed from [`ChangePm::committed_base`].
@@ -37,9 +39,9 @@ pub struct SnapshotPm {
 }
 
 impl SnapshotPm {
-    /// Build the bridge and switch the Change PM to publish capture.
+    /// Build the bridge. It must be registered as a version publisher:
+    /// its publication is what ends a committed transaction's change log.
     pub fn new(change: Arc<ChangePm>, space: Arc<ObjectSpace>) -> Arc<Self> {
-        change.enable_publish_capture();
         Arc::new(SnapshotPm {
             store: VersionStore::new(),
             change,
@@ -63,10 +65,10 @@ impl SnapshotPm {
 
 impl VersionPublisher for SnapshotPm {
     fn publish(&self, txn: TxnId, ts: CommitTs) -> usize {
-        let write_set = self.change.publish_set(txn);
+        let write_set = self.change.write_set(txn);
         for (oid, deleted) in &write_set {
-            // Seed the pre-commit committed state first: the parked log
-            // is still in place, so `committed_base` undoes this very
+            // Seed the pre-commit committed state first: the log is
+            // still in place, so `committed_base` undoes this very
             // transaction's changes. No-op if the chain already exists.
             let _ = self
                 .store

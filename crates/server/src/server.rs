@@ -404,14 +404,23 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
 
 fn spawn_writer(shared: &Arc<Shared>, session: &Arc<Session>, rx: Receiver<Vec<u8>>) {
     let stream = session.stream.try_clone();
-    let session = Arc::clone(session);
+    let id = session.id;
+    // Weak: the session owns the queue's sender, so a strong reference
+    // here would keep `recv` waiting, and this thread (with the whole
+    // system behind `shared`) alive, after the session has ended.
+    let session = Arc::downgrade(session);
+    let force_close = move || {
+        if let Some(s) = session.upgrade() {
+            s.force_close();
+        }
+    };
     let shared = Arc::clone(shared);
     let _ = std::thread::Builder::new()
-        .name(format!("reach-write-{}", session.id))
+        .name(format!("reach-write-{id}"))
         .spawn(move || {
             use std::io::Write as _;
             let Ok(mut stream) = stream else {
-                session.force_close();
+                force_close();
                 return;
             };
             while let Ok(payload) = rx.recv() {
@@ -420,7 +429,7 @@ fn spawn_writer(shared: &Arc<Shared>, session: &Arc<Session>, rx: Receiver<Vec<u
                 frame.extend_from_slice(&payload);
                 if stream.write_all(&frame).is_err() {
                     // Writer death must wake the reader too.
-                    session.force_close();
+                    force_close();
                     return;
                 }
                 shared

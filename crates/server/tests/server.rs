@@ -343,6 +343,34 @@ fn graceful_shutdown_aborts_outstanding_transactions() {
     assert!(Client::connect(&handle.addr(), client_cfg()).is_err());
 }
 
+/// Nothing a session started outlives it: once the server has shut
+/// down and its handle is dropped, no thread still holds the system
+/// (a session's writer thread used to wait forever on a queue whose
+/// sender the session itself owned).
+#[test]
+fn a_shut_down_server_leaves_no_thread_holding_the_system() {
+    let (sys, class) = world();
+    let oid = persistent_obj(&sys, class);
+    let owners = Arc::strong_count(&sys);
+    let handle = serve(Arc::clone(&sys), quick_cfg()).unwrap();
+    for _ in 0..3 {
+        let mut c = Client::connect(&handle.addr(), client_cfg()).unwrap();
+        let t = c.begin().unwrap();
+        c.set(t, oid, "v", Value::Int(1)).unwrap();
+        c.commit(t).unwrap();
+    }
+    handle.shutdown();
+    drop(handle);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Arc::strong_count(&sys) > owners {
+        assert!(
+            Instant::now() < deadline,
+            "a server thread still holds the system"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn dead_letters_drain_over_the_wire_exactly_once() {
     let (sys, class) = world();
