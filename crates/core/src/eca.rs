@@ -7,10 +7,11 @@
 //! event is passed along to the corresponding event composer."
 //!
 //! An [`EcaManager`] holds, per event type: the directly-fired rules,
-//! the composite event types subscribed to it, a [`Compositor`] when the
-//! type is itself composite, and the local event [`LocalHistory`]. The
-//! [`Router`] owns the manager table and the detector index that maps
-//! low-level sentry observations to event types.
+//! the composite event types subscribed to it, and a [`Compositor`] when
+//! the type is itself composite. The [`Router`] owns the manager table,
+//! the detector index that maps low-level sentry observations to event
+//! types, and the [`CommitFeed`] that hands committed occurrences to
+//! whoever keeps a history of them.
 //!
 //! Composition can run **synchronously** (deterministic, used by most
 //! tests) or **in parallel** — one worker thread per composite manager
@@ -27,7 +28,7 @@ use crate::compositor::{Completion, Compositor};
 use crate::event::{
     CompositeSpec, EventData, EventOccurrence, EventSpec, FlowPoint, MethodPhase, PrimitiveEvent,
 };
-use crate::history::LocalHistory;
+use crate::history::CommitFeed;
 use crate::rule::Rule;
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use reach_common::sync::{Mutex, RwLock};
@@ -57,7 +58,6 @@ pub struct EcaManager {
     /// read lock-free-ish on the hot delivery path instead of going
     /// through the router's worker table.
     worker_tx: RwLock<Option<Sender<WorkerMsg>>>,
-    pub history: LocalHistory,
 }
 
 impl EcaManager {
@@ -89,7 +89,6 @@ impl EcaManager {
             subscribers: RwLock::new(Vec::new()),
             compositor,
             worker_tx: RwLock::new(None),
-            history: LocalHistory::default(),
         }
     }
 
@@ -258,6 +257,9 @@ pub struct Router {
     /// Passive observers of every delivered occurrence (the temporal
     /// manager watches for anchors of relative events here).
     observers: RwLock<Arc<Vec<Observer>>>,
+    /// Every locally raised occurrence passes through here on its way to
+    /// the history subscribers (one atomic load while there are none).
+    feed: CommitFeed,
     pub trace: Arc<Trace>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -302,6 +304,7 @@ impl Router {
             handler: RwLock::new(None),
             composition_gate: RwLock::new(None),
             observers: RwLock::new(Arc::default()),
+            feed: CommitFeed::default(),
             trace: Arc::new(Trace::default()),
             metrics,
         })
@@ -320,6 +323,12 @@ impl Router {
     /// Add a passive delivery observer.
     pub fn add_observer(&self, f: Observer) {
         Arc::make_mut(&mut self.observers.write()).push(f);
+    }
+
+    /// The commit-gated feed of this router's occurrences: subscribe to
+    /// it to keep a history (see [`crate::history`]).
+    pub fn feed(&self) -> &CommitFeed {
+        &self.feed
     }
 
     /// Install the composition ownership gate (see the field docs).
@@ -528,15 +537,6 @@ impl Router {
         let mut v: Vec<_> = self.managers.read().values().cloned().collect();
         v.sort_by_key(|m| m.event_type);
         v
-    }
-
-    /// Visit every manager, in no particular order, under the manager
-    /// table's read lock — no snapshot is built. `f` must not register
-    /// event types or deliver occurrences.
-    pub(crate) fn for_each_manager(&self, mut f: impl FnMut(&EcaManager)) {
-        for mgr in self.managers.read().values() {
-            f(mgr);
-        }
     }
 
     /// The composite managers, in event-type order.
@@ -763,7 +763,7 @@ impl Router {
 
     // ---- delivery (Figure 2) ----
 
-    /// Deliver an occurrence to its ECA-manager: history, rules,
+    /// Deliver an occurrence to its ECA-manager: feed, rules,
     /// propagation to composite managers.
     pub fn deliver(self: &Arc<Self>, occ: Arc<EventOccurrence>) {
         self.route(&[occ], false);
@@ -771,8 +771,8 @@ impl Router {
 
     /// Deliver an occurrence that was detected — and whose primitive
     /// rules already fired — on another shard. Only composite
-    /// subscribers are fed: the owning shard recorded the occurrence in
-    /// its history, notified its observers and ran its rules, so here
+    /// subscribers are fed: the owning shard put the occurrence on its
+    /// feed, notified its observers and ran its rules, so here
     /// the occurrence exists solely to complete cross-shard
     /// compositions (whose completions then fire *this* shard's rules
     /// through the ordinary [`Router::deliver`] of the composite).
@@ -782,7 +782,7 @@ impl Router {
 
     /// Deliver occurrences in slice order, each run of equal event type
     /// as one traversal of its ECA-manager, amortizing the per-event
-    /// costs: one manager lookup, one history append, one rules/
+    /// costs: one manager lookup, one feed append, one rules/
     /// subscribers/observers snapshot and one metrics stamp per run.
     ///
     /// Ordering contract, relative to delivering one at a time:
@@ -795,9 +795,8 @@ impl Router {
     ///   whole run before the first rule fires — observers cannot
     ///   veto or fire, so firing sequences are unaffected, and the
     ///   engine can amortize scheduling over the run;
-    /// * the run is recorded into the local history up front, so a
-    ///   rule reading its own manager's history mid-run sees events
-    ///   of later occurrences already recorded.
+    /// * the run is put on the feed up front, so a subscriber sees a
+    ///   top-less run before its first rule fires.
     pub fn deliver_batch(self: &Arc<Self>, occs: Vec<Arc<EventOccurrence>>) {
         for run in occs.chunk_by(|a, b| a.event_type == b.event_type) {
             self.route(run, false);
@@ -805,7 +804,7 @@ impl Router {
     }
 
     /// The delivery traversal of Figure 2, for occurrences of **one
-    /// event type** in `seq` order: history → observers → rules →
+    /// event type** in `seq` order: feed → observers → rules →
     /// composite subscribers. A `remote` occurrence was detected on
     /// another shard, which already did all but the last step; it only
     /// feeds the composites this shard composes for remote origins.
@@ -828,7 +827,7 @@ impl Router {
                     )
                 });
             }
-            mgr.history.record(occs);
+            self.feed.stage(occs);
             let observers = Arc::clone(&self.observers.read());
             (t0, Some(observers), mgr.rules())
         };

@@ -1,4 +1,4 @@
-//! Event histories (§6.3).
+//! Event histories (§6.3), as subscribers of the commit-gated feed.
 //!
 //! "ECA-managers create an event object and keep local histories of the
 //! created event occurrences. The maintenance of a highly distributed
@@ -7,142 +7,144 @@
 //! by a background process after a transaction has committed or has been
 //! aborted."
 //!
-//! [`LocalHistory`] is the per-ECA-manager ring buffer. The "background
-//! process" is, here, the committing thread itself: at every top-level
-//! end `ReachSystem` drains that transaction's occurrences from every
-//! local history, which costs the transaction's own occurrences and
-//! nothing else — occurrences of no transaction (cross-transaction
-//! composites, temporal events) sit in a part of the ring the drain does
-//! not visit, and never reach the global history.
-//! [`GlobalHistory`] is the post-EOT consolidated **window** the
-//! collector drains into: the most recent [`DEFAULT_HISTORY_CAPACITY`]
-//! occurrences in global sequence order, not an archive. An occurrence
-//! leaves it a few dozen transactions after its EOT, while it is still
-//! cache-warm. A long audit trail belongs to a firing listener
-//! ([`crate::ReachSystem::add_firing_listener`]) or to an explicitly
-//! sized [`GlobalHistory::new`], not to the default. Experiment E12
-//! measures the contention difference between the two histories.
+//! [`CommitFeed`] is the one place delivered occurrences wait for their
+//! transaction's outcome. Every router owns one. While nothing subscribes
+//! it is a single atomic load on the event path and at a transaction's
+//! end: no occurrence is kept and nothing is collected. Once a
+//! subscriber is attached:
+//! * an occurrence of a top-level transaction is staged with that
+//!   transaction, in a stripe chosen by its id — the paper's "local
+//!   history", kept per transaction instead of per ECA-manager, so
+//!   concurrent transactions do not serialise on one log;
+//! * at the transaction's commit its occurrences go to every subscriber
+//!   as one `seq`-ordered slice; at its abort they are dropped (its
+//!   events are revoked with it);
+//! * an occurrence of no transaction (a cross-transaction composite
+//!   completion, a temporal event) goes to the subscribers at once.
+//!
+//! The subscribers are the consumers of committed history: a
+//! [`GlobalHistory`] window attached by whoever wants to read one, and
+//! the distribution layer's cross-shard stream. The handoff runs on the
+//! ending thread; nothing is done for a history nobody reads.
+//!
+//! [`GlobalHistory`] is the consolidated **window**: the most recent
+//! [`DEFAULT_HISTORY_CAPACITY`] committed occurrences in global sequence
+//! order, not an archive. A long audit trail belongs to a firing
+//! listener ([`crate::ReachSystem::add_firing_listener`]), a subscriber
+//! of its own, or an explicitly sized [`GlobalHistory::new`]. Experiment
+//! E12 measures the contention difference between staging per
+//! transaction and logging every event centrally.
 
+use crate::eca::Router;
 use crate::event::EventOccurrence;
-use reach_common::sync::Mutex;
+use reach_common::sync::{Mutex, RwLock};
 use reach_common::TxnId;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Default capacity of every event history — each manager's local ring
-/// and the global window alike. The size is measured, not a taste
-/// (EXPERIMENTS.md E24 and E25, `monitor_embedded`): a 1 Mi-entry
-/// global log held 330 MiB of occurrences; at 65 536 the run peaks at
-/// 186 MiB against 94 MiB here, and is a few per cent slower. (E24
-/// blamed that setting's slowdown on cache-cold frees, but with one
-/// constant it also filled a composite's local ring to 65 536 top-less
-/// entries that every EOT rescanned — E25 measures that scan as most
-/// of it.)
+/// Default capacity of the global history window. The size is measured,
+/// not a taste (EXPERIMENTS.md E24, `monitor_embedded`): a 1 Mi-entry
+/// global log held 330 MiB of occurrences, and at 65 536 the run peaks
+/// at 186 MiB against 94 MiB here.
 pub const DEFAULT_HISTORY_CAPACITY: usize = 4096;
 
-/// The per-manager event log: one capacity, two parts.
-///
-/// Occurrences of a top-level transaction (`owned`) leave at that
-/// transaction's end, when the collector drains them, so `owned` only
-/// ever holds occurrences of live transactions. Occurrences of no
-/// transaction (`topless`: cross-transaction composite completions,
-/// temporal events) are never collected and leave only by eviction.
-/// Keeping them apart is what makes the collector's drain cost the
-/// finishing transaction's own occurrences instead of a scan of a
-/// ring the top-less ones keep full.
-pub struct LocalHistory {
-    parts: Mutex<Parts>,
-    capacity: usize,
+/// A consumer of committed occurrences. It gets one `seq`-ordered slice
+/// per committed transaction, and each top-less delivery as it happens.
+pub type Subscriber = Arc<dyn Fn(&[Arc<EventOccurrence>]) + Send + Sync>;
+
+/// Staging stripes. Transactions are spread over them by id, so two
+/// concurrent transactions rarely share a lock (E12).
+const STRIPES: usize = 16;
+
+type Staged = HashMap<TxnId, Vec<Arc<EventOccurrence>>>;
+
+/// The commit-gated occurrence feed (see the module docs).
+pub struct CommitFeed {
+    subscribers: RwLock<Arc<Vec<Subscriber>>>,
+    /// Set by the first subscription and never cleared. Until then the
+    /// feed stages nothing and hands off nothing.
+    on: AtomicBool,
+    staged: [Mutex<Staged>; STRIPES],
 }
 
-#[derive(Default)]
-struct Parts {
-    owned: VecDeque<Arc<EventOccurrence>>,
-    topless: VecDeque<Arc<EventOccurrence>>,
-}
-
-impl Parts {
-    fn len(&self) -> usize {
-        self.owned.len() + self.topless.len()
-    }
-
-    /// Drop the oldest occurrence by `seq` across both parts.
-    fn evict_oldest(&mut self) {
-        let part = match (self.owned.front(), self.topless.front()) {
-            (Some(o), Some(t)) if t.seq < o.seq => &mut self.topless,
-            (Some(_), _) => &mut self.owned,
-            (None, _) => &mut self.topless,
-        };
-        part.pop_front();
-    }
-}
-
-impl LocalHistory {
-    pub fn new(capacity: usize) -> Self {
-        LocalHistory {
-            parts: Mutex::new(Parts::default()),
-            capacity,
-        }
-    }
-
-    /// Record occurrences in slice order under one lock acquisition,
-    /// evicting the oldest beyond capacity.
-    pub fn record(&self, occs: &[Arc<EventOccurrence>]) {
-        let mut parts = self.parts.lock();
-        for occ in occs {
-            if parts.len() == self.capacity {
-                parts.evict_oldest();
-            }
-            let part = if occ.top_txn.is_some() {
-                &mut parts.owned
-            } else {
-                &mut parts.topless
-            };
-            part.push_back(Arc::clone(occ));
-        }
-    }
-
-    /// Occurrences belonging to `txn`'s top level, removed from the
-    /// local history — the collector calls this after EOT. Visits the
-    /// owned part only: live transactions' occurrences, in record order.
-    pub fn drain_for_txn(&self, top: TxnId) -> Vec<Arc<EventOccurrence>> {
-        let mut parts = self.parts.lock();
-        let mut out = Vec::new();
-        parts.owned.retain(|occ| {
-            if occ.top_txn == Some(top) {
-                out.push(Arc::clone(occ));
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    /// Snapshot of the current history, oldest (`seq`) first.
-    pub fn snapshot(&self) -> Vec<Arc<EventOccurrence>> {
-        let parts = self.parts.lock();
-        let mut out: Vec<_> = parts.owned.iter().chain(&parts.topless).cloned().collect();
-        out.sort_by_key(|o| o.seq);
-        out
-    }
-
-    pub fn len(&self) -> usize {
-        self.parts.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for LocalHistory {
+impl Default for CommitFeed {
     fn default() -> Self {
-        Self::new(DEFAULT_HISTORY_CAPACITY)
+        CommitFeed {
+            subscribers: RwLock::new(Arc::default()),
+            on: AtomicBool::new(false),
+            staged: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        }
     }
 }
 
-/// The consolidated, post-EOT history window.
+impl CommitFeed {
+    /// Attach a subscriber. Attach it before the occurrences it should
+    /// see are raised: a transaction already running when the first
+    /// subscriber arrives hands off only what it raises afterwards.
+    pub fn subscribe(&self, subscriber: Subscriber) {
+        Arc::make_mut(&mut self.subscribers.write()).push(subscriber);
+        self.on.store(true, Ordering::Release);
+    }
+
+    /// Whether anything subscribes — the event path's gate.
+    fn is_subscribed(&self) -> bool {
+        self.on.load(Ordering::Acquire)
+    }
+
+    fn stripe(&self, top: TxnId) -> &Mutex<Staged> {
+        &self.staged[top.raw() as usize % STRIPES]
+    }
+
+    /// Take delivered occurrences, in delivery order: a transaction's
+    /// are staged until it ends, top-less ones go to the subscribers
+    /// now. The router calls this for every locally raised occurrence.
+    pub fn stage(&self, occs: &[Arc<EventOccurrence>]) {
+        if !self.is_subscribed() {
+            return;
+        }
+        for run in occs.chunk_by(|a, b| a.top_txn == b.top_txn) {
+            match run[0].top_txn {
+                Some(top) => self
+                    .stripe(top)
+                    .lock()
+                    .entry(top)
+                    .or_default()
+                    .extend(run.iter().cloned()),
+                None => self.publish(run),
+            }
+        }
+    }
+
+    /// Top-level transaction `top` ended. On commit its staged
+    /// occurrences go to every subscriber in `seq` order; on abort they
+    /// are dropped.
+    pub fn finish(&self, top: TxnId, committed: bool) {
+        if !self.is_subscribed() {
+            return;
+        }
+        let staged = self.stripe(top).lock().remove(&top);
+        if let (true, Some(mut occs)) = (committed, staged) {
+            occs.sort_by_key(|o| o.seq);
+            self.publish(&occs);
+        }
+    }
+
+    fn publish(&self, occs: &[Arc<EventOccurrence>]) {
+        let subscribers = Arc::clone(&self.subscribers.read());
+        for subscriber in subscribers.iter() {
+            subscriber(occs);
+        }
+    }
+
+    /// Transactions with occurrences staged: the live ones that raised
+    /// something since the first subscription.
+    pub fn staged_txns(&self) -> usize {
+        self.staged.iter().map(|s| s.lock().len()).sum()
+    }
+}
+
+/// The consolidated history window of committed occurrences.
 pub struct GlobalHistory {
     log: Mutex<VecDeque<Arc<EventOccurrence>>>,
     capacity: usize,
@@ -156,26 +158,52 @@ impl GlobalHistory {
         }
     }
 
-    /// Absorb drained occurrences, keeping global sequence order.
+    /// Subscribe this window to `router`'s committed occurrences. One
+    /// window may be attached to several routers (the shards of a
+    /// deployment share one sequence clock, so it merges into one
+    /// order).
+    pub fn attach(self: &Arc<Self>, router: &Router) {
+        let me = Arc::clone(self);
+        router
+            .feed()
+            .subscribe(Arc::new(move |occs| me.absorb(occs)));
+    }
+
+    /// Absorb occurrences, keeping global sequence order.
     ///
-    /// Merge-inserts by `seq`: collectors for different transactions
-    /// drain and absorb concurrently, so a batch may carry occurrences
-    /// older than ones already absorbed — sorting within the batch
-    /// alone would interleave the log out of order, violating the §6.3
-    /// global-sequence invariant. The log tail is nearly sorted, so
-    /// the backward scan is short in practice.
-    pub fn absorb(&self, mut occurrences: Vec<Arc<EventOccurrence>>) {
-        occurrences.sort_by_key(|o| o.seq);
+    /// Merges by `seq`: transactions end concurrently, so a batch may
+    /// carry occurrences older than ones already absorbed — appending
+    /// would interleave the log out of order, violating the §6.3
+    /// global-sequence invariant. The part of the log newer than the
+    /// batch (a few other transactions' worth) is lifted off and merged
+    /// back with the batch in one pass.
+    pub fn absorb(&self, occurrences: &[Arc<EventOccurrence>]) {
+        let mut sorted;
+        let batch = if occurrences.is_sorted_by_key(|o| o.seq) {
+            occurrences
+        } else {
+            sorted = occurrences.to_vec();
+            sorted.sort_by_key(|o| o.seq);
+            &sorted
+        };
+        let Some(oldest) = batch.first().map(|o| o.seq) else {
+            return;
+        };
         let mut log = self.log.lock();
-        for occ in occurrences {
-            let mut idx = log.len();
-            while idx > 0 && log[idx - 1].seq > occ.seq {
-                idx -= 1;
+        let mut at = log.len();
+        while at > 0 && log[at - 1].seq > oldest {
+            at -= 1;
+        }
+        let mut newer = log.drain(at..).collect::<Vec<_>>().into_iter().peekable();
+        for occ in batch {
+            while let Some(n) = newer.next_if(|n| n.seq < occ.seq) {
+                log.push_back(n);
             }
-            log.insert(idx, occ);
-            if log.len() > self.capacity {
-                log.pop_front();
-            }
+            log.push_back(Arc::clone(occ));
+        }
+        log.extend(newer);
+        while log.len() > self.capacity {
+            log.pop_front();
         }
     }
 
@@ -222,17 +250,6 @@ mod tests {
         })
     }
 
-    #[test]
-    fn ring_caps_capacity() {
-        let h = LocalHistory::new(3);
-        for s in 1..=5 {
-            h.record(&[occ(s, 1)]);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].seq, Timestamp::new(3));
-    }
-
     fn topless(seq: u64) -> Arc<EventOccurrence> {
         let mut o = Arc::unwrap_or_clone(occ(seq, 0));
         o.txn = None;
@@ -244,61 +261,103 @@ mod tests {
         occs.iter().map(|o| o.seq.raw()).collect()
     }
 
-    /// One capacity over both parts: the oldest occurrence by `seq`
-    /// goes first, whichever part holds it.
+    /// A feed with one subscriber that records each handed-off slice.
+    fn recorded() -> (CommitFeed, Arc<Mutex<Vec<Vec<u64>>>>) {
+        let feed = CommitFeed::default();
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = Arc::clone(&got);
+        feed.subscribe(Arc::new(move |occs| g.lock().push(seqs(occs))));
+        (feed, got)
+    }
+
+    #[test]
+    fn ring_caps_capacity() {
+        let h = GlobalHistory::new(3);
+        for s in 1..=5 {
+            h.absorb(&[occ(s, 1)]);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.len(), 3);
+        assert_eq!(snap[0].seq, Timestamp::new(3));
+    }
+
+    /// Top-less occurrences reach the window when raised, a
+    /// transaction's at its commit; the window's one capacity then
+    /// evicts the oldest by `seq`, whichever way it arrived.
     #[test]
     fn eviction_is_oldest_by_seq_across_owned_and_topless() {
-        let h = LocalHistory::new(4);
-        h.record(&[topless(1), occ(2, 10), occ(3, 10), topless(4)]);
-        h.record(&[occ(5, 20)]); // evicts topless 1
-        assert_eq!(seqs(&h.snapshot()), vec![2, 3, 4, 5]);
-        h.record(&[topless(6)]); // evicts owned 2
+        let h = Arc::new(GlobalHistory::new(4));
+        let feed = CommitFeed::default();
+        let me = Arc::clone(&h);
+        feed.subscribe(Arc::new(move |occs| me.absorb(occs)));
+        feed.stage(&[topless(1), occ(2, 10), occ(3, 10), topless(4)]);
+        assert_eq!(seqs(&h.snapshot()), vec![1, 4]);
+        feed.stage(&[occ(5, 20)]);
+        feed.finish(TxnId::new(10), true);
+        assert_eq!(seqs(&h.snapshot()), vec![1, 2, 3, 4]);
+        feed.stage(&[topless(6)]); // evicts topless 1
+        assert_eq!(seqs(&h.snapshot()), vec![2, 3, 4, 6]);
+        feed.finish(TxnId::new(20), true); // 5 merges in, evicts owned 2
         assert_eq!(seqs(&h.snapshot()), vec![3, 4, 5, 6]);
-        h.record(&[topless(7), topless(8)]); // evicts owned 3, topless 4
-        assert_eq!(seqs(&h.snapshot()), vec![5, 6, 7, 8]);
         assert_eq!(h.len(), 4);
     }
 
-    /// A drain returns exactly that transaction's occurrences in record
-    /// order and leaves other transactions' and top-less ones in place.
+    /// Ending one transaction hands over exactly its occurrences, in
+    /// `seq` order, and leaves other transactions' staged.
     #[test]
     fn drain_removes_only_that_transaction() {
-        let h = LocalHistory::new(100);
-        h.record(&[occ(1, 10), topless(2), occ(3, 20), occ(4, 10), topless(5)]);
-        h.record(&[occ(6, 10)]);
-        assert_eq!(seqs(&h.drain_for_txn(TxnId::new(10))), vec![1, 4, 6]);
-        assert_eq!(seqs(&h.snapshot()), vec![2, 3, 5]);
-        assert!(h.drain_for_txn(TxnId::new(10)).is_empty());
-        assert_eq!(seqs(&h.drain_for_txn(TxnId::new(20))), vec![3]);
-        assert_eq!(seqs(&h.snapshot()), vec![2, 5]);
+        let (feed, got) = recorded();
+        feed.stage(&[occ(1, 10), occ(3, 20), occ(4, 10)]);
+        feed.stage(&[occ(6, 10), occ(2, 10)]);
+        assert_eq!(feed.staged_txns(), 2);
+        feed.finish(TxnId::new(10), true);
+        assert_eq!(*got.lock(), vec![vec![1, 2, 4, 6]]);
+        feed.finish(TxnId::new(10), true);
+        assert_eq!(got.lock().len(), 1, "nothing is handed over twice");
+        feed.finish(TxnId::new(20), true);
+        assert_eq!(got.lock()[1], vec![3]);
+        assert_eq!(feed.staged_txns(), 0);
+    }
+
+    #[test]
+    fn an_aborted_transaction_hands_over_nothing() {
+        let (feed, got) = recorded();
+        feed.stage(&[occ(1, 10), topless(2), occ(3, 10)]);
+        feed.finish(TxnId::new(10), false);
+        assert_eq!(*got.lock(), vec![vec![2]], "only the top-less one");
+        assert_eq!(feed.staged_txns(), 0);
+    }
+
+    #[test]
+    fn without_a_subscriber_nothing_is_staged() {
+        let feed = CommitFeed::default();
+        feed.stage(&[occ(1, 10), occ(2, 11)]);
+        assert_eq!(feed.staged_txns(), 0);
+        assert!(!feed.is_subscribed());
     }
 
     #[test]
     fn global_history_orders_by_sequence() {
         let g = GlobalHistory::new(100);
-        g.absorb(vec![occ(5, 1), occ(2, 1)]);
-        g.absorb(vec![occ(9, 2), occ(7, 2)]);
-        let snap = g.snapshot();
-        let seqs: Vec<u64> = snap.iter().map(|o| o.seq.raw()).collect();
-        assert_eq!(seqs, vec![2, 5, 7, 9]);
+        g.absorb(&[occ(2, 1), occ(5, 1)]);
+        g.absorb(&[occ(7, 2), occ(9, 2)]);
+        assert_eq!(seqs(&g.snapshot()), vec![2, 5, 7, 9]);
     }
 
     /// Regression: a later batch carrying *older* occurrences (two
-    /// collectors draining concurrently, the slower one absorbing
+    /// transactions ending concurrently, the slower one absorbing
     /// first) used to be appended after sorting only within itself,
     /// interleaving the global log out of `seq` order.
     #[test]
     fn interleaved_absorbs_stay_globally_ordered() {
         let g = GlobalHistory::new(100);
-        g.absorb(vec![occ(5, 1), occ(2, 1)]);
-        g.absorb(vec![occ(4, 2), occ(1, 2), occ(9, 2)]);
-        let seqs: Vec<u64> = g.snapshot().iter().map(|o| o.seq.raw()).collect();
-        assert_eq!(seqs, vec![1, 2, 4, 5, 9]);
+        g.absorb(&[occ(5, 1), occ(2, 1)]);
+        g.absorb(&[occ(4, 2), occ(1, 2), occ(9, 2)]);
+        assert_eq!(seqs(&g.snapshot()), vec![1, 2, 4, 5, 9]);
         // Capacity still evicts from the *old* end after a merge.
         let small = GlobalHistory::new(3);
-        small.absorb(vec![occ(10, 1), occ(30, 1)]);
-        small.absorb(vec![occ(20, 2), occ(40, 2)]);
-        let seqs: Vec<u64> = small.snapshot().iter().map(|o| o.seq.raw()).collect();
-        assert_eq!(seqs, vec![20, 30, 40]);
+        small.absorb(&[occ(10, 1), occ(30, 1)]);
+        small.absorb(&[occ(20, 2), occ(40, 2)]);
+        assert_eq!(seqs(&small.snapshot()), vec![20, 30, 40]);
     }
 }

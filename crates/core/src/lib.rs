@@ -25,8 +25,8 @@
 //!   detached variants with their commit dependencies (§6.4);
 //! * [`temporal`] — absolute/periodic/relative temporal events and the
 //!   milestone mechanism for time-constrained processing;
-//! * [`history`] — distributed per-manager event histories with the
-//!   post-commit global history collector (§6.3);
+//! * [`history`] — the commit-gated occurrence feed and the global
+//!   history window that subscribes to it (§6.3);
 //! * [`reach`] — [`reach::ReachSystem`], the assembled active OODBMS.
 
 pub mod algebra;

@@ -17,7 +17,6 @@ use crate::engine::{
     DeadLetter, Engine, EngineHandler, ExecutionStrategy, RetryPolicy, StatsSnapshot, TieBreak,
 };
 use crate::event::{CompositeSpec, EventSpec, FlowPoint, MethodPhase, PrimitiveEvent};
-use crate::history::GlobalHistory;
 use crate::rule::{Rule, RuleBuilder};
 use crate::temporal::TemporalManager;
 use open_oodb::Database;
@@ -92,7 +91,6 @@ pub struct ReachSystem {
     router: Arc<Router>,
     engine: Arc<Engine>,
     temporal: Arc<TemporalManager>,
-    global_history: Arc<GlobalHistory>,
     rules: RwLock<HashMap<RuleId, Arc<Rule>>>,
     rule_ids: IdGen,
     rule_seq: AtomicU64,
@@ -128,7 +126,6 @@ impl ReachSystem {
             router: Arc::clone(&router),
             engine,
             temporal,
-            global_history: Arc::new(GlobalHistory::default()),
             rules: RwLock::new(HashMap::new()),
             rule_ids: IdGen::new(),
             rule_seq: AtomicU64::new(1),
@@ -195,10 +192,6 @@ impl ReachSystem {
 
     pub fn temporal(&self) -> &Arc<TemporalManager> {
         &self.temporal
-    }
-
-    pub fn global_history(&self) -> &Arc<GlobalHistory> {
-        &self.global_history
     }
 
     pub fn stats(&self) -> StatsSnapshot {
@@ -641,20 +634,6 @@ impl ReachSystem {
         self.router.flush();
         self.engine.wait_idle();
     }
-
-    /// Drain every local history of `top`'s occurrences into the global
-    /// history — the §6.3 post-EOT collection, inline on the ending
-    /// thread. Costs `top`'s own occurrences (and one lock per manager):
-    /// no local history keeps a finished transaction's occurrences, and
-    /// the drain does not visit top-less ones.
-    fn collect_histories(&self, top: TxnId) {
-        let mut drained = Vec::new();
-        self.router
-            .for_each_manager(|mgr| drained.extend(mgr.history.drain_for_txn(top)));
-        if !drained.is_empty() {
-            self.global_history.absorb(drained);
-        }
-    }
 }
 
 impl std::fmt::Debug for ReachSystem {
@@ -823,11 +802,12 @@ impl TxnListener for FlowBridge {
             TxnEventKind::Aborted => FlowPoint::Abort,
         };
         // Rule-spawned transactions do not raise flow-control events
-        // (termination guard), but their composition state and histories
-        // are still cleaned up below. Both the rule-txn test (a mutex)
-        // and the raise itself are skipped entirely when no flow event
-        // is registered — this listener runs twice per subtransaction,
-        // so with zero flow rules it must stay at one atomic load.
+        // (termination guard), but their composition state and staged
+        // occurrences are still settled below. Both the rule-txn test
+        // (a mutex) and the raise itself are skipped entirely when no
+        // flow event is registered — this listener runs twice per
+        // subtransaction, so with zero flow rules it must stay at one
+        // atomic load.
         let raise = |txn, top, at, point| {
             if sys.router.observes_flow() && !sys.engine.is_rule_txn(event.top_level) {
                 sys.router.raise_flow(txn, top, at, point);
@@ -842,9 +822,13 @@ impl TxnListener for FlowBridge {
                 // this transaction must be composed before deferred rules
                 // are chosen, and same-transaction windows close here so
                 // negation/closure composites can still fire deferred
-                // rules inside the committing transaction.
+                // rules inside the committing transaction. The second
+                // barrier waits for those window-close completions: in
+                // parallel mode a worker emits them, and one emitted after
+                // the deferred queue drained would miss its transaction.
                 sys.router.flush();
                 sys.router.close_txn(event.top_level, true);
+                sys.router.flush();
                 raise(event.txn, event.top_level, event.at, point);
             }
             TxnEventKind::Committed => {
@@ -853,7 +837,7 @@ impl TxnListener for FlowBridge {
                     sys.router.close_txn(event.top_level, false);
                     sys.engine.on_txn_finished(event.top_level);
                     sys.temporal.txn_finished(event.top_level);
-                    sys.collect_histories(event.top_level);
+                    sys.router.feed().finish(event.top_level, true);
                 }
             }
             TxnEventKind::Aborted => {
@@ -864,7 +848,7 @@ impl TxnListener for FlowBridge {
                     sys.router.close_txn(event.top_level, false);
                     sys.engine.on_txn_finished(event.top_level);
                     sys.temporal.txn_finished(event.top_level);
-                    sys.collect_histories(event.top_level);
+                    sys.router.feed().finish(event.top_level, false);
                 }
             }
         }

@@ -743,3 +743,71 @@ fn uncorrelated_composite_mixes_receivers() {
         "without correlation, three hits on any objects complete the pattern"
     );
 }
+
+/// Window-close completions (closure, negation) are emitted when the
+/// same-transaction window closes at pre-commit. In parallel
+/// composition mode a compositor worker emits them; commit used to go
+/// on without waiting, so the deferred queue was usually drained before
+/// they arrived and their rules failed to enqueue (298 of 300).
+#[test]
+fn window_close_composites_fire_deferred_rules_in_parallel_mode() {
+    let db = Database::in_memory().unwrap();
+    let (b, m) = db.define_class("Probe").virtual_method("hit");
+    let class = b.define().unwrap();
+    db.methods().register_fn(m, |_| Ok(Value::Null));
+    let config = ReachConfig {
+        composition: reach_core::eca::CompositionMode::Parallel,
+        ..ReachConfig::default()
+    };
+    let w = World {
+        sys: ReachSystem::new(db, config),
+        class,
+    };
+    let e1 = w
+        .sys
+        .define_method_event("e1", w.class, "hit", MethodPhase::After)
+        .unwrap();
+    let e2 = w
+        .sys
+        .define_method_event("e2", w.class, "hit", MethodPhase::Before)
+        .unwrap();
+    let burst = EventExpr::Closure(Arc::new(EventExpr::Primitive(e1)));
+    // "a hit not followed by another hit's before-phase".
+    let last = EventExpr::Sequence(vec![
+        EventExpr::Primitive(e1),
+        EventExpr::Negation(Arc::new(EventExpr::Primitive(e2))),
+    ]);
+    let fired = Arc::new(AtomicUsize::new(0));
+    for (name, expr) in [("burst", burst), ("last", last)] {
+        let ty = w
+            .sys
+            .define_composite(
+                name,
+                expr,
+                CompositionScope::SameTransaction,
+                Lifespan::Transaction,
+                ConsumptionPolicy::Chronicle,
+            )
+            .unwrap();
+        let f = Arc::clone(&fired);
+        w.sys
+            .define_rule(
+                RuleBuilder::new(name)
+                    .on(ty)
+                    .coupling(CouplingMode::Deferred)
+                    .then(move |_| {
+                        f.fetch_add(1, Ordering::SeqCst);
+                        Ok(())
+                    }),
+            )
+            .unwrap();
+    }
+    let oid = w.obj();
+    const TXNS: usize = 150;
+    for i in 0..TXNS {
+        w.hit(oid, i as i64);
+    }
+    w.sys.wait_quiescent();
+    assert_eq!(w.sys.stats().failures, 0);
+    assert_eq!(fired.load(Ordering::SeqCst), 2 * TXNS);
+}

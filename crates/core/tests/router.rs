@@ -2,6 +2,7 @@
 //! inheritance-aware lookup, registration introspection.
 
 use open_oodb::Database;
+use reach_common::EventTypeId;
 use reach_core::event::MethodPhase;
 use reach_core::{CouplingMode, ReachConfig, ReachSystem, RuleBuilder};
 use reach_object::{Value, ValueType};
@@ -185,8 +186,15 @@ fn occurrence(ty: reach_common::EventTypeId, seq: u64) -> Arc<reach_core::EventO
     })
 }
 
-fn seqs(history: &reach_core::history::LocalHistory) -> Vec<u64> {
-    history.snapshot().iter().map(|o| o.seq.raw()).collect()
+/// Subscribe a recorder of `(event type, seq)` to `sys`'s feed.
+fn fed(sys: &ReachSystem) -> Arc<reach_common::sync::Mutex<Vec<(EventTypeId, u64)>>> {
+    let fed = Arc::new(reach_common::sync::Mutex::new(Vec::new()));
+    let f = Arc::clone(&fed);
+    sys.router().feed().subscribe(Arc::new(move |occs| {
+        f.lock()
+            .extend(occs.iter().map(|o| (o.event_type, o.seq.raw())))
+    }));
+    fed
 }
 
 /// `deliver_batch` takes any slice: each run of equal event type goes
@@ -211,6 +219,7 @@ fn mixed_type_slice_reaches_each_types_own_manager() {
         )
         .unwrap();
     }
+    let fed = fed(&sys);
     sys.router().deliver_batch(vec![
         occurrence(a, 1),
         occurrence(a, 2),
@@ -218,8 +227,7 @@ fn mixed_type_slice_reaches_each_types_own_manager() {
         occurrence(a, 4),
     ]);
     sys.wait_quiescent();
-    assert_eq!(seqs(&sys.manager(a).unwrap().history), vec![1, 2, 4]);
-    assert_eq!(seqs(&sys.manager(b).unwrap().history), vec![3]);
+    assert_eq!(*fed.lock(), vec![(a, 1), (a, 2), (b, 3), (a, 4)]);
     let mut fired = fired.lock().clone();
     fired.sort();
     assert_eq!(
@@ -267,12 +275,13 @@ fn remote_origin_feeds_composites_and_nothing_else() {
         sys.router()
             .add_observer(Arc::new(move |occ| observed.lock().push(occ.event_type)));
     }
+    let fed = fed(&sys);
     sys.router().deliver_remote(occurrence(prim, 1));
     sys.router().deliver_remote(occurrence(prim, 2));
     sys.wait_quiescent();
-    assert!(sys.manager(prim).unwrap().history.is_empty());
     assert_eq!(rule_hits.load(Ordering::SeqCst), 0);
     // The composite completed here, and *its* occurrence is local.
-    assert_eq!(sys.manager(pair).unwrap().history.len(), 1);
+    assert_eq!(fed.lock().len(), 1);
+    assert_eq!(fed.lock()[0].0, pair);
     assert_eq!(*observed.lock(), vec![pair]);
 }

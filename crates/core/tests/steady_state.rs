@@ -11,11 +11,12 @@
 //!
 //! The invariant is tested, not the mechanism: live bytes by a counting
 //! allocator, plus the bounds an operator could read off the public
-//! surface — including that no local history holds an occurrence of a
-//! transaction that has ended.
+//! surface — including that, with a global history subscribed, the
+//! commit-gated feed holds nothing of a transaction that has ended.
 
 use open_oodb::Database;
 use reach_core::event::MethodPhase;
+use reach_core::history::GlobalHistory;
 use reach_core::{
     CompositionScope, ConsumptionPolicy, Correlation, CouplingMode, EventExpr, Lifespan,
     ReachSystem, RuleBuilder,
@@ -64,6 +65,8 @@ fn finished_transactions_leave_nothing_behind() {
         Ok(Value::Null)
     });
     let sys = ReachSystem::new(Arc::clone(&db), Default::default());
+    let history = Arc::new(GlobalHistory::default());
+    history.attach(sys.router());
     let t = db.begin().unwrap();
     let sensors: Vec<_> = (0..SENSORS)
         .map(|_| {
@@ -185,26 +188,12 @@ fn finished_transactions_leave_nothing_behind() {
         "{TXNS} more batch transactions grew the live heap by {grown} bytes"
     );
     assert_eq!(db.txn_manager().live_count(), 0);
-    assert!(sys.global_history().len() <= sys.global_history().capacity());
-    // End-of-transaction collection only visits the owned part of each
-    // local history, which is O(the transaction's own occurrences) only
-    // if nothing of a finished transaction is ever left behind there.
-    // The cross-transaction storms belong to no transaction and stay.
-    let mut topless = 0;
-    for mgr in sys.router().managers() {
-        for occ in mgr.history.snapshot() {
-            match occ.top_txn {
-                Some(top) => assert!(
-                    db.txn_manager().is_active(top),
-                    "{}: occurrence {} of finished transaction {top} left in the local history",
-                    mgr.name,
-                    occ.seq
-                ),
-                None => topless += 1,
-            }
-        }
-    }
-    assert!(topless > 0, "the storm composite's completions are kept");
+    assert_eq!(history.len(), history.capacity());
+    // Every ended transaction took its staged occurrences with it.
+    assert_eq!(sys.router().feed().staged_txns(), 0);
+    // The cross-transaction storms belong to no transaction and reach
+    // the window as they complete.
+    assert!(history.snapshot().iter().any(|o| o.top_txn.is_none()));
     let wal = db.storage().wal();
     let resident = wal.tail() - wal.base_lsn();
     assert!(

@@ -965,25 +965,51 @@ fn parallel_immediate_strategy_executes_all_sibling_rules() {
     assert_eq!(sys.stats().immediate_runs, 6);
 }
 
+/// The global history is a subscriber of the commit-gated feed: a
+/// transaction's occurrences reach it at commit, in `seq` order, and an
+/// aborted transaction's never do — including those of its committed
+/// subtransactions. Without a subscriber nothing is staged at all.
 #[test]
-fn histories_are_local_then_collected_globally() {
+fn the_global_history_sees_committed_occurrences_only() {
     let w = world();
     let sys = &w.sys;
-    let ev = sys
-        .define_method_event("after-report", w.sensor, "report", MethodPhase::After)
+    sys.define_method_event("after-report", w.sensor, "report", MethodPhase::After)
         .unwrap();
     let oid = w.sensor_obj();
     let db = sys.db();
+    let report = |t, v| db.invoke(t, oid, "report", &[Value::Int(v)]).unwrap();
     let t = db.begin().unwrap();
-    db.invoke(t, oid, "report", &[Value::Int(1)]).unwrap();
-    db.invoke(t, oid, "report", &[Value::Int(2)]).unwrap();
-    let mgr = sys.manager(ev).unwrap();
-    assert_eq!(mgr.history.len(), 2, "local history holds the events");
-    let global_before = sys.global_history().len();
+    report(t, 0);
+    assert_eq!(
+        sys.router().feed().staged_txns(),
+        0,
+        "no subscriber, no staging"
+    );
     db.commit(t).unwrap();
-    // After EOT the collector moved them to the global history.
-    assert_eq!(mgr.history.len(), 0);
-    assert!(sys.global_history().len() >= global_before + 2);
+
+    let history = Arc::new(reach_core::history::GlobalHistory::default());
+    history.attach(sys.router());
+    let t = db.begin().unwrap();
+    report(t, 1);
+    report(t, 2);
+    assert!(history.is_empty(), "nothing before the commit");
+    assert_eq!(sys.router().feed().staged_txns(), 1);
+    db.commit(t).unwrap();
+    let t = db.begin().unwrap();
+    let child = db.begin_nested(t).unwrap();
+    report(child, 3);
+    db.commit(child).unwrap();
+    report(t, 4);
+    db.abort(t).unwrap();
+    assert_eq!(sys.router().feed().staged_txns(), 0);
+    let args: Vec<i64> = history
+        .snapshot()
+        .iter()
+        .map(|o| o.data.args[0].as_int().unwrap())
+        .collect();
+    assert_eq!(args, vec![1, 2]);
+    let seqs: Vec<_> = history.snapshot().iter().map(|o| o.seq).collect();
+    assert!(seqs.is_sorted());
 }
 
 /// `ReachConfig::checkpoint_bytes: None` leaves the storage manager's

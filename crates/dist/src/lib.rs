@@ -12,9 +12,10 @@
 //!   participants' existing write-ahead logs. The coordinator forces
 //!   only commit decisions; an in-doubt participant that finds no
 //!   durable `CoordCommit` for its global transaction presumes abort.
-//! * [`DistCompositor`] — streams each shard's *committed* event
-//!   occurrences into every other shard's router, where they complete
-//!   cross-shard composite events on the composite's owning shard.
+//! * [`compositor`] — a subscriber on each shard's commit-gated
+//!   occurrence feed that streams the shard's *committed* occurrences
+//!   into every other shard's router, where they complete cross-shard
+//!   composite events on the composite's owning shard.
 //!
 //! [`DistSystem`] wires all three around `open_oodb::Database` +
 //! `reach_core::ReachSystem` instances and is the entry point used by
@@ -27,7 +28,6 @@ pub mod coord;
 pub mod router;
 pub mod system;
 
-pub use compositor::DistCompositor;
 pub use coord::{
     resolve_in_doubt, scan_decisions, Boundary, Coordinator, CrashHook, DecisionLog, Participant,
 };

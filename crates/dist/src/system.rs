@@ -1,8 +1,9 @@
 //! The assembled sharded deployment.
 //!
 //! [`DistSystem`] owns N `Database` + `ReachSystem` pairs with disjoint
-//! storage, one [`ShardRouter`], one presumed-abort [`Coordinator`] and
-//! one [`DistCompositor`]. Per shard it wires:
+//! storage, one [`ShardRouter`] and one presumed-abort [`Coordinator`],
+//! and [`compositor::attach`]es the cross-shard event stream. Per shard
+//! it wires:
 //!
 //! * strided oid allocation (`oid ≡ shard (mod N)`), making routing a
 //!   pure function of the identifier;
@@ -17,13 +18,12 @@
 //! touches; commit is local when one shard is involved and two-phase
 //! when several are.
 
-use crate::compositor::DistCompositor;
+use crate::compositor;
 use crate::coord::{Coordinator, Participant};
 use crate::router::ShardRouter;
 use open_oodb::{Database, DatabaseConfig};
 use reach_common::{ObjectId, ReachError, Result, TxnId};
 use reach_core::engine::DeadLetter;
-use reach_core::history::GlobalHistory;
 use reach_core::{ReachConfig, ReachSystem};
 use reach_object::Value;
 use std::path::Path;
@@ -91,8 +91,6 @@ pub struct DistSystem {
     shards: Vec<Arc<ReachSystem>>,
     router: ShardRouter,
     coordinator: Coordinator,
-    compositor: Arc<DistCompositor>,
-    history: Arc<GlobalHistory>,
 }
 
 impl DistSystem {
@@ -140,14 +138,11 @@ impl DistSystem {
                 .set_composition_gate(Arc::new(move |ty| ty.raw() % owner_mod == me));
             shards.push(sys);
         }
-        let history = Arc::new(GlobalHistory::default());
-        let compositor = DistCompositor::attach(&shards, &history);
+        compositor::attach(&shards);
         Ok(Arc::new(Self {
             shards,
             router: ShardRouter::new(n),
             coordinator: Coordinator::in_memory(),
-            compositor,
-            history,
         }))
     }
 
@@ -176,16 +171,6 @@ impl DistSystem {
     /// The 2PC coordinator.
     pub fn coordinator(&self) -> &Coordinator {
         &self.coordinator
-    }
-
-    /// The cross-shard event stream.
-    pub fn compositor(&self) -> &Arc<DistCompositor> {
-        &self.compositor
-    }
-
-    /// The deployment-wide committed event history.
-    pub fn global_history(&self) -> &Arc<GlobalHistory> {
-        &self.history
     }
 
     /// The shard owning `oid`.

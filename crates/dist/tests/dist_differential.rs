@@ -28,6 +28,7 @@
 use reach_common::sync::Mutex;
 use reach_common::{announce_seed, seed_from_env, ObjectId, SplitMix64};
 use reach_core::event::EventSpec;
+use reach_core::history::GlobalHistory;
 use reach_core::{
     CompositionScope, ConsumptionPolicy, CouplingMode, EventExpr, Lifespan, RuleBuilder,
 };
@@ -92,6 +93,12 @@ struct Run {
 
 fn run_variant(policy: ConsumptionPolicy, workload: &[Step], shards: u32) -> Run {
     let dist = DistSystem::in_memory(shards).unwrap();
+    // The deployment-wide history: one window subscribed to every
+    // shard's commit-gated feed, merged by the shared `seq` clock.
+    let history = Arc::new(GlobalHistory::default());
+    for sys in dist.systems() {
+        history.attach(sys.router());
+    }
     let sync_log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let detached_log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -257,8 +264,7 @@ fn run_variant(policy: ConsumptionPolicy, workload: &[Step], shards: u32) -> Run
     // absorption (= seq) order. Composites are excluded — they are
     // stamped when they complete, which legitimately differs between
     // configurations (inline on 1 shard, at commit-time shipping on N).
-    let history_uids: Vec<i64> = dist
-        .global_history()
+    let history_uids: Vec<i64> = history
         .snapshot()
         .iter()
         .filter(|occ| {

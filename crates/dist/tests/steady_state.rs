@@ -8,13 +8,14 @@
 //! cross-shard `Sequence(debit, credit)` composite firing a detached
 //! rule per transfer. 4 000 transfers warm the deployment up — a
 //! transfer is three occurrences, split over the shards, so it takes
-//! that many to fill every shard's 4096-entry history window — then
+//! that many to fill the deployment's 4096-entry history window — then
 //! 2 000 more must leave the live heap where it was. What is deliberately
 //! still per-transaction — the coordinator's in-memory decision log, a
 //! few dozen bytes per cross-shard commit — fits the budget many times
 //! over.
 
 use reach_core::event::MethodPhase;
+use reach_core::history::GlobalHistory;
 use reach_core::{
     CompositionScope, ConsumptionPolicy, CouplingMode, EventExpr, Lifespan, RuleBuilder,
 };
@@ -53,6 +54,10 @@ const TXNS: usize = 2_000;
 #[test]
 fn finished_distributed_transactions_leave_nothing_behind() {
     let dist = DistSystem::in_memory(SHARDS).unwrap();
+    let history = Arc::new(GlobalHistory::default());
+    for sys in dist.systems() {
+        history.attach(sys.router());
+    }
     let fired = Arc::new(AtomicUsize::new(0));
     let mut classes = Vec::new();
     let mut owner = 0;
@@ -164,32 +169,20 @@ fn finished_distributed_transactions_leave_nothing_behind() {
         grown <= 2 << 20,
         "{TXNS} more transfers grew the live heap by {grown} bytes"
     );
-    let mut topless = 0;
     for sys in dist.systems() {
         assert_eq!(sys.db().txn_manager().live_count(), 0);
-        assert!(sys.global_history().len() <= sys.global_history().capacity());
-        // What end-of-transaction collection's O(own occurrences) drain
-        // rests on: nothing of a finished transaction — driver, 2PC
-        // participant or detached rule — stays in a local history. The
-        // transfer composites belong to no transaction and stay.
-        for mgr in sys.router().managers() {
-            for occ in mgr.history.snapshot() {
-                match occ.top_txn {
-                    Some(top) => assert!(
-                        sys.db().txn_manager().is_active(top),
-                        "{}: occurrence {} of finished transaction {top} left in the local history",
-                        mgr.name,
-                        occ.seq
-                    ),
-                    None => topless += 1,
-                }
-            }
-        }
+        // The cross-shard stream subscribes to every shard's feed; each
+        // ended transaction — a transfer, a 2PC participant or a
+        // detached rule — took its staged occurrences with it.
+        assert_eq!(sys.router().feed().staged_txns(), 0);
         let wal = sys.db().storage().wal();
         assert!(wal.tail() - wal.base_lsn() <= LOG_BOUND + 4096);
     }
-    assert!(topless > 0, "the transfer composites' completions are kept");
-    assert!(dist.global_history().len() <= dist.global_history().capacity());
+    assert!(history.len() <= history.capacity());
+    assert!(
+        history.snapshot().iter().any(|o| o.top_txn.is_none()),
+        "the transfer composites' completions reach the history"
+    );
     assert_eq!(fired.load(Ordering::Relaxed), WARM_UP + TXNS);
     assert!(dist.dead_letters().is_empty());
 }
