@@ -23,7 +23,8 @@
 //! is searchable (a reader that overshoots a node's high key moves
 //! right), at worst leaving an orphan page or a separator the parent
 //! has not absorbed yet. That is why *logical* user-level operations
-//! ([`WalRecord::IndexInsert`]/[`WalRecord::IndexDelete`]) never need
+//! ([`IndexInsert`](crate::wal::WalRecord::IndexInsert) /
+//! [`IndexDelete`](crate::wal::WalRecord::IndexDelete)) never need
 //! physical undo: undoing one simply re-descends the current (always
 //! consistent) tree and applies the inverse, generating fresh system
 //! page writes.
@@ -35,8 +36,9 @@
 //! to tear.
 
 use crate::buffer::BufferPool;
+use crate::heap::put_logged;
 use crate::page::MAX_RECORD;
-use crate::wal::{WalRecord, WriteAheadLog};
+use crate::wal::WriteAheadLog;
 use reach_common::sync::Mutex;
 use reach_common::{PageId, ReachError, Result};
 use std::ops::Bound;
@@ -342,34 +344,19 @@ impl BTree {
     }
 
     /// Write a node image to slot 0 of its page, logging the write
-    /// physically under the system transaction *after* the page
-    /// mutation (same order as the heap paths, keeping the frame's
-    /// rec-LSN conservative).
+    /// physically under the system transaction inside the page latch
+    /// (the same step as the heap paths: the record is appended and the
+    /// page stamped with its end LSN before any eviction can see the
+    /// new image).
     fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let after = node.encode();
-        let before = self
-            .pool
-            .with_page_mut(id, |pg| -> Result<Option<Vec<u8>>> {
-                let before = pg.get(0).ok().map(|b| b.to_vec());
-                pg.put_at(0, &after)?;
-                Ok(before)
-            })??;
-        let rec = match before {
-            Some(before) => WalRecord::Update {
-                txn: crate::sm::SYSTEM_TXN,
-                page: id,
-                slot: 0,
-                before,
-                after,
-            },
-            None => WalRecord::Insert {
-                txn: crate::sm::SYSTEM_TXN,
-                page: id,
-                slot: 0,
-                payload: after,
-            },
-        };
-        self.wal.append(&rec)?;
+        put_logged(
+            &self.pool,
+            &self.wal,
+            crate::sm::SYSTEM_TXN,
+            id,
+            0,
+            node.encode(),
+        )?;
         let m = self.pool.metrics();
         if m.on() {
             m.index.node_writes.inc();

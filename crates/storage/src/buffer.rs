@@ -6,6 +6,15 @@
 //! pin/unpin pairing impossible to get wrong at the call sites. Eviction
 //! is the classic clock (second-chance) algorithm over unpinned frames;
 //! dirty victims are written back before reuse.
+//!
+//! **Lock order.** The directory lock comes first, then a frame's page
+//! latch, then whatever the [`FlushBarrier`] takes (the WAL's group and
+//! sink locks): eviction holds the directory and reads the victim's
+//! page while it forces the log up to the victim's LSN, and a logged
+//! mutation appends its record while holding its page's write latch
+//! (page latch → WAL sink). Nothing holding a WAL lock ever waits for a
+//! page latch or the directory, and a victim has no pins — so nobody
+//! holds its latch — which keeps the order acyclic.
 
 use crate::disk::StableStorage;
 use crate::page::Page;
@@ -32,17 +41,22 @@ struct Frame {
     rec_lsn: AtomicU64,
 }
 
-/// Called before any dirty page is written back to the device — the
-/// WAL rule's enforcement point. The storage manager installs a
-/// closure that forces the log, so a page image never reaches disk
-/// ahead of the log records describing its changes. Must not call
-/// back into the pool (it runs under the directory lock).
-pub type FlushBarrier = Arc<dyn Fn() -> Result<()> + Send + Sync>;
+/// Called before a dirty page is written back to the device with the
+/// page's LSN — the end of the last log record describing a change to
+/// it — and must make the log durable up to that LSN: the WAL rule's
+/// enforcement point, per page. The storage manager installs
+/// `WriteAheadLog::force_up_to`, which costs nothing when the log is
+/// already forced past the page's LSN, so a page image never reaches
+/// disk ahead of its records and a victim whose records are long
+/// durable never syncs the log. Must not call back into the pool or
+/// take a page latch (it runs under the directory lock and the page's
+/// read latch).
+pub type FlushBarrier = Arc<dyn Fn(u64) -> Result<()> + Send + Sync>;
 
-/// Supplies the current WAL tail LSN when a clean frame turns dirty.
-/// The tail is captured *before* the mutation's log record is appended,
-/// so it is a conservative (≤ actual first-record) recovery LSN. Must
-/// not call back into the pool.
+/// Supplies the current WAL tail LSN when a frame is latched for a
+/// write. The tail is captured *before* the mutation's log record is
+/// appended, so it is a conservative (≤ actual first-record) recovery
+/// LSN. Must not call back into the pool.
 pub type LsnSource = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 struct Directory {
@@ -126,6 +140,7 @@ impl BufferPool {
     /// Install the write-back barrier (see [`FlushBarrier`]). The
     /// group-commit fast path makes the common already-forced case a
     /// single lock acquisition, so calling it per write-back is cheap.
+    /// Without a barrier (a pool with no log) pages are written as is.
     pub fn set_flush_barrier(&self, barrier: FlushBarrier) {
         *self.barrier.lock() = Some(barrier);
     }
@@ -145,10 +160,10 @@ impl BufferPool {
         }
     }
 
-    fn flush_barrier(&self) -> Result<()> {
+    fn flush_barrier(&self, lsn: u64) -> Result<()> {
         let barrier = self.barrier.lock().clone();
         match barrier {
-            Some(b) => b(),
+            Some(b) => b(lsn),
             None => Ok(()),
         }
     }
@@ -193,9 +208,9 @@ impl BufferPool {
             //
             // rec_lsn before the dirty bit: a dirty-page-table capture
             // that observes `dirty` must also observe a bound ≤ the
-            // first log record of this mutation (which is appended after
-            // `f` runs). fetch_min keeps the oldest bound if the frame
-            // is already dirty.
+            // first log record of this mutation (which `f` appends,
+            // after this). fetch_min keeps the oldest bound if the
+            // frame is already dirty.
             frame
                 .rec_lsn
                 .fetch_min(self.current_lsn(), Ordering::AcqRel);
@@ -227,13 +242,16 @@ impl BufferPool {
             let frame = &self.frames[idx];
             if frame.dirty.swap(false, Ordering::AcqRel) {
                 // WAL rule: the log records describing this page's
-                // changes must be durable before its image is. On
-                // failure the dirty bit (and rec_lsn) must come back:
-                // a clean-flagged page that never reached disk would
-                // let a later checkpoint truncate its redo records.
-                let wrote = self
-                    .flush_barrier()
-                    .and_then(|_| self.disk.write(&frame.page.read()));
+                // changes must be durable before its image is — up to
+                // the page's own LSN, not the log's tail. On failure
+                // the dirty bit (and rec_lsn) must come back: a
+                // clean-flagged page that never reached disk would let
+                // a later checkpoint truncate its redo records.
+                let wrote = {
+                    let page = frame.page.read();
+                    self.flush_barrier(page.lsn())
+                        .and_then(|_| self.disk.write(&page))
+                };
                 if let Err(e) = wrote {
                     frame.dirty.store(true, Ordering::Release);
                     return Err(e);
@@ -286,9 +304,17 @@ impl BufferPool {
 
     /// Write every dirty resident page back to the device and sync it.
     pub fn flush_all(&self) -> Result<()> {
-        // One barrier call covers the whole sweep: the log is forced
-        // up to its current tail, which bounds every dirty page here.
-        self.flush_barrier()?;
+        // One barrier call covers the whole sweep: the log is forced up
+        // to the newest LSN among the dirty pages. A page stamped past
+        // that bound while the sweep runs is forced for on its own.
+        let bound = self
+            .frames
+            .iter()
+            .filter(|f| f.dirty.load(Ordering::Acquire))
+            .map(|f| f.page.read().lsn())
+            .max()
+            .unwrap_or(0);
+        self.flush_barrier(bound)?;
         let dir = self.dir.lock();
         for (idx, occupant) in dir.resident.iter().enumerate() {
             if occupant.is_none() {
@@ -299,7 +325,13 @@ impl BufferPool {
                 let guard = frame.page.read();
                 // As in eviction: a failed write must not leave the
                 // page clean-flagged (truncation safety).
-                if let Err(e) = self.disk.write(&guard) {
+                let wrote = if guard.lsn() > bound {
+                    self.flush_barrier(guard.lsn())
+                } else {
+                    Ok(())
+                }
+                .and_then(|_| self.disk.write(&guard));
+                if let Err(e) = wrote {
                     frame.dirty.store(true, Ordering::Release);
                     return Err(e);
                 }
@@ -448,32 +480,41 @@ mod tests {
 
     #[test]
     fn flush_barrier_runs_before_dirty_writebacks() {
-        use std::sync::atomic::AtomicU64;
         let p = pool(2);
-        let calls = Arc::new(AtomicU64::new(0));
+        let calls = Arc::new(Mutex::new(Vec::new()));
         {
             let calls = Arc::clone(&calls);
-            p.set_flush_barrier(Arc::new(move || {
-                calls.fetch_add(1, Ordering::SeqCst);
+            p.set_flush_barrier(Arc::new(move |lsn| {
+                calls.lock().push(lsn);
                 Ok(())
             }));
         }
-        // Dirty both frames, then fault a third page: the eviction's
-        // write-back must have been preceded by a barrier call.
+        // Dirty both frames (stamped with LSNs 10 and 20), then fault a
+        // third page: the eviction's write-back must have been preceded
+        // by a barrier call for exactly the victim's LSN.
         let ids: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
-        for id in &ids[..2] {
+        for (i, id) in ids[..2].iter().enumerate() {
             p.with_page_mut(*id, |pg| {
                 pg.insert(b"dirty").unwrap();
+                pg.set_lsn(10 * (i as u64 + 1));
             })
             .unwrap();
         }
-        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        assert!(calls.lock().is_empty());
         p.with_page(ids[2], |_| ()).unwrap();
         assert_eq!(p.stats().writebacks, 1);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        // flush_all calls it once for the whole sweep.
+        assert_eq!(*calls.lock(), vec![10]);
+        // flush_all calls it once for the whole sweep, with the newest
+        // LSN among the dirty pages (only page 2, LSN 20, is left).
         p.flush_all().unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(*calls.lock(), vec![10, 20]);
+        // Only an unlogged change (a fresh page, LSN 0): the sweep asks
+        // for LSN 0, which any log already covers.
+        let fresh = p.allocate().unwrap();
+        p.with_page_mut(fresh, |pg| pg.insert(b"unlogged").unwrap())
+            .unwrap();
+        p.flush_all().unwrap();
+        assert_eq!(*calls.lock(), vec![10, 20, 0]);
     }
 
     #[test]

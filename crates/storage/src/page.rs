@@ -72,13 +72,15 @@ impl Page {
         self.data[0..8].copy_from_slice(&id.raw().to_le_bytes());
     }
 
-    /// The LSN of the last WAL record that modified this page
-    /// (exactness is what makes redo idempotent).
+    /// The end LSN of the last WAL record that changed this page: the
+    /// log must be durable up to here before the image may reach disk.
+    /// 0 for a page no logged operation has touched.
     pub fn lsn(&self) -> u64 {
         u64::from_le_bytes(self.data[8..16].try_into().unwrap())
     }
 
-    /// Stamp the page with the LSN of the record that just changed it.
+    /// Stamp the page with the end LSN of the record that just changed
+    /// it.
     pub fn set_lsn(&mut self, lsn: u64) {
         self.data[8..16].copy_from_slice(&lsn.to_le_bytes());
     }

@@ -22,7 +22,7 @@ use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::checkpoint::{ActiveTxns, CheckpointStats, Checkpointer};
 use crate::disk::{FileDisk, MemDisk, StableStorage};
-use crate::heap::{HeapFile, RecordId};
+use crate::heap::{put_logged, undo_on, HeapFile, RecordId};
 use crate::wal::{WalRecord, WriteAheadLog};
 use reach_common::sync::Mutex;
 use reach_common::{MetricsRegistry, PageId, ReachError, Result, TxnId};
@@ -139,14 +139,18 @@ impl StorageManager {
         let metrics = MetricsRegistry::new_shared();
         wal.set_metrics(Arc::clone(&metrics));
         let pool = Arc::new(BufferPool::with_metrics(disk, pool_frames, metrics));
-        // WAL rule: any dirty page write-back (eviction, flush) forces
-        // the log first. The group-commit fast path makes this free
-        // whenever the log is already durable. The force never touches
-        // pool locks, so calling it from under the directory lock is
-        // deadlock-free.
+        // WAL rule, per page: every logged mutation stamps its page
+        // with its record's end LSN (`heap::log_applied`), and a dirty
+        // write-back (eviction, flush) forces the log up to that stamp
+        // only. A victim whose records are already durable costs no
+        // force at all (the group-commit fast path). The force never
+        // touches pool locks or page latches, so calling it from under
+        // the directory lock and a victim's latch is deadlock-free.
+        // The unlogged format write of a fresh catalog page below
+        // carries LSN 0 and needs no force.
         {
             let wal = Arc::clone(&wal);
-            pool.set_flush_barrier(Arc::new(move || wal.force()));
+            pool.set_flush_barrier(Arc::new(move |lsn| wal.force_up_to(lsn)));
         }
         // Recovery-LSN source: a page dirtied now can only be described
         // by records at or past the current tail, so the tail is a safe
@@ -216,7 +220,11 @@ impl StorageManager {
         cat.by_name.clear();
         cat.next_seg = next_seg;
         for (name, id, pages) in entries {
-            let heap = Arc::new(HeapFile::with_pages(Arc::clone(&self.pool), pages));
+            let heap = Arc::new(HeapFile::with_pages(
+                Arc::clone(&self.pool),
+                Arc::clone(&self.wal),
+                pages,
+            ));
             let idx = cat.segments.len();
             cat.by_name.insert(name.clone(), idx);
             cat.segments.push(Segment {
@@ -235,24 +243,17 @@ impl StorageManager {
             .iter()
             .map(|s| (s.name.clone(), s.id.0, s.heap.pages()))
             .collect();
-        let after = encode_catalog(&entries, cat.next_seg);
         // A database that crashed before its first catalog update comes
         // back with a formatted-but-empty page 1 (the bootstrap write
-        // was never flushed); treat that as the empty catalog.
-        let before = self
-            .pool
-            .with_page(self.catalog_page, |pg| pg.get(0).map(|b| b.to_vec()).ok())?
-            .unwrap_or_else(|| encode_catalog(&[], 1));
-        self.wal.append(&WalRecord::Update {
-            txn: SYSTEM_TXN,
-            page: self.catalog_page,
-            slot: 0,
-            before,
-            after: after.clone(),
-        })?;
-        self.pool
-            .with_page_mut(self.catalog_page, |pg| pg.put_at(0, &after))??;
-        Ok(())
+        // was never flushed); the write then logs as an Insert.
+        put_logged(
+            &self.pool,
+            &self.wal,
+            SYSTEM_TXN,
+            self.catalog_page,
+            0,
+            encode_catalog(&entries, cat.next_seg),
+        )
     }
 
     /// Create a segment; returns the existing one if the name is taken.
@@ -263,7 +264,7 @@ impl StorageManager {
         }
         let id = SegmentId(cat.next_seg);
         cat.next_seg += 1;
-        let heap = Arc::new(HeapFile::new(Arc::clone(&self.pool)));
+        let heap = Arc::new(HeapFile::new(Arc::clone(&self.pool), Arc::clone(&self.wal)));
         let idx = cat.segments.len();
         cat.by_name.insert(name.to_string(), idx);
         cat.segments.push(Segment {
@@ -436,44 +437,31 @@ impl StorageManager {
     /// Apply the inverse of one logged operation and write its CLR.
     pub(crate) fn undo_one(&self, txn: TxnId, lsn: u64, rec: &WalRecord) -> Result<()> {
         match rec {
-            WalRecord::Insert { page, slot, .. } => {
-                self.wal.append(&WalRecord::Clr {
+            // Physical undo of a heap record, CLR first and inside the
+            // page latch: the compensation only happens once its record
+            // is on the log, and the page is stamped with the CLR's end.
+            WalRecord::Insert { page, slot, .. }
+            | WalRecord::Update { page, slot, .. }
+            | WalRecord::Delete { page, slot, .. } => {
+                let restore = match rec {
+                    WalRecord::Update { before, .. } | WalRecord::Delete { before, .. } => {
+                        Some(before.clone())
+                    }
+                    _ => None,
+                };
+                let clr = WalRecord::Clr {
                     txn,
                     page: *page,
                     slot: *slot,
-                    restore: None,
+                    restore,
                     undo_next: lsn,
-                })?;
-                self.pool.with_page_mut(*page, |pg| {
-                    // Tolerate an already-dead slot (idempotent undo).
-                    let _ = pg.delete(*slot);
-                })?;
-            }
-            WalRecord::Update {
-                page, slot, before, ..
-            } => {
-                self.wal.append(&WalRecord::Clr {
-                    txn,
-                    page: *page,
-                    slot: *slot,
-                    restore: Some(before.clone()),
-                    undo_next: lsn,
-                })?;
-                self.pool
-                    .with_page_mut(*page, |pg| pg.put_at(*slot, before))??;
-            }
-            WalRecord::Delete {
-                page, slot, before, ..
-            } => {
-                self.wal.append(&WalRecord::Clr {
-                    txn,
-                    page: *page,
-                    slot: *slot,
-                    restore: Some(before.clone()),
-                    undo_next: lsn,
-                })?;
-                self.pool
-                    .with_page_mut(*page, |pg| pg.put_at(*slot, before))??;
+                };
+                self.pool.with_page_mut(*page, |pg| -> Result<()> {
+                    let (_, end) = self.wal.append_bounded(&clr)?;
+                    undo_on(pg, rec)?;
+                    pg.set_lsn(end);
+                    Ok(())
+                })??;
             }
             // Logical index undo: re-descend the *current* tree and
             // apply the inverse, then write the compensation record.
@@ -506,16 +494,10 @@ impl StorageManager {
     /// Insert a record into `seg` under transaction `txn`.
     pub fn insert(&self, txn: TxnId, seg: SegmentId, payload: &[u8]) -> Result<RecordId> {
         let heap = self.heap(seg)?;
-        let (rid, grew) = heap.insert(payload)?;
         // Registered before the append so the checkpoint cut can never
         // pass this record while the transaction is live.
         self.active.note_write(txn, &self.wal);
-        self.wal.append(&WalRecord::Insert {
-            txn,
-            page: rid.page,
-            slot: rid.slot,
-            payload: payload.to_vec(),
-        })?;
+        let (rid, grew) = heap.insert(txn, payload)?;
         if grew {
             let cat = self.catalog.lock();
             self.save_catalog(&cat)?;
@@ -531,32 +513,15 @@ impl StorageManager {
     /// Update a record in place under `txn`.
     pub fn update(&self, txn: TxnId, seg: SegmentId, rid: RecordId, payload: &[u8]) -> Result<()> {
         let heap = self.heap(seg)?;
-        let before = heap.get(rid)?;
-        heap.update(rid, payload)?;
         self.active.note_write(txn, &self.wal);
-        self.wal.append(&WalRecord::Update {
-            txn,
-            page: rid.page,
-            slot: rid.slot,
-            before,
-            after: payload.to_vec(),
-        })?;
-        Ok(())
+        heap.update(txn, rid, payload)
     }
 
     /// Delete a record under `txn`.
     pub fn delete(&self, txn: TxnId, seg: SegmentId, rid: RecordId) -> Result<()> {
         let heap = self.heap(seg)?;
-        let before = heap.get(rid)?;
-        heap.delete(rid)?;
         self.active.note_write(txn, &self.wal);
-        self.wal.append(&WalRecord::Delete {
-            txn,
-            page: rid.page,
-            slot: rid.slot,
-            before,
-        })?;
-        Ok(())
+        heap.delete(txn, rid)
     }
 
     /// Scan all live records of a segment.
@@ -767,29 +732,14 @@ impl StorageManager {
     /// Persist the index catalog to slot 1 (logged under
     /// [`SYSTEM_TXN`], same idiom as the segment catalog).
     fn store_index_entries(&self, entries: &[IndexEntry], next_index: u64) -> Result<()> {
-        let after = encode_index_catalog(entries, next_index);
-        let before = self
-            .pool
-            .with_page(self.catalog_page, |pg| pg.get(1).map(|b| b.to_vec()).ok())?;
-        let rec = match before {
-            Some(before) => WalRecord::Update {
-                txn: SYSTEM_TXN,
-                page: self.catalog_page,
-                slot: 1,
-                before,
-                after: after.clone(),
-            },
-            None => WalRecord::Insert {
-                txn: SYSTEM_TXN,
-                page: self.catalog_page,
-                slot: 1,
-                payload: after.clone(),
-            },
-        };
-        self.wal.append(&rec)?;
-        self.pool
-            .with_page_mut(self.catalog_page, |pg| pg.put_at(1, &after))??;
-        Ok(())
+        put_logged(
+            &self.pool,
+            &self.wal,
+            SYSTEM_TXN,
+            self.catalog_page,
+            1,
+            encode_index_catalog(entries, next_index),
+        )
     }
 
     /// Take a fuzzy checkpoint now: `BeginCheckpoint`, pool flush,
@@ -1284,5 +1234,123 @@ mod tests {
         assert_eq!(s2.index_len(idx2).unwrap(), 50);
         assert!(s2.index_lookup(idx2, b"phantom").unwrap().is_empty());
         assert_eq!(s2.index_lookup(idx2, b"key0007").unwrap(), vec![7]);
+    }
+
+    /// Fault `n` fresh pages through the pool, twice over, so the clock
+    /// evicts every unpinned resident frame.
+    fn cycle_pool(s: &StorageManager, fresh: &[PageId]) {
+        for _ in 0..2 {
+            for pid in fresh {
+                s.pool().with_page(*pid, |_| ()).unwrap();
+            }
+        }
+    }
+
+    /// A store with one committed row, plus `n` never-written pages to
+    /// cycle through its `frames`-frame pool.
+    fn one_row(frames: usize, n: usize) -> (StorageManager, SegmentId, RecordId, Vec<PageId>) {
+        let s = StorageManager::new_in_memory(frames).unwrap();
+        let seg = s.create_segment("t").unwrap();
+        let t = TxnId::new(1);
+        s.begin(t).unwrap();
+        let rid = s.insert(t, seg, b"committed").unwrap();
+        s.commit(t).unwrap();
+        let fresh = (0..n).map(|_| s.pool().allocate().unwrap()).collect();
+        (s, seg, rid, fresh)
+    }
+
+    /// A dirty page whose records the log already holds durably is
+    /// written back without a force, however far the tail has moved.
+    #[test]
+    fn evicting_a_page_below_the_forced_lsn_forces_nothing() {
+        let (s, _, rid, fresh) = one_row(3, 4);
+        s.begin(TxnId::new(2)).unwrap();
+        let forced = s.wal().forced_lsn();
+        assert!(
+            s.wal().tail() > forced,
+            "an unforced record sits at the tail"
+        );
+        let page_lsn = s.pool().with_page(rid.page, |pg| pg.lsn()).unwrap();
+        assert!(page_lsn > 0 && page_lsn <= forced);
+        s.metrics().enable();
+        let (forces, writebacks) = (s.metrics().wal.forces.get(), s.pool().stats().writebacks);
+        cycle_pool(&s, &fresh);
+        assert!(
+            s.pool().stats().writebacks > writebacks,
+            "the row's page was written back"
+        );
+        assert_eq!(s.metrics().wal.forces.get(), forces);
+        assert_eq!(s.wal().forced_lsn(), forced);
+        let on_disk = s.pool().disk().read(rid.page).unwrap();
+        assert_eq!(on_disk.get(rid.slot).unwrap(), b"committed");
+    }
+
+    /// A dirty page stamped past the forced LSN costs one force, which
+    /// covers the page's LSN — and only stands in for records appended
+    /// before it: the next record stays unforced until its own commit.
+    #[test]
+    fn evicting_a_page_above_the_forced_lsn_forces_up_to_it() {
+        let (s, seg, rid, fresh) = one_row(3, 4);
+        let t = TxnId::new(2);
+        s.begin(t).unwrap();
+        s.update(t, seg, rid, b"uncommitted").unwrap();
+        let page_lsn = s.pool().with_page(rid.page, |pg| pg.lsn()).unwrap();
+        assert_eq!(page_lsn, s.wal().tail(), "stamped with its record's end");
+        assert!(s.wal().forced_lsn() < page_lsn);
+        s.metrics().enable();
+        let forces = s.metrics().wal.forces.get();
+        cycle_pool(&s, &fresh);
+        assert_eq!(s.metrics().wal.forces.get(), forces + 1);
+        assert!(s.wal().forced_lsn() >= page_lsn);
+        let durable = WriteAheadLog::in_memory_from(s.wal().durable_image().unwrap());
+        assert!(durable
+            .scan()
+            .unwrap()
+            .iter()
+            .any(|(_, r)| matches!(r, WalRecord::Update { after, .. } if after == b"uncommitted")));
+        s.update(t, seg, rid, b"later").unwrap();
+        assert!(s.wal().forced_lsn() < s.wal().tail());
+        s.commit(t).unwrap();
+        assert_eq!(s.metrics().wal.forces.get(), forces + 2);
+        assert_eq!(s.wal().forced_lsn(), s.wal().tail());
+    }
+
+    /// Regression: an update once changed its page, released the latch
+    /// and only then appended its record. An eviction in that window
+    /// forced a log that did not hold the record yet and wrote the new
+    /// image — after a crash the change was on disk with no record to
+    /// undo it. Here the update's append stalls while another thread
+    /// cycles a 3-frame pool; at no point may the device hold the new
+    /// image while the durable log lacks its record.
+    #[test]
+    fn a_stalled_append_cannot_leak_its_page_to_disk() {
+        use reach_common::fault::{FaultInjector, FaultPlan, FaultPoint};
+        let (s, seg, rid, fresh) = one_row(3, 4);
+        let t = TxnId::new(2);
+        s.begin(t).unwrap();
+        let inj = FaultInjector::new(FaultPlan::new().stall_at(FaultPoint::WalAppend, 1, 300));
+        s.wal().set_injector(Arc::clone(&inj));
+        let leaked = |s: &StorageManager| {
+            let on_disk = s.pool().disk().read(rid.page).unwrap();
+            let durable = WriteAheadLog::in_memory_from(s.wal().durable_image().unwrap());
+            let logged =
+                durable.scan().unwrap().iter().any(
+                    |(_, r)| matches!(r, WalRecord::Update { after, .. } if after == b"changed"),
+                );
+            on_disk.get(rid.slot).ok() == Some(&b"changed"[..]) && !logged
+        };
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| s.update(t, seg, rid, b"changed"));
+            // The writer is inside its stalled append from here on.
+            while inj.hits(FaultPoint::WalAppend) == 0 {
+                std::thread::yield_now();
+            }
+            cycle_pool(&s, &fresh);
+            assert!(!leaked(&s), "page image on disk ahead of its log record");
+            writer.join().unwrap().unwrap();
+        });
+        cycle_pool(&s, &fresh);
+        assert!(!leaked(&s));
+        assert_eq!(s.get(seg, rid).unwrap(), b"changed");
     }
 }

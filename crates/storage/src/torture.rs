@@ -24,7 +24,7 @@ use crate::recovery::recover;
 use crate::sm::{StorageManager, SYSTEM_TXN};
 use crate::wal::{Lsn, WalRecord, WriteAheadLog};
 use reach_common::fault::{FaultInjector, FaultPlan, FaultPoint};
-use reach_common::{Result, SplitMix64, TxnId};
+use reach_common::{PageId, Result, SplitMix64, TxnId};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -206,6 +206,21 @@ pub fn visible_state(sm: &StorageManager) -> Result<State> {
         .collect())
 }
 
+/// The WAL rule as a crash-time oracle: every page image on the device
+/// carries an LSN at or below the durable log's end (the forced LSN).
+/// A page stamped past it would hold a change whose record the crash
+/// may have lost — nothing could undo it. Panics naming `at`.
+pub fn assert_wal_rule(disk: &dyn StableStorage, wal: &WriteAheadLog, at: &str) {
+    let durable = wal.forced_lsn();
+    for raw in 1..=disk.page_count() {
+        let lsn = disk.read(PageId::new(raw)).expect("device page").lsn();
+        assert!(
+            lsn <= durable,
+            "{at}: page {raw} on the device has LSN {lsn}, past the durable log end {durable}"
+        );
+    }
+}
+
 /// Simulate a clean crash at WAL frame `n` (1-based): run the workload
 /// until the injected crash stops it, reboot over the surviving bytes,
 /// recover, and verify the visible state against the oracle prefix.
@@ -230,6 +245,7 @@ pub fn torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usize) {
         oracle.len()
     );
     drop(sm); // the buffer pool dies with the machine — no flush
+    assert_wal_rule(&*disk, &wal, &format!("crash at frame {n}"));
 
     // ---- reboot ----
     let image = wal.image().expect("in-memory image");
@@ -359,6 +375,7 @@ pub fn torture_force_crash(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], k: 
     let (run, acked) = run_workload_acked(&sm, spec);
     assert!(run.is_err(), "crash at force {k} must stop the workload");
     drop(sm); // pool dies with the machine
+    assert_wal_rule(&*disk, &wal, &format!("crash at force {k}"));
 
     // ---- reboot over the forced prefix only ----
     let image = wal.durable_image().expect("in-memory image");
@@ -640,6 +657,7 @@ pub fn index_torture_at(spec: &WorkloadSpec, oracle: &[(Lsn, WalRecord)], n: usi
         oracle.len()
     );
     drop(sm); // the buffer pool dies with the machine — no flush
+    assert_wal_rule(&*disk, &wal, &format!("index crash at frame {n}"));
 
     // ---- reboot ----
     let image = wal.image().expect("in-memory image");

@@ -560,7 +560,7 @@ fn parse_base(header: &[u8]) -> Lsn {
 
 /// Commit-sequencer state, guarded by its own mutex (never held across
 /// the sync itself — followers park on the condvar while the leader
-/// works with only the sink lock).
+/// syncs, holding no lock).
 struct GroupState {
     /// Log tail (byte offset) covered by the last successful force:
     /// every byte below this offset is durable.
@@ -795,9 +795,9 @@ impl WriteAheadLog {
         let (lsn, end) = {
             let mut st = self.sink.lock();
             let lsn = Self::write_raw(&mut st, &frame)?;
-            // Under the sink lock: a force that synced these bytes holds
-            // the same lock, so it either sees the counter already
-            // bumped (and resets it) or runs entirely before us.
+            // Under the sink lock: a force captures the tail and the
+            // counter under the same lock, so it either sees these bytes
+            // in both (and later subtracts them) or in neither.
             st.unforced += frame.len() as u64;
             (lsn, lsn + frame.len() as u64)
         };
@@ -895,9 +895,14 @@ impl WriteAheadLog {
 
     /// The one real sync. Optionally waits `window_ns` so concurrent
     /// committers can append into the batch (file sinks only), then
-    /// syncs the device and captures the durable tail, resetting the
-    /// unforced counter under the same sink lock that serializes
-    /// appends.
+    /// captures the tail under the sink lock and syncs the device
+    /// *outside* it, so appends (a logged page change makes its append
+    /// inside the page's write latch) never queue behind an
+    /// `fdatasync`. The sync goes through a
+    /// duplicate of the log's descriptor and covers every byte written
+    /// before it starts, so everything below the captured tail. The
+    /// bytes it covered leave the unforced counter only once it has
+    /// succeeded, and before the caller publishes the new forced LSN.
     fn sync_sink(&self, window_ns: u64) -> Result<Lsn> {
         if let Some(inj) = self.injector() {
             match inj.check(FaultPoint::WalForce) {
@@ -916,13 +921,23 @@ impl WriteAheadLog {
                 std::thread::sleep(Duration::from_nanos(window_ns));
             }
         }
-        let mut st = self.sink.lock();
-        if let Sink::File { file, .. } = &mut st.sink {
+        let (file, tail, pending) = {
+            let st = self.sink.lock();
+            let file = match &st.sink {
+                Sink::File { file, .. } => Some(file.try_clone()?),
+                Sink::Mem(_) => None,
+            };
+            (file, st.tail(), st.unforced)
+        };
+        if let Some(file) = file {
             file.sync_data()?;
         }
-        let tail = st.tail();
-        st.unforced = 0;
-        drop(st);
+        {
+            // Saturating: with group commit off, private syncs overlap
+            // and may each subtract bytes the other already covered.
+            let mut st = self.sink.lock();
+            st.unforced = st.unforced.saturating_sub(pending);
+        }
         if let Some(m) = m {
             m.wal.forces.inc();
             if let Some(t0) = t0 {

@@ -9,6 +9,11 @@
 //! * a second recovery is a no-op,
 //! * a crash *during* recovery still converges on the next reboot.
 //!
+//! The heap, force-crash and B-link sweeps also check the WAL rule at
+//! every crash point, before the reboot: no page image on the device
+//! carries an LSN past the durable log's end
+//! ([`reach_storage::torture::assert_wal_rule`]).
+//!
 //! Everything is deterministic given the workload seed, so a failure
 //! message like "crash at frame 137" reproduces exactly.
 
@@ -61,6 +66,24 @@ fn index_crash_sweep_covers_every_wal_frame() {
         "index workload too small to be a torture test: only {} frames",
         oracle.len()
     );
+    for n in 1..=oracle.len() {
+        index_torture_at(&spec, &oracle, n);
+    }
+}
+
+#[test]
+fn index_crash_sweep_under_eviction_pressure() {
+    // The sweep above on a 4-frame pool: the tree outgrows the pool, so
+    // node pages stamped by uncommitted inserts are evicted mid-
+    // transaction at nearly every crash point. That is where the WAL
+    // rule oracle bites — each write-back must have forced the log up
+    // to the victim's own LSN first.
+    let spec = WorkloadSpec {
+        ops: 120,
+        pool_frames: 4,
+        ..spec()
+    };
+    let oracle = index_oracle_frames(&spec).unwrap();
     for n in 1..=oracle.len() {
         index_torture_at(&spec, &oracle, n);
     }
