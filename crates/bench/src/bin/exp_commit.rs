@@ -1,15 +1,14 @@
 //! Experiment E16 — group-commit scaling.
 //!
-//! Sweeps committer threads over a file-backed storage manager twice:
-//! once with the WAL's group-commit sequencer on (committers share one
-//! `sync_data` per batch) and once with it off (the pre-group baseline,
-//! a private sync per commit). Each committer runs short write
-//! transactions back to back; the interesting numbers are
-//! committed-txn/s and forces/commit — the inverse batching factor,
-//! read from the same `MetricsRegistry` the rest of the stack reports
-//! into. With one thread the two modes are equivalent (every commit
-//! leads its own force); with many threads the baseline flatlines on
-//! fsync while group commit amortizes it.
+//! Sweeps committer threads over a file-backed storage manager whose
+//! WAL forces through the group-commit sequencer: committers share one
+//! `sync_data` per batch, and the records appended while one sync runs
+//! form the next batch. Each committer runs short write transactions
+//! back to back; the interesting numbers are committed-txn/s and
+//! forces/commit — the inverse batching factor, read from the same
+//! `MetricsRegistry` the rest of the stack reports into. With one
+//! thread every commit leads its own force; with many, one sync covers
+//! up to one commit per committer.
 //!
 //! ```sh
 //! cargo run --release -p reach-bench --bin exp_commit [--smoke]
@@ -22,7 +21,6 @@ use std::time::Instant;
 
 struct CaseResult {
     threads: usize,
-    group: bool,
     commits: u64,
     elapsed_s: f64,
     forces: u64,
@@ -38,16 +36,12 @@ impl CaseResult {
 }
 
 /// One measured case: `threads` committers, `commits_each` short write
-/// transactions per committer, group commit on or off.
-fn run_case(dir: &std::path::Path, threads: usize, commits_each: u64, group: bool) -> CaseResult {
-    let case_dir = dir.join(format!(
-        "t{threads}-{}",
-        if group { "group" } else { "base" }
-    ));
+/// transactions per committer.
+fn run_case(dir: &std::path::Path, threads: usize, commits_each: u64) -> CaseResult {
+    let case_dir = dir.join(format!("t{threads}"));
     std::fs::create_dir_all(&case_dir).expect("case dir");
     let sm = Arc::new(StorageManager::open(&case_dir, 256).expect("open"));
     sm.metrics().enable();
-    sm.wal().set_group_commit(group);
     sm.create_segment("commits").expect("segment");
     let forces_before = sm.metrics().wal.forces.get();
 
@@ -81,7 +75,6 @@ fn run_case(dir: &std::path::Path, threads: usize, commits_each: u64, group: boo
 
     CaseResult {
         threads,
-        group,
         commits,
         elapsed_s,
         forces,
@@ -90,9 +83,8 @@ fn run_case(dir: &std::path::Path, threads: usize, commits_each: u64, group: boo
 
 fn print_row(r: &CaseResult) {
     println!(
-        "{:>8} {:>6} {:>9} {:>12.0} {:>8} {:>14.3} {:>10.1}",
+        "{:>8} {:>9} {:>12.0} {:>8} {:>14.3} {:>10.1}",
         r.threads,
-        if r.group { "group" } else { "base" },
         r.commits,
         r.commits_per_s(),
         r.forces,
@@ -108,22 +100,22 @@ fn main() {
 
     println!("E16: group-commit scaling (file-backed WAL, 1 insert/txn)");
     println!(
-        "{:>8} {:>6} {:>9} {:>12} {:>8} {:>14} {:>10}",
-        "threads", "mode", "commits", "commits/s", "forces", "forces/commit", "batching"
+        "{:>8} {:>9} {:>12} {:>8} {:>14} {:>10}",
+        "threads", "commits", "commits/s", "forces", "forces/commit", "batching"
     );
 
     if smoke {
         // CI gate: correctness + the batching invariant, small enough
         // to finish in seconds. 4 threads must show real batching.
         let mut failed = false;
-        for &(threads, group) in &[(1usize, true), (4, true), (4, false)] {
-            let r = run_case(&dir, threads, 24, group);
+        for threads in [1usize, 4] {
+            let r = run_case(&dir, threads, 24);
             print_row(&r);
             if r.forces == 0 {
                 eprintln!("smoke violation: no force recorded at all");
                 failed = true;
             }
-            if r.group && r.threads > 1 && r.forces_per_commit() > 1.0 {
+            if r.threads > 1 && r.forces_per_commit() > 1.0 {
                 eprintln!(
                     "smoke violation: group mode at {} threads syncs more than once per commit",
                     r.threads
@@ -140,29 +132,19 @@ fn main() {
     }
 
     let commits_each = 200;
-    let mut group_at_8 = None;
-    let mut base_at_8 = None;
-    for &threads in &[1usize, 2, 4, 8, 16] {
-        for group in [false, true] {
-            let r = run_case(&dir, threads, commits_each, group);
-            print_row(&r);
-            if threads == 8 {
-                if group {
-                    group_at_8 = Some((r.commits_per_s(), r.forces_per_commit()));
-                } else {
-                    base_at_8 = Some(r.commits_per_s());
-                }
-            }
-        }
-    }
+    let rows: Vec<CaseResult> = [1usize, 2, 4, 8, 16]
+        .into_iter()
+        .map(|threads| run_case(&dir, threads, commits_each))
+        .inspect(print_row)
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
 
-    if let (Some((g_tps, g_fpc)), Some(b_tps)) = (group_at_8, base_at_8) {
-        println!(
-            "at 8 threads: {g_fpc:.3} forces/commit (batching {:.1}x), \
-             {:.2}x the baseline's committed-txn/s",
-            1.0 / g_fpc,
-            g_tps / b_tps
-        );
-    }
+    let (solo, at_8) = (&rows[0], &rows[3]);
+    println!(
+        "at 8 threads: {:.3} forces/commit (batching {:.1}x), \
+         {:.2}x the 1-thread committed-txn/s",
+        at_8.forces_per_commit(),
+        1.0 / at_8.forces_per_commit(),
+        at_8.commits_per_s() / solo.commits_per_s()
+    );
 }

@@ -40,13 +40,6 @@ pub struct ReachConfig {
     /// Serial ring-sequence or parallel sibling subtransactions for
     /// immediate rule batches.
     pub strategy: ExecutionStrategy,
-    /// Group-commit sequencing on the WAL: concurrent committers share
-    /// one log sync. Off restores a private sync per commit (the E16
-    /// baseline).
-    pub group_commit: bool,
-    /// Leader batching window for group commit; `None` keeps the WAL's
-    /// default (~100µs on file-backed logs).
-    pub group_window: Option<Duration>,
     /// Automatic fuzzy checkpoint every this many bytes of WAL growth
     /// (checked after each commit/abort); `None` leaves the storage
     /// manager's own setting alone — off for a file-backed database
@@ -64,8 +57,6 @@ impl Default for ReachConfig {
         ReachConfig {
             composition: CompositionMode::Synchronous,
             strategy: ExecutionStrategy::Serial,
-            group_commit: true,
-            group_window: None,
             checkpoint_bytes: None,
             shared_seq: None,
         }
@@ -106,10 +97,6 @@ impl ReachSystem {
             .unwrap_or_else(|| Arc::new(AtomicU64::new(1)));
         let router = Router::with_seq_clock(Arc::clone(db.schema()), Arc::clone(db.metrics()), seq);
         router.set_mode(config.composition);
-        db.storage().wal().set_group_commit(config.group_commit);
-        if let Some(window) = config.group_window {
-            db.storage().wal().set_group_window(window);
-        }
         if let Some(bytes) = config.checkpoint_bytes {
             db.storage().set_checkpoint_threshold(Some(bytes));
         }

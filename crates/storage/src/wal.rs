@@ -11,13 +11,14 @@
 //! Durability is provided by a **group-commit sequencer**: committers
 //! publish their record with [`WriteAheadLog::append`], then call
 //! [`WriteAheadLog::force_up_to`] with the end offset of that record.
-//! One caller becomes the *leader*, optionally waits a short
-//! `group_window` so concurrent committers can append into the batch,
-//! and issues a single `sync_data` that covers everyone appended so
-//! far; the rest are *followers* that sleep on the sequencer's condvar
-//! until the forced LSN passes their record. Requests already behind
-//! the forced LSN (read-only commits, back-to-back forces) return
-//! without syncing at all.
+//! One caller becomes the *leader*: it captures the tail and at once
+//! issues a single `sync_data` that covers everyone appended so far.
+//! The rest are *followers* that sleep on the sequencer's condvar
+//! until the forced LSN passes their record. No timer forms a batch:
+//! the records appended while one sync runs form the next group, whose
+//! first awakened follower leads it. Requests already behind the
+//! forced LSN (read-only commits, back-to-back forces) return without
+//! syncing at all.
 //!
 //! **Truncation.** The checkpointer bounds the log by calling
 //! [`WriteAheadLog::truncate_prefix`] with a cut LSN below which no
@@ -37,9 +38,7 @@ use reach_common::{MetricsRegistry, PageId, ReachError, Result, TxnId};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Log sequence number: byte offset of the record's frame on the log.
 /// LSN 0 is reserved as "nil" (pages start with `lsn = 0`), so the first
@@ -565,14 +564,9 @@ struct GroupState {
     /// Log tail (byte offset) covered by the last successful force:
     /// every byte below this offset is durable.
     forced_lsn: Lsn,
-    /// Whether a leader is currently inside its window + sync.
+    /// Whether a leader is currently inside its sync.
     forcing: bool,
 }
-
-/// Default leader batching window for file-backed logs (~100µs): long
-/// enough for concurrent committers to publish into the batch, far
-/// shorter than the fsync it amortizes.
-pub const DEFAULT_GROUP_WINDOW: Duration = Duration::from_micros(100);
 
 /// What a salvage scan found on the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -591,12 +585,6 @@ pub struct WriteAheadLog {
     group: Mutex<GroupState>,
     /// Followers wait here for the leader's sync to cover their record.
     group_cv: Condvar,
-    /// Group commit on/off; off = every force syncs privately (the
-    /// pre-group baseline, kept for comparison benchmarks).
-    group_enabled: AtomicBool,
-    /// Leader batching window in nanoseconds (applied to file sinks
-    /// only — an in-memory sink has no sync worth amortizing).
-    group_window_ns: AtomicU64,
     /// Optional fault injector consulted on every append/force.
     injector: Mutex<Option<Arc<FaultInjector>>>,
     /// Optional shared registry; appends and forces record into it
@@ -632,8 +620,6 @@ impl WriteAheadLog {
                 forcing: false,
             }),
             group_cv: Condvar::new(),
-            group_enabled: AtomicBool::new(true),
-            group_window_ns: AtomicU64::new(DEFAULT_GROUP_WINDOW.as_nanos() as u64),
             injector: Mutex::new(None),
             metrics: Mutex::new(None),
         }
@@ -674,29 +660,9 @@ impl WriteAheadLog {
                 forcing: false,
             }),
             group_cv: Condvar::new(),
-            group_enabled: AtomicBool::new(true),
-            group_window_ns: AtomicU64::new(DEFAULT_GROUP_WINDOW.as_nanos() as u64),
             injector: Mutex::new(None),
             metrics: Mutex::new(None),
         })
-    }
-
-    /// Turn the group-commit sequencer on or off. Off restores the
-    /// classic one-private-sync-per-force behaviour (the E16 baseline).
-    pub fn set_group_commit(&self, enabled: bool) {
-        self.group_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the group-commit sequencer is active.
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Set the leader batching window (file sinks only). Zero disables
-    /// the wait: the leader syncs whatever has been appended so far.
-    pub fn set_group_window(&self, window: Duration) {
-        self.group_window_ns
-            .store(window.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Attach a fault injector: every `append` checks `WalAppend` and
@@ -842,15 +808,6 @@ impl WriteAheadLog {
     /// every record appended since the last force while the rest wait
     /// as followers.
     pub fn force_up_to(&self, target: Lsn) -> Result<()> {
-        if !self.group_enabled.load(Ordering::Relaxed) {
-            // Baseline mode: every caller pays a private sync.
-            let tail = self.sync_sink(0)?;
-            let mut g = self.group.lock();
-            if tail > g.forced_lsn {
-                g.forced_lsn = tail;
-            }
-            return Ok(());
-        }
         let mut waited = false;
         loop {
             let mut g = self.group.lock();
@@ -875,7 +832,7 @@ impl WriteAheadLog {
             // Become the leader for everything appended so far.
             g.forcing = true;
             drop(g);
-            let synced = self.sync_sink(self.group_window_ns.load(Ordering::Relaxed));
+            let synced = self.sync_sink();
             let mut g = self.group.lock();
             g.forcing = false;
             if let Ok(tail) = synced {
@@ -893,17 +850,16 @@ impl WriteAheadLog {
         }
     }
 
-    /// The one real sync. Optionally waits `window_ns` so concurrent
-    /// committers can append into the batch (file sinks only), then
-    /// captures the tail under the sink lock and syncs the device
-    /// *outside* it, so appends (a logged page change makes its append
-    /// inside the page's write latch) never queue behind an
-    /// `fdatasync`. The sync goes through a
-    /// duplicate of the log's descriptor and covers every byte written
-    /// before it starts, so everything below the captured tail. The
-    /// bytes it covered leave the unforced counter only once it has
-    /// succeeded, and before the caller publishes the new forced LSN.
-    fn sync_sink(&self, window_ns: u64) -> Result<Lsn> {
+    /// The one real sync, run only by the sequencer's leader. Captures
+    /// the tail under the sink lock and syncs the device *outside* it,
+    /// so appends (a logged page change makes its append inside the
+    /// page's write latch) never queue behind an `fdatasync`. The sync
+    /// goes through a duplicate of the log's descriptor and covers
+    /// every byte written before it starts, so everything below the
+    /// captured tail. The bytes it covered leave the unforced counter
+    /// only once it has succeeded, and before the caller publishes the
+    /// new forced LSN.
+    fn sync_sink(&self) -> Result<Lsn> {
         if let Some(inj) = self.injector() {
             match inj.check(FaultPoint::WalForce) {
                 WriteOutcome::Proceed => {}
@@ -915,12 +871,6 @@ impl WriteAheadLog {
         }
         let m = self.metrics().filter(|m| m.on());
         let t0 = m.as_deref().and_then(MetricsRegistry::span_start);
-        if window_ns > 0 {
-            let is_file = matches!(self.sink.lock().sink, Sink::File { .. });
-            if is_file {
-                std::thread::sleep(Duration::from_nanos(window_ns));
-            }
-        }
         let (file, tail, pending) = {
             let st = self.sink.lock();
             let file = match &st.sink {
@@ -933,10 +883,12 @@ impl WriteAheadLog {
             file.sync_data()?;
         }
         {
-            // Saturating: with group commit off, private syncs overlap
-            // and may each subtract bytes the other already covered.
+            // Exact: only one leader syncs at a time, `pending` was read
+            // under this same lock, and since then only appends have
+            // touched the counter, and they only add to it.
             let mut st = self.sink.lock();
-            st.unforced = st.unforced.saturating_sub(pending);
+            debug_assert!(st.unforced >= pending, "unforced counter underflow");
+            st.unforced -= pending;
         }
         if let Some(m) = m {
             m.wal.forces.inc();
@@ -1170,6 +1122,8 @@ impl WriteAheadLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -1537,23 +1491,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_group_commit_syncs_every_force() {
-        use reach_common::MetricsRegistry;
-        let log = WriteAheadLog::in_memory();
-        log.set_group_commit(false);
-        let m = MetricsRegistry::new_shared();
-        m.enable();
-        log.set_metrics(Arc::clone(&m));
-        log.append(&WalRecord::Begin { txn: TxnId::new(1) })
-            .unwrap();
-        log.force().unwrap();
-        log.force().unwrap();
-        log.force().unwrap();
-        assert_eq!(m.wal.forces.get(), 3, "baseline mode never skips");
-        assert_eq!(log.forced_lsn(), log.tail());
-    }
-
-    #[test]
     fn truncate_prefix_drops_frames_and_preserves_lsns() {
         let log = WriteAheadLog::in_memory();
         let mut starts = Vec::new();
@@ -1683,8 +1620,9 @@ mod tests {
     }
 
     /// Concurrent committers through the sequencer: everyone's record
-    /// ends up durable, and with a real (file) sink plus a batching
-    /// window, far fewer syncs than commits are issued.
+    /// ends up durable, and with a real (file) sink the records that
+    /// arrive during one sync share the next, so far fewer syncs than
+    /// commits are issued.
     #[test]
     fn group_commit_batches_concurrent_committers() {
         use reach_common::MetricsRegistry;
@@ -1693,7 +1631,6 @@ mod tests {
         let path = dir.join("group.log");
         let _ = std::fs::remove_file(&path);
         let log = Arc::new(WriteAheadLog::open(&path).unwrap());
-        log.set_group_window(Duration::from_millis(2));
         let m = MetricsRegistry::new_shared();
         m.enable();
         log.set_metrics(Arc::clone(&m));
@@ -1720,8 +1657,66 @@ mod tests {
         let forces = m.wal.forces.get();
         assert!(
             forces < commits,
-            "8 live committers with a 2ms window must batch: {forces} syncs for {commits} commits"
+            "8 live committers must batch: {forces} syncs for {commits} commits"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The sequencer's failure hand-off: a leader whose sync fails
+    /// returns the error to itself alone; the followers parked on it
+    /// wake, retry, and one of them leads a fresh sync that covers
+    /// them all. Holding the injector's mutex parks the leader at the
+    /// top of its sync (after it has taken the lead), so the other
+    /// committers are parked followers when its injected failure fires.
+    #[test]
+    fn failed_leader_sync_never_acknowledges_a_follower() {
+        use reach_common::{FaultInjector, FaultPlan, FaultPoint};
+        use std::sync::mpsc;
+        let dir = std::env::temp_dir().join(format!("reach-wal-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fail.log");
+        let _ = std::fs::remove_file(&path);
+        let log = Arc::new(WriteAheadLog::open(&path).unwrap());
+        let inj = FaultInjector::new(FaultPlan::new().fail_at(FaultPoint::WalForce, 1));
+        log.set_injector(Arc::clone(&inj));
+        let ends: Vec<Lsn> = (1..=5u64)
+            .map(|t| {
+                let txn = TxnId::new(t);
+                log.append_bounded(&WalRecord::Commit { txn }).unwrap().1
+            })
+            .collect();
+        let gate = log.injector.lock();
+        let (done_tx, done_rx) = mpsc::channel();
+        for end in ends {
+            let log = Arc::clone(&log);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let acked = log.force_up_to(end).is_ok();
+                if acked {
+                    assert!(
+                        log.forced_lsn() >= end,
+                        "acknowledged a record the failed sync never covered"
+                    );
+                }
+                done_tx.send(acked).unwrap();
+            });
+        }
+        drop(done_tx);
+        std::thread::sleep(Duration::from_millis(100));
+        drop(gate);
+        let acks = (0..5)
+            .map(|_| {
+                done_rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a committer hung or panicked in force_up_to")
+            })
+            .filter(|&acked| acked)
+            .count();
+        assert_eq!(inj.injected(), 1);
+        assert_eq!(acks, 4, "exactly the failed leader sees the error");
+        assert_eq!(inj.hits(FaultPoint::WalForce), 2, "one retry syncs for all");
+        log.force().unwrap();
+        assert_eq!(log.forced_lsn(), log.tail());
         std::fs::remove_file(&path).unwrap();
     }
 }
