@@ -4,7 +4,8 @@
 //! transactions or rules; it only provides the vocabulary the other
 //! crates speak: strongly-typed identifiers, the unified error type,
 //! the virtual clock used for temporal events, rule priorities, the
-//! deterministic fault injector, the observability registry
+//! deterministic fault injector, the hasher for id-keyed tables
+//! ([`hash::FastMap`]), the observability registry
 //! ([`obs::MetricsRegistry`]) every layer records into, and the
 //! schedule-perturbing synchronization layer ([`sync`]) all crates take
 //! their locks from.
@@ -14,6 +15,7 @@
 pub mod clock;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod metrics;
 pub mod obs;
@@ -24,6 +26,7 @@ pub mod sync;
 pub use clock::{Clock, TimePoint, VirtualClock};
 pub use error::{ReachError, Result};
 pub use fault::{FaultInjector, FaultMode, FaultPlan, FaultPoint, WriteOutcome};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{
     shard_of, ClassId, EventTypeId, IdGen, MethodId, ObjectId, PageId, RuleId, Timestamp, TxnId,
 };

@@ -19,8 +19,7 @@ use crate::algebra::{CompositionScope, Correlation, EventExpr, Lifespan};
 use crate::consumption::ConsumptionPolicy;
 use crate::event::{EventOccurrence, OccHandle, OccSlab};
 use reach_common::sync::Mutex;
-use reach_common::{MetricsRegistry, TimePoint, TxnId};
-use std::collections::HashMap;
+use reach_common::{FastMap, MetricsRegistry, TimePoint, TxnId};
 use std::sync::Arc;
 
 /// Result of feeding one occurrence to an automaton.
@@ -454,7 +453,7 @@ pub struct Completion {
 /// Instance pools plus the occurrence slab they allocate from — one
 /// mutex so a feed touches a single lock.
 struct CompState {
-    instances: HashMap<ScopeKey, Vec<Automaton>>,
+    instances: FastMap<ScopeKey, Vec<Automaton>>,
     slab: OccSlab,
 }
 
@@ -500,7 +499,7 @@ impl Compositor {
             correlation,
             has_window_ops,
             state: Mutex::new(CompState {
-                instances: HashMap::new(),
+                instances: FastMap::default(),
                 slab: OccSlab::new(),
             }),
             metrics: MetricsRegistry::new_shared(),

@@ -33,7 +33,8 @@ use crate::rule::Rule;
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use reach_common::sync::{Mutex, RwLock};
 use reach_common::{
-    ClassId, EventTypeId, IdGen, MethodId, MetricsRegistry, Stage, TimePoint, Timestamp, TxnId,
+    ClassId, EventTypeId, FastMap, IdGen, MethodId, MetricsRegistry, Stage, TimePoint, Timestamp,
+    TxnId,
 };
 use reach_object::{Schema, StateChange};
 use std::collections::HashMap;
@@ -209,7 +210,7 @@ pub struct MethodObservation<'a> {
 /// The event router: detector index + manager table + delivery.
 pub struct Router {
     schema: Arc<Schema>,
-    managers: RwLock<HashMap<EventTypeId, Arc<EcaManager>>>,
+    managers: RwLock<FastMap<EventTypeId, Arc<EcaManager>>>,
     /// The composite managers, in event-type order: what closing a
     /// transaction and sweeping lifespans visit. Copied on write, so an
     /// EOT takes a reference count instead of sorting a snapshot of
@@ -219,11 +220,11 @@ pub struct Router {
     // Detector indexes (primitive specs -> event types). A key can have
     // several registered event types (e.g. two rules, each with its own
     // named event on the same class.attribute): every one fires.
-    method_index: RwLock<HashMap<(ClassId, MethodId, MethodPhase), Vec<EventTypeId>>>,
+    method_index: RwLock<FastMap<(ClassId, MethodId, MethodPhase), Vec<EventTypeId>>>,
     state_index: RwLock<HashMap<(ClassId, String), Vec<EventTypeId>>>,
-    lifecycle_index: RwLock<HashMap<(ClassId, bool), Vec<EventTypeId>>>,
-    persist_index: RwLock<HashMap<ClassId, Vec<EventTypeId>>>,
-    flow_index: RwLock<HashMap<FlowPoint, Vec<EventTypeId>>>,
+    lifecycle_index: RwLock<FastMap<(ClassId, bool), Vec<EventTypeId>>>,
+    persist_index: RwLock<FastMap<ClassId, Vec<EventTypeId>>>,
+    flow_index: RwLock<FastMap<FlowPoint, Vec<EventTypeId>>>,
     signal_index: RwLock<HashMap<String, Vec<EventTypeId>>>,
     ids: IdGen,
     /// Registered method-event counts per phase (`[Before, After]`) —
@@ -245,7 +246,7 @@ pub struct Router {
     /// cross-shard history merges need no translation.
     seq: Arc<AtomicU64>,
     mode: RwLock<CompositionMode>,
-    workers: Mutex<HashMap<EventTypeId, WorkerHandle>>,
+    workers: Mutex<FastMap<EventTypeId, WorkerHandle>>,
     handler: RwLock<Option<Arc<dyn FireHandler>>>,
     /// Composition ownership gate. In a sharded deployment every shard
     /// registers every composite type (so event-type ids align across
@@ -285,14 +286,14 @@ impl Router {
     ) -> Arc<Self> {
         Arc::new(Router {
             schema,
-            managers: RwLock::new(HashMap::new()),
+            managers: RwLock::new(FastMap::default()),
             composites: RwLock::new(Arc::default()),
             by_name: RwLock::new(HashMap::new()),
-            method_index: RwLock::new(HashMap::new()),
+            method_index: RwLock::new(FastMap::default()),
             state_index: RwLock::new(HashMap::new()),
-            lifecycle_index: RwLock::new(HashMap::new()),
-            persist_index: RwLock::new(HashMap::new()),
-            flow_index: RwLock::new(HashMap::new()),
+            lifecycle_index: RwLock::new(FastMap::default()),
+            persist_index: RwLock::new(FastMap::default()),
+            flow_index: RwLock::new(FastMap::default()),
             signal_index: RwLock::new(HashMap::new()),
             ids: IdGen::new(),
             method_phase_count: [AtomicU64::new(0), AtomicU64::new(0)],
@@ -300,7 +301,7 @@ impl Router {
             state_count: AtomicU64::new(0),
             seq,
             mode: RwLock::new(CompositionMode::Synchronous),
-            workers: Mutex::new(HashMap::new()),
+            workers: Mutex::new(FastMap::default()),
             handler: RwLock::new(None),
             composition_gate: RwLock::new(None),
             observers: RwLock::new(Arc::default()),
@@ -386,9 +387,9 @@ impl Router {
     /// Event types a detector `index` registers for `class` under
     /// `key(class)`, then for each ancestor: events declared on a base
     /// class catch subclass receivers.
-    fn lookup<K: Eq + std::hash::Hash>(
+    fn lookup<K: Eq + std::hash::Hash, S: std::hash::BuildHasher>(
         &self,
-        index: &RwLock<HashMap<K, Vec<EventTypeId>>>,
+        index: &RwLock<HashMap<K, Vec<EventTypeId>, S>>,
         class: ClassId,
         key: impl Fn(ClassId) -> K,
     ) -> Vec<EventTypeId> {

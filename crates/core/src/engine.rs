@@ -29,11 +29,11 @@ use crate::rule::{Rule, RuleCtx};
 use open_oodb::Database;
 use reach_common::sync::{Condvar, Mutex, RwLock};
 use reach_common::{
-    EventTypeId, MetricsRegistry, ObjectId, ReachError, Result, RuleId, Stage, TxnId,
+    EventTypeId, FastMap, FastSet, MetricsRegistry, ObjectId, ReachError, Result, RuleId, Stage,
+    TxnId,
 };
 use reach_txn::dependency::{CommitRule, Outcome};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -272,13 +272,13 @@ pub struct Engine {
     simple_events_first: RwLock<bool>,
     /// Deferred firings per top-level transaction. A transaction has
     /// an entry exactly while its pre-commit drain hook is installed.
-    deferred: Mutex<HashMap<TxnId, Vec<Pending>>>,
+    deferred: Mutex<FastMap<TxnId, Vec<Pending>>>,
     /// Transactions spawned to run detached rules. Their flow-control
     /// points do not raise events — otherwise a rule on the commit event
     /// would re-trigger itself forever (the termination problem §6.4
     /// cites \[AWH92\] for; suppressing rule-transaction flow events is
     /// REACH's pragmatic guard).
-    rule_txns: Mutex<HashSet<TxnId>>,
+    rule_txns: Mutex<FastSet<TxnId>>,
     /// Standing workers for parallel immediate actions (lazy).
     pool: Mutex<Option<Arc<ActionPool>>>,
     /// Standing workers for detached firings (lazy).
@@ -304,8 +304,8 @@ impl Engine {
             strategy: RwLock::new(ExecutionStrategy::Serial),
             tiebreak: RwLock::new(TieBreak::OldestFirst),
             simple_events_first: RwLock::new(false),
-            deferred: Mutex::new(HashMap::new()),
-            rule_txns: Mutex::new(HashSet::new()),
+            deferred: Mutex::new(FastMap::default()),
+            rule_txns: Mutex::new(FastSet::default()),
             pool: Mutex::new(None),
             detached_pool: Mutex::new(None),
             inflight: Mutex::new(0),

@@ -234,7 +234,7 @@ pub struct OccSlab {
     slots: Vec<OccSlot>,
     free: Vec<u32>,
     /// Open generation → handles allocated under it.
-    gens: std::collections::HashMap<u64, Vec<OccHandle>>,
+    gens: reach_common::FastMap<u64, Vec<OccHandle>>,
     next_gen: u64,
     live: usize,
     high_water: usize,
@@ -251,7 +251,7 @@ impl OccSlab {
         OccSlab {
             slots: Vec::new(),
             free: Vec::new(),
-            gens: std::collections::HashMap::new(),
+            gens: reach_common::FastMap::default(),
             next_gen: 0,
             live: 0,
             high_water: 0,

@@ -38,8 +38,8 @@
 use crate::eca::Router;
 use crate::event::EventOccurrence;
 use reach_common::sync::{Mutex, RwLock};
-use reach_common::TxnId;
-use std::collections::{HashMap, VecDeque};
+use reach_common::{FastMap, TxnId};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -57,7 +57,7 @@ pub type Subscriber = Arc<dyn Fn(&[Arc<EventOccurrence>]) + Send + Sync>;
 /// concurrent transactions rarely share a lock (E12).
 const STRIPES: usize = 16;
 
-type Staged = HashMap<TxnId, Vec<Arc<EventOccurrence>>>;
+type Staged = FastMap<TxnId, Vec<Arc<EventOccurrence>>>;
 
 /// The commit-gated occurrence feed (see the module docs).
 pub struct CommitFeed {
@@ -73,7 +73,7 @@ impl Default for CommitFeed {
         CommitFeed {
             subscribers: RwLock::new(Arc::default()),
             on: AtomicBool::new(false),
-            staged: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            staged: std::array::from_fn(|_| Mutex::new(FastMap::default())),
         }
     }
 }

@@ -22,12 +22,11 @@ use crate::temporal::TemporalManager;
 use open_oodb::Database;
 use reach_common::sync::RwLock;
 use reach_common::{
-    ClassId, EventTypeId, IdGen, MetricsRegistry, MetricsSnapshot, ReachError, Result, RuleId,
-    Stage, TimePoint, Timestamp, TxnId,
+    ClassId, EventTypeId, FastMap, IdGen, MetricsRegistry, MetricsSnapshot, ReachError, Result,
+    RuleId, Stage, TimePoint, Timestamp, TxnId,
 };
 use reach_object::{MethodCall, MethodSentry, StateChange, StateSentry, Value};
 use reach_txn::{TxnEvent, TxnEventKind, TxnListener};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,7 +81,7 @@ pub struct ReachSystem {
     router: Arc<Router>,
     engine: Arc<Engine>,
     temporal: Arc<TemporalManager>,
-    rules: RwLock<HashMap<RuleId, Arc<Rule>>>,
+    rules: RwLock<FastMap<RuleId, Arc<Rule>>>,
     rule_ids: IdGen,
     rule_seq: AtomicU64,
     ticker_stop: Arc<AtomicBool>,
@@ -113,7 +112,7 @@ impl ReachSystem {
             router: Arc::clone(&router),
             engine,
             temporal,
-            rules: RwLock::new(HashMap::new()),
+            rules: RwLock::new(FastMap::default()),
             rule_ids: IdGen::new(),
             rule_seq: AtomicU64::new(1),
             ticker_stop: Arc::new(AtomicBool::new(false)),

@@ -16,8 +16,7 @@
 use crate::eca::Router;
 use crate::event::{EventOccurrence, PrimitiveEvent};
 use reach_common::sync::Mutex;
-use reach_common::{EventTypeId, TimePoint, TxnId};
-use std::collections::HashMap;
+use reach_common::{EventTypeId, FastMap, TimePoint, TxnId};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,7 +63,7 @@ pub struct TemporalManager {
     pending: Mutex<Vec<(EventTypeId, TimePoint)>>,
     milestones: Mutex<Vec<Milestone>>,
     /// Anchor type -> (relative type, delay), for quick lookup.
-    anchors: Mutex<HashMap<EventTypeId, Vec<(EventTypeId, Duration)>>>,
+    anchors: Mutex<FastMap<EventTypeId, Vec<(EventTypeId, Duration)>>>,
 }
 
 impl TemporalManager {
@@ -74,7 +73,7 @@ impl TemporalManager {
             specs: Mutex::new(Vec::new()),
             pending: Mutex::new(Vec::new()),
             milestones: Mutex::new(Vec::new()),
-            anchors: Mutex::new(HashMap::new()),
+            anchors: Mutex::new(FastMap::default()),
         })
     }
 

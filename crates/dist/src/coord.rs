@@ -29,9 +29,8 @@
 //! simulating a process crash at that point.
 
 use reach_common::sync::RwLock;
-use reach_common::{ReachError, Result, TxnId};
+use reach_common::{FastSet, ReachError, Result, TxnId};
 use reach_storage::{StorageManager, WalRecord, WriteAheadLog};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -198,10 +197,10 @@ impl Coordinator {
 #[derive(Debug, Default, Clone)]
 pub struct DecisionLog {
     /// Gids with a durable `CoordCommit`.
-    pub committed: HashSet<u64>,
+    pub committed: FastSet<u64>,
     /// Gids with an (advisory) `CoordAbort`. Absence from *both* sets
     /// also means abort — that is the presumption.
-    pub aborted: HashSet<u64>,
+    pub aborted: FastSet<u64>,
 }
 
 impl DecisionLog {

@@ -28,8 +28,7 @@ use crate::schema::Schema;
 use crate::space::ObjectSpace;
 use crate::value::{Args, Value};
 use reach_common::sync::RwLock;
-use reach_common::{ClassId, MethodId, ObjectId, Result, Timestamp, TxnId};
-use std::collections::HashSet;
+use reach_common::{ClassId, FastSet, MethodId, ObjectId, Result, Timestamp, TxnId};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -84,7 +83,7 @@ pub struct Dispatcher {
     methods: Arc<MethodRegistry>,
     sentries: RwLock<Vec<Arc<dyn MethodSentry>>>,
     /// (class, method) pairs currently monitored.
-    monitored: RwLock<HashSet<(ClassId, MethodId)>>,
+    monitored: RwLock<FastSet<(ClassId, MethodId)>>,
     /// Fast-path gate: number of monitored pairs. When zero, invoke()
     /// costs one relaxed load beyond the plain dispatch.
     monitor_count: AtomicUsize,
@@ -97,7 +96,7 @@ impl Dispatcher {
             schema,
             methods,
             sentries: RwLock::new(Vec::new()),
-            monitored: RwLock::new(HashSet::new()),
+            monitored: RwLock::new(FastSet::default()),
             monitor_count: AtomicUsize::new(0),
             seq: AtomicU64::new(1),
         }

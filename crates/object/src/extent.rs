@@ -6,18 +6,18 @@
 
 use crate::schema::Schema;
 use reach_common::sync::RwLock;
-use reach_common::{ClassId, ObjectId};
-use std::collections::{BTreeSet, HashMap};
+use reach_common::{ClassId, FastMap, ObjectId};
+use std::collections::BTreeSet;
 
 /// Registry of per-class object sets.
 pub struct ExtentRegistry {
-    extents: RwLock<HashMap<ClassId, BTreeSet<ObjectId>>>,
+    extents: RwLock<FastMap<ClassId, BTreeSet<ObjectId>>>,
 }
 
 impl ExtentRegistry {
     pub fn new() -> Self {
         ExtentRegistry {
-            extents: RwLock::new(HashMap::new()),
+            extents: RwLock::new(FastMap::default()),
         }
     }
 

@@ -9,8 +9,7 @@ use crate::dispatch::Dispatcher;
 use crate::space::ObjectSpace;
 use crate::value::Value;
 use reach_common::sync::RwLock;
-use reach_common::{MethodId, ObjectId, ReachError, Result, TxnId};
-use std::collections::HashMap;
+use reach_common::{FastMap, MethodId, ObjectId, ReachError, Result, TxnId};
 use std::sync::Arc;
 
 /// Everything a method body can touch.
@@ -51,13 +50,13 @@ pub type MethodBody = Arc<dyn Fn(&MethodCtx<'_>) -> Result<Value> + Send + Sync>
 
 /// Registry mapping method ids to bodies.
 pub struct MethodRegistry {
-    bodies: RwLock<HashMap<MethodId, MethodBody>>,
+    bodies: RwLock<FastMap<MethodId, MethodBody>>,
 }
 
 impl MethodRegistry {
     pub fn new() -> Self {
         MethodRegistry {
-            bodies: RwLock::new(HashMap::new()),
+            bodies: RwLock::new(FastMap::default()),
         }
     }
 

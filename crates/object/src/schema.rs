@@ -15,7 +15,7 @@
 
 use crate::value::{Value, ValueType};
 use reach_common::sync::RwLock;
-use reach_common::{ClassId, IdGen, MethodId, ReachError, Result};
+use reach_common::{ClassId, FastMap, IdGen, MethodId, ReachError, Result};
 use std::collections::{HashMap, HashSet};
 
 /// An attribute declaration.
@@ -64,7 +64,7 @@ struct ResolvedClass {
 
 /// The class registry. Thread-safe; classes are immutable once defined.
 pub struct Schema {
-    classes: RwLock<HashMap<ClassId, ResolvedClass>>,
+    classes: RwLock<FastMap<ClassId, ResolvedClass>>,
     by_name: RwLock<HashMap<String, ClassId>>,
     ids: IdGen,
     method_ids: IdGen,
@@ -73,7 +73,7 @@ pub struct Schema {
 impl Schema {
     pub fn new() -> Self {
         Schema {
-            classes: RwLock::new(HashMap::new()),
+            classes: RwLock::new(FastMap::default()),
             by_name: RwLock::new(HashMap::new()),
             ids: IdGen::new(),
             method_ids: IdGen::new(),

@@ -23,8 +23,7 @@ use crate::extent::ExtentRegistry;
 use crate::schema::Schema;
 use crate::value::Value;
 use reach_common::sync::RwLock;
-use reach_common::{ClassId, IdGen, ObjectId, ReachError, Result, TxnId};
-use std::collections::{HashMap, HashSet};
+use reach_common::{ClassId, FastMap, FastSet, IdGen, ObjectId, ReachError, Result, TxnId};
 use std::sync::{Arc, OnceLock};
 
 /// The resident state of one object.
@@ -116,8 +115,8 @@ pub type FaultHandler = Arc<dyn Fn(ObjectId) -> Result<Option<ObjectState>> + Se
 pub struct ObjectSpace {
     schema: Arc<Schema>,
     extents: Arc<ExtentRegistry>,
-    objects: RwLock<HashMap<ObjectId, ObjectState>>,
-    persistent: RwLock<HashSet<ObjectId>>,
+    objects: RwLock<FastMap<ObjectId, ObjectState>>,
+    persistent: RwLock<FastSet<ObjectId>>,
     /// Sentry lists are registered once and read on every write, so a
     /// reader snapshots the `Arc` and registration swaps in a new Vec
     /// (copy-on-write).
@@ -136,8 +135,8 @@ impl ObjectSpace {
         ObjectSpace {
             schema,
             extents: Arc::new(ExtentRegistry::new()),
-            objects: RwLock::new(HashMap::new()),
-            persistent: RwLock::new(HashSet::new()),
+            objects: RwLock::new(FastMap::default()),
+            persistent: RwLock::new(FastSet::default()),
             state_sentries: RwLock::new(Arc::default()),
             lifecycle_sentries: RwLock::new(Arc::default()),
             undo_log: OnceLock::new(),
@@ -422,6 +421,7 @@ mod tests {
     use crate::builder::ClassBuilder;
     use crate::value::ValueType;
     use reach_common::sync::Mutex;
+    use std::collections::HashMap;
 
     fn setup() -> (Arc<Schema>, ObjectSpace, ClassId) {
         let schema = Arc::new(Schema::new());

@@ -26,11 +26,10 @@
 
 use crate::meta::PolicyManager;
 use reach_common::sync::Mutex;
-use reach_common::{ClassId, ObjectId, Result, TxnId};
+use reach_common::{ClassId, FastMap, ObjectId, Result, TxnId};
 use reach_object::{ObjectSpace, ObjectState, UndoLog, Value};
 use reach_txn::manager::ResourceManager;
 use reach_txn::TransactionManager;
-use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 #[derive(Debug, Clone)]
@@ -83,7 +82,7 @@ pub(crate) type Images = (ObjectId, Option<ObjectState>, Option<ObjectState>);
 pub struct ChangePm {
     tm: Weak<TransactionManager>,
     space: Arc<ObjectSpace>,
-    log: Mutex<HashMap<TxnId, Vec<Change>>>,
+    log: Mutex<FastMap<TxnId, Vec<Change>>>,
 }
 
 impl ChangePm {
@@ -91,7 +90,7 @@ impl ChangePm {
         let pm = Arc::new(ChangePm {
             tm,
             space: Arc::clone(&space),
-            log: Mutex::new(HashMap::new()),
+            log: Mutex::new(FastMap::default()),
         });
         space.set_undo_log(Arc::clone(&pm) as Arc<dyn UndoLog>);
         pm
@@ -167,7 +166,7 @@ impl ChangePm {
     pub fn write_set(&self, top: TxnId) -> Vec<(ObjectId, bool)> {
         let log = self.log.lock();
         let mut order = Vec::new();
-        let mut deleted: HashMap<ObjectId, bool> = HashMap::new();
+        let mut deleted: FastMap<ObjectId, bool> = FastMap::default();
         for c in log.get(&top).into_iter().flatten() {
             let oid = c.oid();
             if deleted
@@ -193,7 +192,7 @@ impl ChangePm {
     /// entry, never from the space — no fault-in brings it back.
     pub(crate) fn images(&self, top: TxnId, keep: impl Fn(ClassId) -> bool) -> Vec<Images> {
         let mut images: Vec<Images> = Vec::new();
-        let mut at: HashMap<ObjectId, usize> = HashMap::new();
+        let mut at: FastMap<ObjectId, usize> = FastMap::default();
         // After-images first, outside the log lock.
         for (oid, deleted) in self.write_set(top) {
             let after = if deleted {

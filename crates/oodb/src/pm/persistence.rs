@@ -29,11 +29,10 @@ use crate::pm::change::ChangePm;
 use crate::pm::indexing::IndexingPm;
 use crate::translation::{externalize, internalize};
 use reach_common::sync::{Mutex, RwLock};
-use reach_common::{ObjectId, ReachError, Result, TxnId};
+use reach_common::{FastMap, FastSet, ObjectId, ReachError, Result, TxnId};
 use reach_object::ObjectSpace;
 use reach_storage::{RecordId, SegmentId, StorageManager};
 use reach_txn::ResourceManager;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const OBJECT_SEGMENT: &str = "sys.objects";
@@ -49,9 +48,9 @@ pub struct PersistencePm {
     objects_seg: SegmentId,
     roots_seg: SegmentId,
     /// Where each persistent object lives on disk.
-    locations: Mutex<HashMap<ObjectId, RecordId>>,
+    locations: Mutex<FastMap<ObjectId, RecordId>>,
     /// Objects whose `persist()` happened in a still-running transaction.
-    pending: Mutex<HashMap<TxnId, Vec<ObjectId>>>,
+    pending: Mutex<FastMap<TxnId, Vec<ObjectId>>>,
     /// Location of the single roots record, once written, plus the
     /// bytes last stored there — unchanged roots are skipped at commit
     /// so read-only transactions log nothing and hit the WAL's
@@ -63,7 +62,7 @@ pub struct PersistencePm {
     /// Transactions whose write-back already ran under `prepare_top`
     /// (2PC): their `commit_top` must only seal the decision, not
     /// repeat the write-back.
-    prepared: Mutex<HashSet<TxnId>>,
+    prepared: Mutex<FastSet<TxnId>>,
 }
 
 /// Observer of `persist()` calls.
@@ -89,11 +88,11 @@ impl PersistencePm {
             dictionary,
             objects_seg,
             roots_seg,
-            locations: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            locations: Mutex::new(FastMap::default()),
+            pending: Mutex::new(FastMap::default()),
             roots_record: Mutex::new((None, None)),
             persist_hooks: RwLock::new(Vec::new()),
-            prepared: Mutex::new(HashSet::new()),
+            prepared: Mutex::new(FastSet::default()),
         });
         let weak = Arc::downgrade(&pm);
         space.set_fault_handler(Arc::new(move |oid| match weak.upgrade() {
@@ -229,7 +228,7 @@ impl PersistencePm {
     fn write_back_all(&self, txn: TxnId) -> Result<()> {
         self.indexing.flush(txn, &self.change)?;
         let pending = self.pending.lock().remove(&txn).unwrap_or_default();
-        let mut written = HashSet::new();
+        let mut written = FastSet::default();
         for oid in pending {
             if self.space.is_resident(oid) && written.insert(oid) {
                 self.write_back(txn, oid)?;

@@ -17,9 +17,8 @@
 //! Each mechanism reports observed calls to an [`EventSink`].
 
 use reach_common::sync::RwLock;
-use reach_common::{ClassId, MethodId, MetricsRegistry, ObjectId, Result, TxnId};
+use reach_common::{ClassId, FastMap, FastSet, MethodId, MetricsRegistry, ObjectId, Result, TxnId};
 use reach_object::{Dispatcher, ObjectSpace, Value};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Consumer of detected invocation events.
@@ -120,14 +119,14 @@ impl SentryMechanism for InlineWrapperSentry {
 /// state access is invisible to it.
 pub struct RootClassTrapSentry {
     world: SentryWorld,
-    trapped: RwLock<HashSet<ClassId>>,
+    trapped: RwLock<FastSet<ClassId>>,
 }
 
 impl RootClassTrapSentry {
     pub fn new(world: SentryWorld) -> Self {
         RootClassTrapSentry {
             world,
-            trapped: RwLock::new(HashSet::new()),
+            trapped: RwLock::new(FastSet::default()),
         }
     }
 
@@ -183,14 +182,14 @@ impl SentryMechanism for RootClassTrapSentry {
 /// §6.2 calls out.
 pub struct SurrogateSentry {
     world: SentryWorld,
-    forward: RwLock<HashMap<ObjectId, ObjectId>>,
+    forward: RwLock<FastMap<ObjectId, ObjectId>>,
 }
 
 impl SurrogateSentry {
     pub fn new(world: SentryWorld) -> Self {
         SurrogateSentry {
             world,
-            forward: RwLock::new(HashMap::new()),
+            forward: RwLock::new(FastMap::default()),
         }
     }
 

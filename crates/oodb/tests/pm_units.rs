@@ -303,6 +303,21 @@ fn first_snapshot_read_under_uncommitted_writes_sees_the_committed_image() {
 /// — committed, aborted, and rolled back with a subtransaction inside a
 /// committed parent — leave the index shadow and the persistent tree in
 /// step, and the index answering with the committed values.
+/// A snapshot read of an oid no object holds must leave no version
+/// behind: vacuum never drops a chain's only version, so a client
+/// probing absent oids would otherwise grow the store without bound.
+#[test]
+fn snapshot_reads_of_absent_objects_retain_no_versions() {
+    let (db, _) = db_with_points();
+    let reader = db.begin_read_only().unwrap();
+    for i in 1..=1000u64 {
+        let absent = reach_common::ObjectId::new(1 << 40 | i);
+        assert!(db.get_attr(reader, absent, "x").is_err());
+    }
+    db.commit(reader).unwrap();
+    assert_eq!(db.snapshot_pm().retained_versions(), 0);
+}
+
 #[test]
 fn subclass_writes_keep_the_index_shadow_and_tree_in_step() {
     let db = Database::in_memory().unwrap();

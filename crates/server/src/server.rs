@@ -27,10 +27,9 @@ use crate::transport::{TcpTransport, Transport};
 use crate::wire::{Notification, Request, Response, WireDeadLetter, MAX_FRAME, PROTOCOL_VERSION};
 use open_oodb::Database;
 use reach_common::sync::Mutex;
-use reach_common::{ReachError, Result, TxnId};
+use reach_common::{FastMap, FastSet, ReachError, Result, TxnId};
 use reach_core::{DeadLetter, ReachSystem};
 use reach_object::Value;
-use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -95,7 +94,7 @@ struct Session {
     sender: SyncSender<Vec<u8>>,
     /// Transactions this session owns. Anything still here when the
     /// session ends is aborted.
-    txns: Mutex<HashSet<TxnId>>,
+    txns: Mutex<FastSet<TxnId>>,
     last_active: Mutex<Instant>,
     sub_firings: AtomicBool,
     sub_dead_letters: AtomicBool,
@@ -117,7 +116,7 @@ struct Shared {
     cfg: ServerConfig,
     shutdown: AtomicBool,
     next_session: AtomicU64,
-    sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    sessions: Mutex<FastMap<u64, Arc<Session>>>,
     /// Sessions removed from the table whose cleanup (orphan aborts,
     /// socket close) has not finished yet. Shutdown waits for this too:
     /// an empty table alone does not mean the aborts have run.
@@ -268,7 +267,7 @@ pub fn serve(sys: Arc<ReachSystem>, cfg: ServerConfig) -> Result<ServerHandle> {
         cfg,
         shutdown: AtomicBool::new(false),
         next_session: AtomicU64::new(1),
-        sessions: Mutex::new(HashMap::new()),
+        sessions: Mutex::new(FastMap::default()),
         retiring: AtomicUsize::new(0),
     });
 
@@ -372,7 +371,7 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
             id,
             stream: clone,
             sender: tx,
-            txns: Mutex::new(HashSet::new()),
+            txns: Mutex::new(FastSet::default()),
             last_active: Mutex::new(Instant::now()),
             sub_firings: AtomicBool::new(false),
             sub_dead_letters: AtomicBool::new(false),

@@ -19,8 +19,7 @@
 use crate::disk::StableStorage;
 use crate::page::Page;
 use reach_common::sync::{Mutex, RwLock};
-use reach_common::{MetricsRegistry, PageId, ReachError, Result};
-use std::collections::HashMap;
+use reach_common::{FastMap, MetricsRegistry, PageId, ReachError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,7 +60,7 @@ pub type LsnSource = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 struct Directory {
     /// page id -> frame index
-    table: HashMap<PageId, usize>,
+    table: FastMap<PageId, usize>,
     /// frame index -> page id currently held (None = free)
     resident: Vec<Option<PageId>>,
     hand: usize,
@@ -122,7 +121,7 @@ impl BufferPool {
             disk,
             frames,
             dir: Mutex::new(Directory {
-                table: HashMap::new(),
+                table: FastMap::default(),
                 resident: vec![None; capacity],
                 hand: 0,
             }),

@@ -35,8 +35,7 @@ use crate::buffer::BufferPool;
 use crate::sm::SYSTEM_TXN;
 use crate::wal::{Lsn, WalRecord, WriteAheadLog};
 use reach_common::sync::Mutex;
-use reach_common::{Result, TxnId};
-use std::collections::HashMap;
+use reach_common::{FastMap, Result, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -70,7 +69,7 @@ struct TxnEntry {
 /// their first-write LSN; read-only transactions never do.
 #[derive(Default)]
 pub(crate) struct ActiveTxns {
-    map: Mutex<HashMap<TxnId, TxnEntry>>,
+    map: Mutex<FastMap<TxnId, TxnEntry>>,
 }
 
 impl ActiveTxns {

@@ -18,8 +18,7 @@
 
 use crate::sm::{StorageManager, SYSTEM_TXN};
 use crate::wal::{Lsn, WalRecord};
-use reach_common::{Result, TxnId};
-use std::collections::{HashMap, HashSet};
+use reach_common::{FastMap, FastSet, Result, TxnId};
 
 /// Outcome summary, useful for tests and operational logging.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -79,13 +78,13 @@ pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
             _ => {}
         }
     }
-    let mut winners: HashSet<TxnId> = HashSet::new();
-    let mut finished: HashSet<TxnId> = HashSet::new();
+    let mut winners: FastSet<TxnId> = FastSet::default();
+    let mut finished: FastSet<TxnId> = FastSet::default();
     winners.insert(SYSTEM_TXN);
     finished.insert(SYSTEM_TXN);
-    let mut seen: HashSet<TxnId> = HashSet::new();
-    let mut prepared: HashMap<TxnId, u64> = HashMap::new();
-    let mut first_lsn: HashMap<TxnId, Lsn> = HashMap::new();
+    let mut seen: FastSet<TxnId> = FastSet::default();
+    let mut prepared: FastMap<TxnId, u64> = FastMap::default();
+    let mut first_lsn: FastMap<TxnId, Lsn> = FastMap::default();
     for (lsn, rec) in &log {
         match rec {
             WalRecord::Commit { txn } => {
@@ -127,7 +126,7 @@ pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
         .collect();
     in_doubt.sort();
     report.in_doubt = in_doubt.clone();
-    let doubt_set: HashSet<TxnId> = in_doubt.iter().map(|(t, _)| *t).collect();
+    let doubt_set: FastSet<TxnId> = in_doubt.iter().map(|(t, _)| *t).collect();
     let mut losers: Vec<TxnId> = seen
         .difference(&finished)
         .filter(|t| !doubt_set.contains(t))
@@ -193,8 +192,8 @@ pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
     }
 
     // ---- undo losers (skipping operations already compensated) ----
-    let mut clr_count: HashMap<TxnId, usize> = HashMap::new();
-    let mut ops: HashMap<TxnId, Vec<(Lsn, WalRecord)>> = HashMap::new();
+    let mut clr_count: FastMap<TxnId, usize> = FastMap::default();
+    let mut ops: FastMap<TxnId, Vec<(Lsn, WalRecord)>> = FastMap::default();
     for (lsn, rec) in &log {
         match rec {
             WalRecord::Clr { txn, .. } | WalRecord::IndexClr { txn, .. } => {

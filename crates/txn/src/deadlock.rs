@@ -6,13 +6,12 @@
 //! policy — the newest participant is always the one that closed the
 //! cycle).
 
-use reach_common::TxnId;
-use std::collections::{HashMap, HashSet};
+use reach_common::{FastMap, FastSet, TxnId};
 
 /// A waits-for graph over transactions.
 #[derive(Debug, Default)]
 pub struct WaitsFor {
-    edges: HashMap<TxnId, HashSet<TxnId>>,
+    edges: FastMap<TxnId, FastSet<TxnId>>,
 }
 
 impl WaitsFor {
@@ -63,7 +62,7 @@ impl WaitsFor {
             .get(&start)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        let mut seen: HashSet<TxnId> = HashSet::new();
+        let mut seen: FastSet<TxnId> = FastSet::default();
         while let Some(t) = stack.pop() {
             if t == start {
                 return true;

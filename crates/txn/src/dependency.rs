@@ -24,8 +24,7 @@
 //! has retired a finished transaction's record.
 
 use reach_common::sync::{Condvar, Mutex, MutexGuard};
-use reach_common::{ReachError, Result, TxnId};
-use std::collections::HashMap;
+use reach_common::{FastMap, ReachError, Result, TxnId};
 use std::time::Duration;
 
 /// Final fate of a transaction.
@@ -79,7 +78,7 @@ const WORD_IDS: u64 = 32;
 /// to its value.
 #[derive(Default)]
 struct OutcomeStore {
-    pages: HashMap<u64, Box<[u64; (PAGE_IDS / WORD_IDS) as usize]>>,
+    pages: FastMap<u64, Box<[u64; (PAGE_IDS / WORD_IDS) as usize]>>,
 }
 
 impl OutcomeStore {
@@ -120,7 +119,7 @@ struct Inner {
     /// Final outcomes of every finished transaction.
     outcomes: OutcomeStore,
     /// Dependencies per dependent transaction.
-    deps: HashMap<TxnId, Vec<CommitRule>>,
+    deps: FastMap<TxnId, Vec<CommitRule>>,
     /// Threads blocked in `wait`/`wait_for_outcome`. Every finished
     /// transaction records an outcome, almost none has a waiter, and
     /// waking a condvar is a system call whether or not anyone sleeps

@@ -10,8 +10,8 @@
 //! ([`LockManager::transfer`]), and when it aborts they are released.
 
 use crate::deadlock::WaitsFor;
-use reach_common::sync::{Condvar, Mutex};
-use reach_common::{MetricsRegistry, ObjectId, ReachError, Result, TxnId};
+use reach_common::sync::{Condvar, Mutex, MutexGuard};
+use reach_common::{FastMap, MetricsRegistry, ObjectId, ReachError, Result, TxnId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,48 +34,40 @@ impl LockMode {
 #[derive(Debug, Default)]
 struct LockState {
     /// Current holders and their strongest mode.
-    holders: HashMap<TxnId, LockMode>,
+    holders: FastMap<TxnId, LockMode>,
 }
 
-/// Number of independent lock-table stripes. A power of two so the
-/// stripe index is a shift off a mixed hash.
-const STRIPES: usize = 16;
-
+/// The lock table. Its oid-keyed maps keep std's default hasher: a
+/// wire request locks the oid it names before the object is looked
+/// up, so those keys come from outside the program.
 #[derive(Default)]
-struct StripeInner {
+struct Table {
     locks: HashMap<ObjectId, LockState>,
-    /// Reverse index: locks held per transaction *in this stripe*
-    /// (release_all / transfer visit every stripe).
-    held: HashMap<TxnId, HashSet<ObjectId>>,
+    /// Reverse index: locks held per transaction.
+    held: FastMap<TxnId, HashSet<ObjectId>>,
+    /// Requests parked in `acquire`. Every transaction end releases
+    /// locks, almost none has a waiter, and waking a condvar is a
+    /// system call whether or not anyone sleeps on it — so the release
+    /// paths notify only when this is non-zero.
+    waiters: usize,
 }
 
-struct Stripe {
-    inner: Mutex<StripeInner>,
-    changed: Condvar,
-}
-
-/// The lock manager.
+/// The lock manager: one table under one mutex, as in a textbook 2PL
+/// lock manager with deadlock detection.
 ///
-/// The lock table is *striped*: an object's entry lives in one of
-/// `STRIPES` independently-locked shards chosen by oid hash, so
-/// transactions touching disjoint objects no longer serialize on one
-/// global table mutex (the E15 profile showed ~60k grants per E13 run
-/// funnelling through it while detached rule transactions ran
-/// concurrently). Grant/release of an object touches only its stripe.
-///
-/// Cross-stripe state stays global and is touched only off the granted
-/// fast path: the waits-for graph (edges are recorded only by blocked
-/// requests, so deadlock cycles spanning objects in different stripes
-/// are detected exactly as before) and the per-transaction deadline
-/// map. Lock order is stripe → graph; the release paths take them in
-/// sequence, never nested, so the two orders cannot deadlock.
+/// The waits-for graph and the per-transaction deadline map sit beside
+/// the table. The graph is touched only off the granted fast path (edges
+/// are recorded only by blocked requests). Lock order is table → graph
+/// and table → deadline map; nothing takes the table while holding
+/// either.
 pub struct LockManager {
-    stripes: Vec<Stripe>,
+    table: Mutex<Table>,
+    changed: Condvar,
     waits: Mutex<WaitsFor>,
     /// Per-transaction absolute lock-wait deadlines. A blocked request
     /// gives up at min(default patience, this deadline) — the hook the
     /// server uses to propagate per-request deadlines into lock waits.
-    deadlines: Mutex<HashMap<TxnId, std::time::Instant>>,
+    deadlines: Mutex<FastMap<TxnId, std::time::Instant>>,
     timeout: Duration,
     metrics: Arc<MetricsRegistry>,
 }
@@ -95,25 +87,13 @@ impl LockManager {
     /// registry (gated on its enable switch).
     pub fn with_metrics(timeout: Duration, metrics: Arc<MetricsRegistry>) -> Self {
         LockManager {
-            stripes: (0..STRIPES)
-                .map(|_| Stripe {
-                    inner: Mutex::new(StripeInner::default()),
-                    changed: Condvar::new(),
-                })
-                .collect(),
+            table: Mutex::new(Table::default()),
+            changed: Condvar::new(),
             waits: Mutex::new(WaitsFor::new()),
-            deadlines: Mutex::new(HashMap::new()),
+            deadlines: Mutex::new(FastMap::default()),
             timeout,
             metrics,
         }
-    }
-
-    #[inline]
-    fn stripe_of(&self, oid: ObjectId) -> &Stripe {
-        // Fibonacci multiply-shift: oids are sequential, so the raw low
-        // bits would park neighbouring objects in the same stripe.
-        let h = oid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.stripes[(h >> 60) as usize & (STRIPES - 1)]
     }
 
     /// Acquire `mode` on `oid` for `txn`. `ancestors` are transactions
@@ -128,8 +108,7 @@ impl LockManager {
         mode: LockMode,
         ancestors: &[TxnId],
     ) -> Result<()> {
-        let stripe = self.stripe_of(oid);
-        let mut inner = stripe.inner.lock();
+        let mut table = self.table.lock();
         let mut waited = false;
         let mut wait_started: Option<std::time::Instant> = None;
         // Patience is an absolute deadline, armed at the first blocked
@@ -145,17 +124,12 @@ impl LockManager {
             }
         };
         loop {
-            let conflicts = Self::conflicts(&inner, txn, oid, mode, ancestors);
+            let conflicts = Self::conflicts(&table, txn, oid, mode, ancestors);
             if conflicts.is_empty() {
-                let state = inner.locks.entry(oid).or_default();
-                let entry = state.holders.entry(txn).or_insert(mode);
-                if mode == LockMode::Exclusive {
-                    *entry = LockMode::Exclusive;
-                }
-                inner.held.entry(txn).or_default().insert(oid);
+                Self::grant(&mut table, txn, oid, mode);
                 // The waits-for graph is touched only if this request
                 // ever blocked — the granted fast path stays entirely
-                // within the stripe.
+                // within the table.
                 if waited {
                     self.waits.lock().clear(txn);
                 }
@@ -194,11 +168,13 @@ impl LockManager {
             let mut dl = *deadline.get_or_insert_with(|| std::time::Instant::now() + self.timeout);
             // A per-txn deadline can only shorten the wait, never extend
             // it. Re-read each pass so a deadline set after the wait
-            // began still applies (set_deadline notifies every stripe).
+            // began still applies (set_deadline wakes parked requests).
             if let Some(txn_dl) = self.deadlines.lock().get(&txn) {
                 dl = dl.min(*txn_dl);
             }
-            let timed_out = stripe.changed.wait_until(&mut inner, dl).timed_out();
+            table.waiters += 1;
+            let timed_out = self.changed.wait_until(&mut table, dl).timed_out();
+            table.waiters -= 1;
             if timed_out {
                 self.waits.lock().clear(txn);
                 finish_wait(wait_started);
@@ -215,31 +191,34 @@ impl LockManager {
         mode: LockMode,
         ancestors: &[TxnId],
     ) -> Result<bool> {
-        let mut inner = self.stripe_of(oid).inner.lock();
-        if Self::conflicts(&inner, txn, oid, mode, ancestors).is_empty() {
-            let state = inner.locks.entry(oid).or_default();
-            let entry = state.holders.entry(txn).or_insert(mode);
-            if mode == LockMode::Exclusive {
-                *entry = LockMode::Exclusive;
-            }
-            inner.held.entry(txn).or_default().insert(oid);
-            if self.metrics.on() {
-                self.metrics.txn.lock_acquisitions.inc();
-            }
-            Ok(true)
-        } else {
-            Ok(false)
+        let mut table = self.table.lock();
+        if !Self::conflicts(&table, txn, oid, mode, ancestors).is_empty() {
+            return Ok(false);
         }
+        Self::grant(&mut table, txn, oid, mode);
+        if self.metrics.on() {
+            self.metrics.txn.lock_acquisitions.inc();
+        }
+        Ok(true)
+    }
+
+    fn grant(table: &mut Table, txn: TxnId, oid: ObjectId, mode: LockMode) {
+        let state = table.locks.entry(oid).or_default();
+        let entry = state.holders.entry(txn).or_insert(mode);
+        if mode == LockMode::Exclusive {
+            *entry = LockMode::Exclusive;
+        }
+        table.held.entry(txn).or_default().insert(oid);
     }
 
     fn conflicts(
-        inner: &StripeInner,
+        table: &Table,
         txn: TxnId,
         oid: ObjectId,
         mode: LockMode,
         ancestors: &[TxnId],
     ) -> Vec<TxnId> {
-        let Some(state) = inner.locks.get(&oid) else {
+        let Some(state) = table.locks.get(&oid) else {
             return Vec::new();
         };
         state
@@ -254,9 +233,9 @@ impl LockManager {
 
     /// Bound (or unbound, with `None`) every lock wait `txn` makes from
     /// now on: a blocked request gives up with `LockTimeout` at
-    /// min(default patience, `deadline`). Waiters already blocked pick
-    /// the new deadline up on their next wakeup; `notify_all` forces
-    /// one so a shortened deadline takes effect promptly. Cleared
+    /// min(default patience, `deadline`). Requests already parked pick
+    /// the new deadline up on their next wakeup, which this forces so
+    /// a shortened deadline takes effect promptly. Cleared
     /// automatically by [`LockManager::release_all`].
     pub fn set_deadline(&self, txn: TxnId, deadline: Option<std::time::Instant>) {
         {
@@ -270,10 +249,11 @@ impl LockManager {
                 }
             }
         }
-        // The waiter may be blocked on any stripe; wake them all so it
-        // re-reads the deadline map (rare administrative path).
-        for stripe in &self.stripes {
-            stripe.changed.notify_all();
+        // A request reads the deadline map under the table mutex and
+        // holds it until it parks, so taking the mutex here orders this
+        // call either before its read or after it is counted.
+        if self.table.lock().waiters > 0 {
+            self.changed.notify_all();
         }
     }
 
@@ -290,30 +270,19 @@ impl LockManager {
     /// Release every lock held by `txn` (end of transaction).
     pub fn release_all(&self, txn: TxnId) {
         self.deadlines.lock().remove(&txn);
-        let mut touched = [false; STRIPES];
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let mut inner = stripe.inner.lock();
-            if let Some(oids) = inner.held.remove(&txn) {
-                for oid in oids {
-                    if let Some(state) = inner.locks.get_mut(&oid) {
-                        state.holders.remove(&txn);
-                        if state.holders.is_empty() {
-                            inner.locks.remove(&oid);
-                        }
-                    }
+        let mut table = self.table.lock();
+        let Some(oids) = table.held.remove(&txn) else {
+            return;
+        };
+        for oid in oids {
+            if let Some(state) = table.locks.get_mut(&oid) {
+                state.holders.remove(&txn);
+                if state.holders.is_empty() {
+                    table.locks.remove(&oid);
                 }
-                touched[i] = true;
             }
         }
-        // Scrub inbound edges before waking waiters: anyone who was
-        // blocked on this transaction re-records its conflict set
-        // against the post-release table.
-        self.waits.lock().remove(txn);
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            if touched[i] {
-                stripe.changed.notify_all();
-            }
-        }
+        self.wake_after_release(table, txn);
     }
 
     /// Transfer every lock held by `from` to `to`, upgrading `to`'s
@@ -321,36 +290,43 @@ impl LockManager {
     /// subtransaction's locks are inherited by its parent, and by the
     /// exclusive causally dependent mode's resource hand-over.
     pub fn transfer(&self, from: TxnId, to: TxnId) {
-        let mut touched = [false; STRIPES];
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let mut inner = stripe.inner.lock();
-            if let Some(oids) = inner.held.remove(&from) {
-                for oid in &oids {
-                    if let Some(state) = inner.locks.get_mut(oid) {
-                        if let Some(mode) = state.holders.remove(&from) {
-                            let entry = state.holders.entry(to).or_insert(mode);
-                            if mode == LockMode::Exclusive {
-                                *entry = LockMode::Exclusive;
-                            }
-                        }
+        let mut table = self.table.lock();
+        let Some(oids) = table.held.remove(&from) else {
+            return;
+        };
+        for oid in &oids {
+            if let Some(state) = table.locks.get_mut(oid) {
+                if let Some(mode) = state.holders.remove(&from) {
+                    let entry = state.holders.entry(to).or_insert(mode);
+                    if mode == LockMode::Exclusive {
+                        *entry = LockMode::Exclusive;
                     }
                 }
-                inner.held.entry(to).or_default().extend(oids);
-                touched[i] = true;
             }
         }
-        self.waits.lock().remove(from);
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            if touched[i] {
-                stripe.changed.notify_all();
-            }
+        table.held.entry(to).or_default().extend(oids);
+        self.wake_after_release(table, from);
+    }
+
+    /// Wake parked requests after `released` gave its locks up, if
+    /// any request is parked. `acquire` changes the count under the
+    /// table mutex this guard holds, so no wake-up can be lost. Only a
+    /// parked request has waits-for edges (every other exit clears its
+    /// own), so with none parked there is also nothing to scrub;
+    /// otherwise inbound edges go first, and each woken request
+    /// re-records its conflict set against the post-release table.
+    fn wake_after_release(&self, table: MutexGuard<'_, Table>, released: TxnId) {
+        if table.waiters == 0 {
+            return;
         }
+        self.waits.lock().remove(released);
+        drop(table);
+        self.changed.notify_all();
     }
 
     /// The mode `txn` holds on `oid`, if any.
     pub fn held_mode(&self, txn: TxnId, oid: ObjectId) -> Option<LockMode> {
-        self.stripe_of(oid)
-            .inner
+        self.table
             .lock()
             .locks
             .get(&oid)
@@ -359,10 +335,13 @@ impl LockManager {
 
     /// Number of objects currently locked (introspection).
     pub fn locked_objects(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.inner.lock().locks.len())
-            .sum()
+        self.table.lock().locks.len()
+    }
+
+    /// Requests parked in `acquire` right now.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.table.lock().waiters
     }
 }
 
@@ -384,6 +363,21 @@ mod tests {
         ObjectId::new(n)
     }
 
+    /// Spin until `n` requests are parked. Waiting on the count instead
+    /// of sleeping means the test proceeds exactly when the request is
+    /// parked, and fails, instead of passing on a lucky sleep, if
+    /// `acquire` forgets to count a parked request.
+    fn await_parked(lm: &LockManager, n: usize) {
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        while lm.parked() < n {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "request never counted as parked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn shared_locks_coexist_exclusive_does_not() {
         let lm = LockManager::with_timeout(Duration::from_millis(50));
@@ -401,7 +395,7 @@ mod tests {
         lm.acquire(t(1), o(1), LockMode::Exclusive, &[]).unwrap();
         let lm2 = Arc::clone(&lm);
         let h = std::thread::spawn(move || lm2.acquire(t(2), o(1), LockMode::Exclusive, &[]));
-        std::thread::sleep(Duration::from_millis(20));
+        await_parked(&lm, 1);
         lm.release_all(t(1));
         h.join().unwrap().unwrap();
         assert_eq!(lm.held_mode(t(2), o(1)), Some(LockMode::Exclusive));
@@ -425,7 +419,7 @@ mod tests {
         // t1 blocks on o2 in a helper thread...
         let lm2 = Arc::clone(&lm);
         let h = std::thread::spawn(move || lm2.acquire(t(1), o(2), LockMode::Exclusive, &[]));
-        std::thread::sleep(Duration::from_millis(30));
+        await_parked(&lm, 1);
         // ... and t2 requesting o1 closes the cycle: t2 is the victim.
         let err = lm
             .acquire(t(2), o(1), LockMode::Exclusive, &[])
@@ -548,7 +542,7 @@ mod tests {
         lm.acquire(t(1), o(1), LockMode::Exclusive, &[]).unwrap();
         let lm2 = Arc::clone(&lm);
         let h = std::thread::spawn(move || lm2.acquire(t(2), o(1), LockMode::Exclusive, &[]));
-        std::thread::sleep(Duration::from_millis(50));
+        await_parked(&lm, 1);
         lm.set_deadline(
             t(2),
             Some(std::time::Instant::now() + Duration::from_millis(50)),
@@ -597,6 +591,28 @@ mod tests {
         assert_eq!(lm.held_mode(t(10), o(1)), None);
         // A third party still cannot take o(1).
         assert!(lm.acquire(t(3), o(1), LockMode::Shared, &[]).is_err());
+    }
+
+    /// A subtransaction blocked on its sibling's exclusive lock is
+    /// granted when the sibling commits and its locks pass to the
+    /// common parent: `transfer` must wake the waiter, whose only
+    /// remaining conflict is now an ancestor. A lost wake-up fails as a
+    /// `LockTimeout`.
+    #[test]
+    fn transfer_to_parent_wakes_blocked_sibling() {
+        let lm = Arc::new(LockManager::with_timeout(Duration::from_secs(5)));
+        let (parent, holder, sibling) = (t(1), t(10), t(11));
+        lm.acquire(holder, o(1), LockMode::Exclusive, &[parent])
+            .unwrap();
+        let lm2 = Arc::clone(&lm);
+        let h =
+            std::thread::spawn(move || lm2.acquire(sibling, o(1), LockMode::Exclusive, &[parent]));
+        await_parked(&lm, 1);
+        lm.transfer(holder, parent);
+        h.join().unwrap().unwrap();
+        assert_eq!(lm.held_mode(sibling, o(1)), Some(LockMode::Exclusive));
+        assert_eq!(lm.held_mode(parent, o(1)), Some(LockMode::Exclusive));
+        assert_eq!(lm.parked(), 0);
     }
 
     #[test]

@@ -31,8 +31,9 @@ use crate::events::{TxnEvent, TxnEventKind, TxnListener};
 use crate::locks::{LockManager, LockMode};
 use crate::mvcc::{CommitTs, SnapshotRegistry, VersionPublisher};
 use reach_common::sync::{Mutex, RwLock};
-use reach_common::{IdGen, MetricsRegistry, ObjectId, ReachError, Result, TxnId, VirtualClock};
-use std::collections::HashMap;
+use reach_common::{
+    FastMap, IdGen, MetricsRegistry, ObjectId, ReachError, Result, TxnId, VirtualClock,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -130,7 +131,7 @@ pub struct TransactionManager {
     deps: Arc<DependencyGraph>,
     /// Live transactions only (see the module's retention note): small
     /// enough to stay cache-resident however long the system runs.
-    txns: Mutex<HashMap<TxnId, TxnRecord>>,
+    txns: Mutex<FastMap<TxnId, TxnRecord>>,
     /// Registries are read-mostly and sit on the begin/commit hot path
     /// of every (sub)transaction, so reads snapshot an `Arc` to the
     /// current Vec instead of cloning the Vec itself; writers swap in
@@ -170,7 +171,7 @@ impl TransactionManager {
                 Arc::clone(&metrics),
             )),
             deps: Arc::new(DependencyGraph::new()),
-            txns: Mutex::new(HashMap::new()),
+            txns: Mutex::new(FastMap::default()),
             listeners: RwLock::new(Arc::new(Vec::new())),
             resources: RwLock::new(Arc::new(Vec::new())),
             ids: IdGen::new(),
@@ -828,7 +829,7 @@ impl TransactionManager {
     /// every subtransaction under it. Once `top`'s state is final the
     /// tree is frozen (`begin_nested` refuses a finished parent), so the
     /// list taken here is also exactly what [`Self::retire`] drops.
-    fn finished_tree(txns: &HashMap<TxnId, TxnRecord>, top: TxnId) -> Vec<(TxnId, Outcome)> {
+    fn finished_tree(txns: &FastMap<TxnId, TxnRecord>, top: TxnId) -> Vec<(TxnId, Outcome)> {
         let mut tree = Vec::new();
         let mut stack = vec![top];
         while let Some(id) = stack.pop() {
@@ -1090,6 +1091,7 @@ impl std::fmt::Debug for TransactionManager {
 mod tests {
     use super::*;
     use reach_common::sync::Mutex as PMutex;
+    use std::collections::HashMap;
 
     fn manager() -> TransactionManager {
         TransactionManager::new(Arc::new(VirtualClock::new_virtual()))

@@ -32,8 +32,8 @@
 //! snapshots only the newest version per object survives.
 
 use reach_common::sync::Mutex;
-use reach_common::{ObjectId, Result, TxnId};
-use std::collections::{BTreeMap, HashMap};
+use reach_common::{FastMap, ObjectId, Result, TxnId};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A commit timestamp drawn from the transaction manager's commit
@@ -63,7 +63,9 @@ pub struct Version<T> {
 /// object model: the OODB instantiates it with object state, the
 /// oracle workloads with plain integers.
 pub struct VersionStore<T> {
-    chains: Mutex<HashMap<ObjectId, Vec<Version<T>>>>,
+    /// Keyed by oids of objects that exist or existed: a read of an
+    /// absent object inserts nothing (see [`VersionStore::read_or_seed`]).
+    chains: Mutex<FastMap<ObjectId, Vec<Version<T>>>>,
     /// Length of the longest chain, maintained incrementally by
     /// [`VersionStore::publish`] and recomputed by
     /// [`VersionStore::vacuum`]. Lets a committing writer decide in
@@ -85,7 +87,7 @@ impl<T> VersionStore<T> {
     /// An empty store.
     pub fn new() -> Self {
         VersionStore {
-            chains: Mutex::new(HashMap::new()),
+            chains: Mutex::new(FastMap::default()),
             longest: AtomicUsize::new(0),
         }
     }
@@ -154,6 +156,13 @@ impl<T: Clone> VersionStore<T> {
     /// contract as [`VersionStore::seed_baseline_with`]). Returns
     /// `Ok(None)` when the object does not exist at `stamp` (tombstone
     /// or created later).
+    ///
+    /// An object with no committed state seeds nothing: vacuum never
+    /// drops a chain's only version, so a tombstone baseline per probed
+    /// oid would grow the store for every absent oid a client names.
+    /// Leaving it out is safe because a writer that later creates the
+    /// object seeds its own pre-commit baseline at publish, so a chain
+    /// still never starts mid-history.
     pub fn read_or_seed(
         &self,
         oid: ObjectId,
@@ -169,13 +178,15 @@ impl<T: Clone> VersionStore<T> {
                 .and_then(|v| v.payload.clone()));
         }
         let payload = committed()?;
-        chains.insert(
-            oid,
-            vec![Version {
-                ts: BASELINE_TS,
-                payload: payload.clone(),
-            }],
-        );
+        if let Some(state) = &payload {
+            chains.insert(
+                oid,
+                vec![Version {
+                    ts: BASELINE_TS,
+                    payload: Some(state.clone()),
+                }],
+            );
+        }
         Ok(payload)
     }
 
@@ -351,9 +362,9 @@ mod tests {
                 .unwrap(),
             Some(9)
         );
-        // Absent committed state seeds a tombstone.
+        // Absent committed state seeds nothing.
         assert_eq!(store.read_or_seed(o(2), 5, || Ok(None)).unwrap(), None);
-        assert_eq!(store.versions_of(o(2)), 1);
+        assert_eq!(store.versions_of(o(2)), 0);
     }
 
     #[test]
