@@ -207,6 +207,48 @@ pub struct MethodObservation<'a> {
     pub args: &'a reach_object::Args,
 }
 
+/// Per-category registration counts: the detector sentries' cheap
+/// gates. When a category has no registrations anywhere, a raise for it
+/// cannot match and is skipped before the txn resolution and index
+/// lookup, after one atomic load. Shared apart from the router so that
+/// a sentry can read them without holding the router, which the
+/// substrate it sits on outlives.
+#[derive(Debug, Default)]
+pub struct RouterGates {
+    /// Registered method events per phase (`[Before, After]`).
+    method_phase: [AtomicU64; 2],
+    /// Registered flow events — the [`Router::raise_flow`] gate. Every
+    /// begin/commit of every (sub)transaction reports a flow point.
+    flow: AtomicU64,
+    /// Registered state-change events.
+    state: AtomicU64,
+}
+
+impl RouterGates {
+    /// Whether any flow event is registered anywhere (see
+    /// [`Router::raise_flow`]).
+    pub fn observes_flow(&self) -> bool {
+        self.flow.load(Ordering::Acquire) > 0
+    }
+
+    /// Whether any state-change event is registered anywhere. The state
+    /// sentry consults this before resolving the writing transaction.
+    pub fn observes_state_change(&self) -> bool {
+        self.state.load(Ordering::Acquire) > 0
+    }
+
+    /// Whether any method event of `phase` is registered anywhere (E13's
+    /// hot path raises the before phase 50k times against zero
+    /// registrations otherwise).
+    pub fn observes_method_phase(&self, phase: MethodPhase) -> bool {
+        let slot = match phase {
+            MethodPhase::Before => 0,
+            MethodPhase::After => 1,
+        };
+        self.method_phase[slot].load(Ordering::Acquire) > 0
+    }
+}
+
 /// The event router: detector index + manager table + delivery.
 pub struct Router {
     schema: Arc<Schema>,
@@ -227,19 +269,7 @@ pub struct Router {
     flow_index: RwLock<FastMap<FlowPoint, Vec<EventTypeId>>>,
     signal_index: RwLock<HashMap<String, Vec<EventTypeId>>>,
     ids: IdGen,
-    /// Registered method-event counts per phase (`[Before, After]`) —
-    /// the sentry's cheap gate: when a phase has no registrations
-    /// anywhere, a raise for it cannot match and is skipped before the
-    /// txn resolution and index lookup.
-    method_phase_count: [AtomicU64; 2],
-    /// Registered flow-event count — the [`Router::raise_flow`] gate.
-    /// Every begin/commit of every (sub)transaction reports a flow
-    /// point; with zero flow registrations the raise is one load.
-    flow_count: AtomicU64,
-    /// Registered state-change event count — the state sentry's gate:
-    /// with zero registrations an attribute write raises nothing and
-    /// the sentry returns after one load.
-    state_count: AtomicU64,
+    gates: Arc<RouterGates>,
     /// The event sequence clock. Normally private to this router; a
     /// sharded deployment injects one shared clock into every shard's
     /// router so occurrence `seq` values form a single global order and
@@ -296,9 +326,7 @@ impl Router {
             flow_index: RwLock::new(FastMap::default()),
             signal_index: RwLock::new(HashMap::new()),
             ids: IdGen::new(),
-            method_phase_count: [AtomicU64::new(0), AtomicU64::new(0)],
-            flow_count: AtomicU64::new(0),
-            state_count: AtomicU64::new(0),
+            gates: Arc::default(),
             seq,
             mode: RwLock::new(CompositionMode::Synchronous),
             workers: Mutex::new(FastMap::default()),
@@ -433,7 +461,7 @@ impl Router {
                         MethodPhase::Before => 0,
                         MethodPhase::After => 1,
                     };
-                    self.method_phase_count[slot].fetch_add(1, Ordering::Release);
+                    self.gates.method_phase[slot].fetch_add(1, Ordering::Release);
                 }
                 PrimitiveEvent::StateChange { class, attribute } => {
                     self.state_index
@@ -441,7 +469,7 @@ impl Router {
                         .entry((*class, attribute.clone()))
                         .or_default()
                         .push(id);
-                    self.state_count.fetch_add(1, Ordering::Release);
+                    self.gates.state.fetch_add(1, Ordering::Release);
                 }
                 PrimitiveEvent::Lifecycle { class, deletion } => {
                     self.lifecycle_index
@@ -459,7 +487,7 @@ impl Router {
                 }
                 PrimitiveEvent::Flow { point } => {
                     self.flow_index.write().entry(*point).or_default().push(id);
-                    self.flow_count.fetch_add(1, Ordering::Release);
+                    self.gates.flow.fetch_add(1, Ordering::Release);
                 }
                 PrimitiveEvent::UserSignal { name } => {
                     self.signal_index
@@ -499,28 +527,9 @@ impl Router {
         id
     }
 
-    /// Whether any flow event is registered anywhere (see
-    /// [`Router::raise_flow`]).
-    pub fn observes_flow(&self) -> bool {
-        self.flow_count.load(Ordering::Acquire) > 0
-    }
-
-    /// Whether any state-change event is registered anywhere. The state
-    /// sentry consults this before resolving the writing transaction.
-    pub fn observes_state_change(&self) -> bool {
-        self.state_count.load(Ordering::Acquire) > 0
-    }
-
-    /// Whether any method event of `phase` is registered anywhere.
-    /// One relaxed-side atomic load — the sentries consult this before
-    /// paying for a raise that cannot match (E13's hot path raises the
-    /// before phase 50k times against zero registrations otherwise).
-    pub fn observes_method_phase(&self, phase: MethodPhase) -> bool {
-        let slot = match phase {
-            MethodPhase::Before => 0,
-            MethodPhase::After => 1,
-        };
-        self.method_phase_count[slot].load(Ordering::Acquire) > 0
+    /// The registration gates the sentries consult before a raise.
+    pub fn gates(&self) -> &Arc<RouterGates> {
+        &self.gates
     }
 
     /// Look up a manager.
@@ -712,7 +721,7 @@ impl Router {
 
     /// A transaction flow point was reached.
     pub fn raise_flow(self: &Arc<Self>, txn: TxnId, top: TxnId, at: TimePoint, point: FlowPoint) {
-        if !self.observes_flow() {
+        if !self.gates.observes_flow() {
             return;
         }
         let types = self

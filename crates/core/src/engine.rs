@@ -100,36 +100,39 @@ impl ActionPool {
 /// dependency waits of the causally-dependent modes never queue behind
 /// a busy worker — detached concurrency is preserved exactly, only the
 /// spawn cost of the common case is amortized.
+///
+/// The workers share only the `idle` counter and the receiving end, so
+/// dropping the pool drops the one sender: each worker sees the
+/// disconnect and exits, and the drop joins them.
 struct DetachedPool {
     tx: crossbeam::channel::Sender<Box<dyn FnOnce() + Send>>,
     /// Workers parked in `recv` and not yet reserved by a submission.
     /// Every successful reservation (CAS decrement) pairs with exactly
     /// one queued job, so a job never waits behind a blocked one.
-    idle: AtomicIsize,
+    idle: Arc<AtomicIsize>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl DetachedPool {
     fn new(workers: usize) -> Arc<Self> {
         let (tx, rx) = crossbeam::channel::unbounded::<Box<dyn FnOnce() + Send>>();
-        let pool = Arc::new(DetachedPool {
-            tx,
-            idle: AtomicIsize::new(0),
-        });
-        for i in 0..workers {
-            let rx = rx.clone();
-            let pool2 = Arc::clone(&pool);
-            std::thread::Builder::new()
-                .name(format!("reach-detached-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
-                        pool2.idle.fetch_add(1, Ordering::Release);
-                    }
-                })
-                .expect("spawn detached worker");
-        }
-        pool.idle.store(workers as isize, Ordering::Release);
-        pool
+        let idle = Arc::new(AtomicIsize::new(workers as isize));
+        let workers = (0..workers)
+            .map(|i| {
+                let rx = rx.clone();
+                let idle = Arc::clone(&idle);
+                std::thread::Builder::new()
+                    .name(format!("reach-detached-{i}"))
+                    .spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            job();
+                            idle.fetch_add(1, Ordering::Release);
+                        }
+                    })
+                    .expect("spawn detached worker")
+            })
+            .collect();
+        Arc::new(DetachedPool { tx, idle, workers })
     }
 
     /// Run `job` on a parked worker, or a fresh thread if none is idle.
@@ -154,6 +157,27 @@ impl DetachedPool {
             // Workers gone (engine tearing down): degrade to a thread.
             self.idle.fetch_add(1, Ordering::Release);
             std::thread::spawn(job);
+        }
+    }
+}
+
+impl Drop for DetachedPool {
+    fn drop(&mut self) {
+        // Swap in a sender nobody receives from: the real one drops and
+        // the workers see the disconnect.
+        drop(std::mem::replace(
+            &mut self.tx,
+            crossbeam::channel::unbounded().0,
+        ));
+        // A job on one of these workers can hold the last reference to
+        // the engine, and so run this drop: that worker cannot join
+        // itself, and the others exit on their own.
+        let me = std::thread::current().id();
+        if self.workers.iter().any(|w| w.thread().id() == me) {
+            return;
+        }
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
 }

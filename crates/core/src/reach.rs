@@ -12,7 +12,7 @@
 use crate::algebra::{validate_composite, CompositionScope, Correlation, EventExpr, Lifespan};
 use crate::consumption::ConsumptionPolicy;
 use crate::coupling::{self, CouplingMode, EventCategory};
-use crate::eca::{CompositionMode, EcaManager, Router};
+use crate::eca::{CompositionMode, EcaManager, Router, RouterGates};
 use crate::engine::{
     DeadLetter, Engine, EngineHandler, ExecutionStrategy, RetryPolicy, StatsSnapshot, TieBreak,
 };
@@ -28,7 +28,7 @@ use reach_common::{
 use reach_object::{MethodCall, MethodSentry, StateChange, StateSentry, Value};
 use reach_txn::{TxnEvent, TxnEventKind, TxnListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Construction-time options.
@@ -104,8 +104,13 @@ impl ReachSystem {
         router.set_handler(Arc::new(EngineHandler(Arc::clone(&engine))));
         let temporal = TemporalManager::new(Arc::clone(&router));
         {
-            let t = Arc::clone(&temporal);
-            router.add_observer(Arc::new(move |occ| t.observe(occ)));
+            // Weak: the temporal manager holds the router.
+            let t = Arc::downgrade(&temporal);
+            router.add_observer(Arc::new(move |occ| {
+                if let Some(t) = t.upgrade() {
+                    t.observe(occ);
+                }
+            }));
         }
         let system = Arc::new(ReachSystem {
             db: Arc::clone(&db),
@@ -119,13 +124,13 @@ impl ReachSystem {
         });
         // Wire the detectors onto the substrate's sentry hooks.
         db.dispatcher()
-            .add_sentry(Arc::new(MethodBridge(Arc::clone(&system))));
+            .add_sentry(Arc::new(MethodBridge(Detector::new(&system))));
         db.space()
-            .add_state_sentry(Arc::new(StateBridge(Arc::clone(&system))));
+            .add_state_sentry(Arc::new(StateBridge(Detector::new(&system))));
         db.space()
-            .add_lifecycle_sentry(Arc::new(LifecycleBridge(Arc::clone(&system))));
+            .add_lifecycle_sentry(Arc::new(LifecycleBridge(Detector::new(&system))));
         db.txn_manager()
-            .add_listener(Arc::new(FlowBridge(Arc::clone(&system))));
+            .add_listener(Arc::new(FlowBridge(Detector::new(&system))));
         {
             // The `persist` DB-internal event (§3.1).
             let weak = Arc::downgrade(&system);
@@ -635,23 +640,50 @@ impl std::fmt::Debug for ReachSystem {
 // Detector bridges
 // ---------------------------------------------------------------------
 
-struct MethodBridge(Arc<ReachSystem>);
+/// What a detector bridge holds. The substrate owns its bridges and the
+/// system owns the substrate, so the bridge refers to the system
+/// weakly — a strong reference would keep a dropped system alive. The
+/// router's gates are held strongly: they refer to nothing, so a gate
+/// that rejects an event costs one load and no upgrade.
+struct Detector {
+    gates: Arc<RouterGates>,
+    sys: Weak<ReachSystem>,
+}
+
+impl Detector {
+    fn new(system: &Arc<ReachSystem>) -> Self {
+        Detector {
+            gates: Arc::clone(system.router.gates()),
+            sys: Arc::downgrade(system),
+        }
+    }
+}
+
+struct MethodBridge(Detector);
 
 impl MethodBridge {
+    /// The system, if an event of `phase` is registered anywhere. When
+    /// none is, a raise cannot match: the txn resolution and index
+    /// lookup are skipped outright.
+    fn observing(&self, phase: MethodPhase) -> Option<Arc<ReachSystem>> {
+        if self.0.gates.observes_method_phase(phase) {
+            self.0.sys.upgrade()
+        } else {
+            None
+        }
+    }
+
     /// Translate the observed calls of one `phase` into router
     /// observations and raise them in one pass, amortizing the
     /// txn→top resolution, the clock read and the metrics stamps.
     /// (All calls get one clock reading as their time point; under the
     /// virtual clock that is exactly what raising them one by one
     /// yields too, since the clock only moves on explicit ticks.)
-    fn raise<'a>(&self, calls: impl Iterator<Item = &'a MethodCall>, phase: MethodPhase) {
-        let sys = &self.0;
-        // No event of this phase is registered anywhere: the raise
-        // cannot match, so skip the txn resolution and index lookup
-        // outright.
-        if !sys.router.observes_method_phase(phase) {
-            return;
-        }
+    fn raise<'a>(
+        sys: &ReachSystem,
+        calls: impl Iterator<Item = &'a MethodCall>,
+        phase: MethodPhase,
+    ) {
         // This bridge *is* the integrated in-line wrapper sentry: the
         // dispatcher only calls it for monitored methods, so every
         // traversal is useful work.
@@ -698,33 +730,38 @@ impl MethodSentry for MethodBridge {
     fn before(&self, call: &MethodCall) -> Result<()> {
         // With no before-phase event registered no immediate rule can
         // veto either, so the activity check is skipped too.
-        if !self.0.router.observes_method_phase(MethodPhase::Before) {
+        let Some(sys) = self.observing(MethodPhase::Before) else {
             return Ok(());
-        }
-        self.raise(std::iter::once(call), MethodPhase::Before);
+        };
+        Self::raise(&sys, std::iter::once(call), MethodPhase::Before);
         // An immediate rule may have aborted the triggering transaction
         // (consistency veto): refuse to run the method body then.
-        if !call.txn.is_null() && !self.0.db.txn_manager().is_active(call.txn) {
+        if !call.txn.is_null() && !sys.db.txn_manager().is_active(call.txn) {
             return Err(ReachError::TxnAborted(call.txn));
         }
         Ok(())
     }
 
     fn after(&self, calls: &[(MethodCall, Result<Value>)]) {
-        self.raise(calls.iter().map(|(call, _result)| call), MethodPhase::After);
+        if let Some(sys) = self.observing(MethodPhase::After) {
+            let calls = calls.iter().map(|(call, _result)| call);
+            Self::raise(&sys, calls, MethodPhase::After);
+        }
     }
 }
 
-struct StateBridge(Arc<ReachSystem>);
+struct StateBridge(Detector);
 
 impl StateSentry for StateBridge {
     fn on_change(&self, change: &StateChange<'_>) {
-        let sys = &self.0;
         // With no state-change event registered a write cannot match:
         // one load, before the transaction lookup.
-        if !sys.router.observes_state_change() || change.txn.is_null() {
+        if !self.0.gates.observes_state_change() || change.txn.is_null() {
             return;
         }
+        let Some(sys) = self.0.sys.upgrade() else {
+            return;
+        };
         let Ok(top) = sys.db.txn_manager().top_of(change.txn) else {
             return;
         };
@@ -740,7 +777,7 @@ impl StateSentry for StateBridge {
     }
 }
 
-struct LifecycleBridge(Arc<ReachSystem>);
+struct LifecycleBridge(Detector);
 
 impl reach_object::LifecycleSentry for LifecycleBridge {
     fn on_create(
@@ -764,10 +801,12 @@ impl reach_object::LifecycleSentry for LifecycleBridge {
 
 impl LifecycleBridge {
     fn raise(&self, txn: TxnId, oid: reach_common::ObjectId, class: ClassId, deletion: bool) {
-        let sys = &self.0;
         if txn.is_null() {
             return;
         }
+        let Some(sys) = self.0.sys.upgrade() else {
+            return;
+        };
         let Ok(top) = sys.db.txn_manager().top_of(txn) else {
             return;
         };
@@ -776,11 +815,25 @@ impl LifecycleBridge {
     }
 }
 
-struct FlowBridge(Arc<ReachSystem>);
+struct FlowBridge(Detector);
 
 impl TxnListener for FlowBridge {
     fn on_txn_event(&self, event: &TxnEvent) {
-        let sys = &self.0;
+        // Only a top-level transaction's pre-commit and end settle
+        // composition state; any other event matters only to a flow
+        // rule. With zero flow rules — this listener runs twice per
+        // subtransaction — such an event costs one atomic load.
+        let settles = match event.kind {
+            TxnEventKind::Begin => false,
+            TxnEventKind::PreCommit => true,
+            TxnEventKind::Committed | TxnEventKind::Aborted => event.parent.is_none(),
+        };
+        if !settles && !self.0.gates.observes_flow() {
+            return;
+        }
+        let Some(sys) = self.0.sys.upgrade() else {
+            return;
+        };
         let point = match event.kind {
             TxnEventKind::Begin => FlowPoint::Begin,
             TxnEventKind::PreCommit => FlowPoint::PreCommit,
@@ -791,11 +844,9 @@ impl TxnListener for FlowBridge {
         // (termination guard), but their composition state and staged
         // occurrences are still settled below. Both the rule-txn test
         // (a mutex) and the raise itself are skipped entirely when no
-        // flow event is registered — this listener runs twice per
-        // subtransaction, so with zero flow rules it must stay at one
-        // atomic load.
+        // flow event is registered.
         let raise = |txn, top, at, point| {
-            if sys.router.observes_flow() && !sys.engine.is_rule_txn(event.top_level) {
+            if self.0.gates.observes_flow() && !sys.engine.is_rule_txn(event.top_level) {
                 sys.router.raise_flow(txn, top, at, point);
             }
         };

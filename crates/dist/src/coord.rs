@@ -23,13 +23,25 @@
 //!    prepared participant resolves to abort — which is exactly what
 //!    the surviving participants and the application observe.
 //!
+//! The log stays bounded. Once every participant has applied a commit
+//! decision — `decide(true)` returned, and a participant's decide
+//! forces its own `Commit` record — no participant can be in doubt
+//! about it again, so its `CoordCommit` is garbage. After every
+//! [`LOG_LIMIT`] bytes of decisions the coordinator re-appends the
+//! decisions still unacknowledged (and the record with the largest
+//! gid, which [`Coordinator::from_wal`] resumes above), forces them,
+//! and truncates everything before them. A decision whose phase 2
+//! failed, and every decision a revived coordinator inherits, is
+//! carried forward like this indefinitely: nothing tells the
+//! coordinator that its participants have resolved it.
+//!
 //! Crash injection: tests install a [`CrashHook`] that fires at every
 //! message [`Boundary`] of the protocol. Returning `true` makes the
 //! coordinator return an error *immediately*, with no cleanup appends —
 //! simulating a process crash at that point.
 
-use reach_common::sync::RwLock;
-use reach_common::{FastSet, ReachError, Result, TxnId};
+use reach_common::sync::{Mutex, RwLock};
+use reach_common::{FastMap, FastSet, ReachError, Result, TxnId};
 use reach_storage::{StorageManager, WalRecord, WriteAheadLog};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,11 +82,51 @@ pub enum Boundary {
 /// Crash injector: return `true` to crash the coordinator at `b`.
 pub type CrashHook = Arc<dyn Fn(Boundary) -> bool + Send + Sync>;
 
+/// Decision bytes a coordinator appends between two truncations of its
+/// log (about 2 200 two-shard commit decisions).
+pub const LOG_LIMIT: u64 = 64 << 10;
+
+/// What the coordinator's log must keep. Every decision append takes
+/// this lock, so a truncation under it cuts at a frame boundary and
+/// sees every decision appended before the cut.
+#[derive(Default)]
+struct Retention {
+    /// Commit decisions some participant has not yet acknowledged, by
+    /// gid: a participant may still be in doubt about these.
+    open: FastMap<u64, WalRecord>,
+    /// The decision record with the largest gid.
+    newest: Option<WalRecord>,
+    /// Decision bytes appended since the last truncation.
+    appended: u64,
+}
+
+impl Retention {
+    /// Account for a decision record now in the log.
+    fn note(&mut self, rec: WalRecord) {
+        let gid = decision_gid(&rec);
+        if matches!(rec, WalRecord::CoordCommit { .. }) {
+            self.open.insert(gid, rec.clone());
+        }
+        if self.newest.as_ref().is_none_or(|n| decision_gid(n) < gid) {
+            self.newest = Some(rec);
+        }
+    }
+}
+
+/// The gid a decision record names.
+fn decision_gid(rec: &WalRecord) -> u64 {
+    match rec {
+        WalRecord::CoordCommit { gid, .. } | WalRecord::CoordAbort { gid } => *gid,
+        _ => unreachable!("not a decision record"),
+    }
+}
+
 /// Presumed-abort 2PC coordinator with its own WAL.
 pub struct Coordinator {
     wal: Arc<WriteAheadLog>,
     gids: AtomicU64,
     hook: RwLock<Option<CrashHook>>,
+    retention: Mutex<Retention>,
 }
 
 impl Coordinator {
@@ -86,22 +138,25 @@ impl Coordinator {
     /// A coordinator over an existing log (possibly revived from a
     /// crash image). The next global transaction id resumes above
     /// every gid the log mentions, so ids never repeat across reboots.
+    /// Every commit decision in the log counts as unacknowledged.
     pub fn from_wal(wal: Arc<WriteAheadLog>) -> Self {
-        let mut next = 1u64;
+        let mut retention = Retention::default();
         if let Ok(recs) = wal.scan_all() {
             for (_, rec) in recs {
-                match rec {
-                    WalRecord::CoordCommit { gid, .. } | WalRecord::CoordAbort { gid } => {
-                        next = next.max(gid + 1);
-                    }
-                    _ => {}
+                if matches!(
+                    rec,
+                    WalRecord::CoordCommit { .. } | WalRecord::CoordAbort { .. }
+                ) {
+                    retention.note(rec);
                 }
             }
         }
+        let next = retention.newest.as_ref().map_or(1, |n| decision_gid(n) + 1);
         Self {
             wal,
             gids: AtomicU64::new(next),
             hook: RwLock::new(None),
+            retention: Mutex::new(retention),
         }
     }
 
@@ -151,7 +206,7 @@ impl Coordinator {
                 // Voted abort. Advisory (unforced) decision record, then
                 // resolve every site synchronously: prepared ones get the
                 // abort decision, the failed/unreached ones roll back.
-                let _ = self.wal.append(&WalRecord::CoordAbort { gid });
+                let _ = self.log_decision(WalRecord::CoordAbort { gid });
                 for (jdx, q) in parts.iter().enumerate() {
                     if jdx < idx {
                         let _ = q.decide(false);
@@ -166,9 +221,7 @@ impl Coordinator {
         // Decision: the only force of the protocol.
         self.checkpoint(Boundary::BeforeDecision)?;
         let participants: Vec<u32> = parts.iter().map(|p| p.shard()).collect();
-        let (_, end) = self
-            .wal
-            .append_bounded(&WalRecord::CoordCommit { gid, participants })?;
+        let end = self.log_decision(WalRecord::CoordCommit { gid, participants })?;
         self.wal.force_up_to(end)?;
         self.checkpoint(Boundary::AfterDecision)?;
         // Phase 2: inform. A crash here is safe — the decision is
@@ -178,6 +231,7 @@ impl Coordinator {
             p.decide(true)?;
             self.checkpoint(Boundary::AfterDecide(p.shard()))?;
         }
+        self.acknowledged(gid);
         Ok(())
     }
 
@@ -185,10 +239,52 @@ impl Coordinator {
     /// (application-requested rollback): local rollback everywhere, no
     /// forced log work.
     pub fn abort(&self, gid: u64, parts: &[&dyn Participant]) -> Result<()> {
-        let _ = self.wal.append(&WalRecord::CoordAbort { gid });
+        let _ = self.log_decision(WalRecord::CoordAbort { gid });
         for p in parts {
             p.rollback()?;
         }
+        Ok(())
+    }
+
+    /// Append a decision record (unforced) and note what its retention
+    /// needs. Returns the record's end LSN.
+    fn log_decision(&self, rec: WalRecord) -> Result<u64> {
+        let mut r = self.retention.lock();
+        let (start, end) = self.wal.append_bounded(&rec)?;
+        r.appended += end - start;
+        r.note(rec);
+        Ok(end)
+    }
+
+    /// Every participant applied the commit decision of `gid`: forget
+    /// it, and truncate the log once enough decisions have piled up.
+    fn acknowledged(&self, gid: u64) {
+        let mut r = self.retention.lock();
+        r.open.remove(&gid);
+        if r.appended >= LOG_LIMIT {
+            r.appended = 0;
+            // Best effort: a failed truncation leaves the whole log (a
+            // carried-forward copy of a decision is only a duplicate),
+            // and the next one comes after another `LOG_LIMIT` bytes.
+            let _ = self.truncate(&r);
+        }
+    }
+
+    /// Re-append what must outlive the cut, force it, then drop every
+    /// record before it. Called under the retention lock, so the tail
+    /// is a frame boundary and no decision lands between the two.
+    fn truncate(&self, r: &Retention) -> Result<()> {
+        let cut = self.wal.tail();
+        let newest = r
+            .newest
+            .as_ref()
+            .filter(|n| !r.open.contains_key(&decision_gid(n)));
+        let mut end = cut;
+        for rec in r.open.values().chain(newest) {
+            end = self.wal.append_bounded(rec)?.1;
+        }
+        self.wal.force_up_to(end)?;
+        self.wal.truncate_prefix(cut)?;
         Ok(())
     }
 }
@@ -249,4 +345,114 @@ pub fn resolve_in_doubt(
         }
     }
     Ok((committed, aborted))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    /// A participant that votes yes and applies every decision, unless
+    /// told to fail phase 2.
+    struct Site {
+        shard: u32,
+        fail_decide: AtomicBool,
+    }
+
+    impl Site {
+        fn new(shard: u32) -> Self {
+            Self {
+                shard,
+                fail_decide: AtomicBool::new(false),
+            }
+        }
+    }
+
+    impl Participant for Site {
+        fn shard(&self) -> u32 {
+            self.shard
+        }
+        fn prepare(&self, _gid: u64) -> Result<()> {
+            Ok(())
+        }
+        fn decide(&self, _commit: bool) -> Result<()> {
+            if self.fail_decide.load(Ordering::SeqCst) {
+                return Err(ReachError::Io("site down".into()));
+            }
+            Ok(())
+        }
+        fn rollback(&self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    fn live_bytes(wal: &WriteAheadLog) -> u64 {
+        wal.tail() - wal.base_lsn()
+    }
+
+    /// Reboot from the coordinator's durable log: the revived
+    /// coordinator and the decisions an in-doubt participant would read.
+    fn reboot(c: &Coordinator) -> (Coordinator, DecisionLog) {
+        let image = c.wal().durable_image().unwrap();
+        let wal = Arc::new(WriteAheadLog::in_memory_from(image));
+        let decisions = scan_decisions(&wal).unwrap();
+        (Coordinator::from_wal(wal), decisions)
+    }
+
+    #[test]
+    fn the_decision_log_stays_bounded() {
+        let c = Coordinator::in_memory();
+        let (a, b) = (Site::new(0), Site::new(1));
+        let base = c.wal().base_lsn();
+        let first = c.commit(&[&a, &b]).unwrap();
+        let mut last = first;
+        let mut peak = 0;
+        for _ in 0..20_000 {
+            last = c.commit(&[&a, &b]).unwrap();
+            peak = peak.max(live_bytes(c.wal()));
+        }
+        assert!(c.wal().base_lsn() > base, "the log was never truncated");
+        assert!(peak <= LOG_LIMIT + 64, "peak {peak} B past the limit");
+        let (revived, decisions) = reboot(&c);
+        assert!(!decisions.is_committed(first), "acknowledged: forgotten");
+        assert!(decisions.is_committed(last), "the newest decision is kept");
+        assert!(revived.next_gid() > last, "gids resume above the newest");
+    }
+
+    #[test]
+    fn unacknowledged_decisions_outlive_truncation() {
+        let c = Coordinator::in_memory();
+        let (a, b) = (Site::new(0), Site::new(1));
+        // Phase 2 fails at one site: b may be in doubt about `stuck`.
+        let stuck = c.next_gid();
+        b.fail_decide.store(true, Ordering::SeqCst);
+        c.commit_gid(stuck, &[&a, &b]).unwrap_err();
+        b.fail_decide.store(false, Ordering::SeqCst);
+        // The coordinator "crashes" between its decision and phase 2.
+        let crashed = c.next_gid();
+        c.set_crash_hook(Arc::new(|at| at == Boundary::AfterDecision));
+        c.commit_gid(crashed, &[&a, &b]).unwrap_err();
+        c.set_crash_hook(Arc::new(|_| false));
+        let acked = c.commit(&[&a, &b]).unwrap();
+        let base = c.wal().base_lsn();
+        for _ in 0..10_000 {
+            c.commit(&[&a, &b]).unwrap();
+        }
+        assert!(c.wal().base_lsn() > base, "the log was never truncated");
+        let (revived, decisions) = reboot(&c);
+        assert!(decisions.is_committed(stuck) && decisions.is_committed(crashed));
+        assert!(!decisions.is_committed(acked));
+        // A revived coordinator cannot tell whether the participants
+        // have resolved what it inherits, so it carries it forward too.
+        let base = revived.wal().base_lsn();
+        for _ in 0..10_000 {
+            revived.commit(&[&a, &b]).unwrap();
+        }
+        assert!(
+            revived.wal().base_lsn() > base,
+            "the log was never truncated"
+        );
+        let (_, decisions) = reboot(&revived);
+        assert!(decisions.is_committed(stuck) && decisions.is_committed(crashed));
+    }
 }

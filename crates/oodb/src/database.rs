@@ -120,7 +120,7 @@ impl Database {
         // The index sentry and the undo log first, so they see every
         // object that follows.
         let indexing = IndexingPm::new(&space, Arc::clone(&sm));
-        let change = ChangePm::new(Arc::downgrade(&tm), Arc::clone(&space));
+        let change = ChangePm::new(Arc::downgrade(&tm), &space);
         let persistence = PersistencePm::new(
             Arc::clone(&sm),
             Arc::clone(&space),

@@ -30,6 +30,7 @@ use reach_common::{ClassId, FastMap, ObjectId, Result, TxnId};
 use reach_object::{ObjectSpace, ObjectState, UndoLog, Value};
 use reach_txn::manager::ResourceManager;
 use reach_txn::TransactionManager;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 #[derive(Debug, Clone)]
@@ -81,16 +82,25 @@ pub(crate) type Images = (ObjectId, Option<ObjectState>, Option<ObjectState>);
 /// Per-transaction in-memory undo log.
 pub struct ChangePm {
     tm: Weak<TransactionManager>,
-    space: Arc<ObjectSpace>,
+    /// Weak: the space holds this PM as its undo log, and a strong
+    /// reference back would keep a dropped database's space alive. It
+    /// upgrades for as long as the database is alive; once it is gone
+    /// there is nothing left to undo or read.
+    space: Weak<ObjectSpace>,
     log: Mutex<FastMap<TxnId, Vec<Change>>>,
+    /// Bumped under the `log` lock each time a rollback drops entries
+    /// it has undone, so [`ChangePm::committed_base`] can tell that the
+    /// space it read may still hold a change whose entry has gone.
+    unwound: AtomicU64,
 }
 
 impl ChangePm {
-    pub fn new(tm: Weak<TransactionManager>, space: Arc<ObjectSpace>) -> Arc<Self> {
+    pub fn new(tm: Weak<TransactionManager>, space: &Arc<ObjectSpace>) -> Arc<Self> {
         let pm = Arc::new(ChangePm {
             tm,
-            space: Arc::clone(&space),
+            space: Arc::downgrade(space),
             log: Mutex::new(FastMap::default()),
+            unwound: AtomicU64::new(0),
         });
         space.set_undo_log(Arc::clone(&pm) as Arc<dyn UndoLog>);
         pm
@@ -109,23 +119,22 @@ impl ChangePm {
         }
     }
 
-    fn undo(&self, change: Change) {
+    fn undo(&self, space: &ObjectSpace, change: Change) {
         // Compensations run under TxnId::NULL: not re-tracked, but other
         // sentries (indexing) still observe them.
         match change {
             Change::Attr { oid, slot, old } => {
                 // Through the name-addressed write path, so the state
                 // sentries see the compensation like any other write.
-                let name = self
-                    .space
+                let name = space
                     .class_of(oid)
-                    .and_then(|class| self.space.schema().attr_name(class, slot));
+                    .and_then(|class| space.schema().attr_name(class, slot));
                 if let Ok(name) = name {
-                    let _ = self.space.set_attr(TxnId::NULL, oid, &name, old);
+                    let _ = space.set_attr(TxnId::NULL, oid, &name, old);
                 }
             }
             Change::Create { oid } => {
-                let _ = self.space.delete(TxnId::NULL, oid);
+                let _ = space.delete(TxnId::NULL, oid);
             }
             Change::Delete {
                 oid,
@@ -133,19 +142,20 @@ impl ChangePm {
                 persistent,
             } => {
                 if persistent {
-                    self.space.mark_persistent(oid);
+                    space.mark_persistent(oid);
                 }
-                self.space.install_existing(oid, state);
+                space.install_existing(oid, state);
             }
         }
     }
 
     /// Undo `top`'s changes past `savepoint`, newest first, and only then
-    /// drop them from the log: a reader reconstructing committed state
-    /// (`committed_base` reads the space, then the log) must never find
-    /// the space still changed and the entry already gone. An entry
-    /// undone but still logged is harmless to it: applying `old` to a
-    /// state that already holds `old` is a no-op.
+    /// drop them from the log, bumping `unwound` in the same lock: a
+    /// reader reconstructing committed state (`committed_base` reads the
+    /// space, then the log) that read the space before the undo and the
+    /// log after the drop sees the bump and reads again. An entry undone
+    /// but still logged is harmless to it: applying `old` to a state
+    /// that already holds `old` is a no-op.
     fn unwind(&self, top: TxnId, savepoint: usize) {
         let tail: Vec<Change> = self
             .log
@@ -153,11 +163,16 @@ impl ChangePm {
             .get(&top)
             .and_then(|changes| changes.get(savepoint..))
             .map_or_else(Vec::new, <[Change]>::to_vec);
-        for change in tail.into_iter().rev() {
-            self.undo(change);
+        if let Some(space) = self.space.upgrade() {
+            for change in tail.into_iter().rev() {
+                self.undo(&space, change);
+            }
         }
         if let Some(changes) = self.log.lock().get_mut(&top) {
-            changes.truncate(savepoint);
+            if changes.len() > savepoint {
+                changes.truncate(savepoint);
+                self.unwound.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -185,20 +200,36 @@ impl ChangePm {
     }
 
     /// The image before and after `top` of each object in its write set
-    /// whose class `keep` accepts, in write-set order: the in-place
-    /// state with `top`'s own log undone over it, in one reverse pass.
-    /// Strict 2PL makes `top`'s log the only one with entries for these
-    /// objects, and a deleted object's before-image comes from its undo
-    /// entry, never from the space — no fault-in brings it back.
+    /// whose class `keep` accepts, in write-set order (see
+    /// [`ChangePm::images_of`]).
     pub(crate) fn images(&self, top: TxnId, keep: impl Fn(ClassId) -> bool) -> Vec<Images> {
+        self.images_of(top, &self.write_set(top), keep)
+    }
+
+    /// The image before and after `top` of each `(oid, deleted)` entry
+    /// of its write set whose class `keep` accepts, in the order given:
+    /// the in-place state with `top`'s own log undone over it, in one
+    /// reverse pass. Strict 2PL makes `top`'s log the only one with
+    /// entries for these objects, and a deleted object's before-image
+    /// comes from its undo entry, never from the space — no fault-in
+    /// brings it back.
+    pub(crate) fn images_of(
+        &self,
+        top: TxnId,
+        entries: &[(ObjectId, bool)],
+        keep: impl Fn(ClassId) -> bool,
+    ) -> Vec<Images> {
+        let Some(space) = self.space.upgrade() else {
+            return Vec::new();
+        };
         let mut images: Vec<Images> = Vec::new();
         let mut at: FastMap<ObjectId, usize> = FastMap::default();
         // After-images first, outside the log lock.
-        for (oid, deleted) in self.write_set(top) {
+        for &(oid, deleted) in entries {
             let after = if deleted {
                 None
             } else {
-                match self.space.snapshot(oid) {
+                match space.snapshot(oid) {
                     Ok(s) if keep(s.class) => Some(s),
                     _ => continue,
                 }
@@ -236,23 +267,36 @@ impl ChangePm {
     /// Strict 2PL makes this well-defined: at most one transaction holds
     /// the exclusive lock, so at most one log has entries for `oid`. The
     /// space is read *before* the log, and every entry is appended
-    /// before its change becomes visible and dropped only after it has
-    /// been undone (`unwind`), so the state read is always covered by
-    /// the entries read. A writer that mutates between the two reads
-    /// re-derives the same pre-image (applying `old` to a state that
-    /// still holds `old` is a no-op), so that interleaving is harmless.
+    /// before its change becomes visible, so a forward write is always
+    /// covered by the entries read; a writer that mutates between the
+    /// two reads re-derives the same pre-image (applying `old` to a
+    /// state that still holds `old` is a no-op). A rollback is the
+    /// other direction: it undoes and then drops, so a space read
+    /// before its undo can meet a log read after its drop — the
+    /// rolled-back value with nothing left to undo it. `unwound` moves
+    /// whenever that can have happened, and the read is then repeated.
     pub fn committed_base(&self, oid: ObjectId) -> Result<Option<ObjectState>> {
-        let mut state = match self.space.snapshot(oid) {
-            Ok(s) => Some(s),
-            Err(reach_common::ReachError::ObjectNotFound(_)) => None,
-            Err(e) => return Err(e),
-        };
-        let log = self.log.lock();
-        let undo: Vec<&Change> = log.values().flatten().filter(|c| c.oid() == oid).collect();
-        for change in undo.into_iter().rev() {
-            change.undo_onto(&mut state);
+        let space = self
+            .space
+            .upgrade()
+            .ok_or(reach_common::ReachError::ObjectNotFound(oid))?;
+        loop {
+            let unwound = self.unwound.load(Ordering::Acquire);
+            let mut state = match space.snapshot(oid) {
+                Ok(s) => Some(s),
+                Err(reach_common::ReachError::ObjectNotFound(_)) => None,
+                Err(e) => return Err(e),
+            };
+            let log = self.log.lock();
+            if self.unwound.load(Ordering::Relaxed) != unwound {
+                continue;
+            }
+            let undo: Vec<&Change> = log.values().flatten().filter(|c| c.oid() == oid).collect();
+            for change in undo.into_iter().rev() {
+                change.undo_onto(&mut state);
+            }
+            return Ok(state);
         }
-        Ok(state)
     }
 }
 

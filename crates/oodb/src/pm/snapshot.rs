@@ -11,13 +11,16 @@
 //!   reported durable, while the writer's exclusive locks are still
 //!   held, before the commit clock advances. The PM reads the write set
 //!   from the Change PM's log, which outlives `commit_top` for exactly
-//!   this, seeds the *pre-commit* committed state as the chain baseline
-//!   (reconstructed by undoing that log), publishes the post-commit
-//!   state at the new timestamp, and then lets the Change PM drop the
-//!   log;
+//!   this. For the written objects that have no chain yet it seeds the
+//!   *pre-commit* committed state as the chain baseline, reconstructed
+//!   in one reverse pass over this transaction's own log (so a commit
+//!   costs what it wrote, not what every live log holds); it then
+//!   publishes the post-commit state at the new timestamp and lets the
+//!   Change PM drop the log;
 //! * a snapshot read resolves through [`SnapshotPm::read`]: chain hit,
 //!   or — for objects never written since start-up — a race-free
-//!   baseline seed from [`ChangePm::committed_base`].
+//!   baseline seed from [`ChangePm::committed_base`], the one caller
+//!   left of that all-logs reconstruction.
 //!
 //! Because the baseline is seeded *before* the first higher-timestamp
 //! version exists, a chain never starts mid-history: any reader whose
@@ -66,21 +69,33 @@ impl SnapshotPm {
 impl VersionPublisher for SnapshotPm {
     fn publish(&self, txn: TxnId, ts: CommitTs) -> usize {
         let write_set = self.change.write_set(txn);
-        for (oid, deleted) in &write_set {
-            // Seed the pre-commit committed state first: the log is
-            // still in place, so `committed_base` undoes this very
-            // transaction's changes. No-op if the chain already exists.
-            let _ = self
-                .store
-                .seed_baseline_with(*oid, || self.change.committed_base(*oid));
-            let payload = if *deleted {
-                None
-            } else {
-                // Locks are held and all RMs reported durable: the
-                // in-place state *is* the committed post-image.
-                self.space.snapshot(*oid).ok()
+        // Seed the pre-commit committed state of the objects with no
+        // chain yet: the log is still in place, so undoing it over the
+        // in-place state gives that state. A snapshot reader seeding
+        // one of them meanwhile derives the same image (the writer's
+        // locks are held and its log is in place), and the seed is
+        // insert-if-absent either way.
+        let unchained = self.store.unchained(&write_set, |(oid, _)| *oid);
+        let mut images = Vec::new();
+        if !unchained.is_empty() {
+            images = self.change.images_of(txn, &unchained, |_| true);
+            self.store.seed_baselines(
+                images
+                    .iter_mut()
+                    .map(|(oid, before, _)| (*oid, before.take())),
+            );
+        }
+        let mut images = images.into_iter().peekable();
+        for &(oid, deleted) in &write_set {
+            // Locks are held and all RMs reported durable: the in-place
+            // state *is* the committed post-image, and a just-seeded
+            // object's image already holds it.
+            let payload = match images.next_if(|(seeded, _, _)| *seeded == oid) {
+                Some((_, _, after)) => after,
+                None if deleted => None,
+                None => self.space.snapshot(oid).ok(),
             };
-            self.store.publish(*oid, ts, payload);
+            self.store.publish(oid, ts, payload);
         }
         self.change.finish_publish(txn);
         write_set.len()
@@ -90,8 +105,8 @@ impl VersionPublisher for SnapshotPm {
         self.store.vacuum(watermark)
     }
 
-    fn longest_chain(&self) -> usize {
-        self.store.longest_chain()
+    fn long_chains(&self) -> usize {
+        self.store.long_chains()
     }
 }
 

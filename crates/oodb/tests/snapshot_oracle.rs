@@ -5,9 +5,10 @@
 //!
 //! The database is reopened before the run, so no account has a
 //! version chain: each account's first write publishes the baseline
-//! from the Change PM's log (`committed_base` undoing the committing
-//! transaction), and a reader that meets an account first seeds it
-//! lazily while writers may hold uncommitted changes to it. Writers
+//! from the Change PM's log (the committing transaction's own log
+//! undone over the in-place state), and a reader that meets an account
+//! first seeds it lazily (`committed_base`) while writers may hold
+//! uncommitted changes to it. Writers
 //! also abort whole transfers and roll back subtransactions, whose
 //! amounts no reader may ever see.
 //!
@@ -148,6 +149,81 @@ fn snapshot_readers_always_see_the_constant_sum() {
     let t = db.begin().unwrap();
     assert_eq!(total(&db, t, &accounts), want, "after a restart");
     db.commit(t).unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A snapshot reader that meets an object first seeds its baseline:
+/// the in-place state with every live log's entries undone over it. A
+/// writer rolling back its change to that object meanwhile undoes the
+/// change and then drops the entry. Whatever the interleaving, the
+/// seeded baseline is the committed state, never the rolled-back write.
+/// Writers chase the object the reader is about to read, so the two
+/// meet on every object.
+#[test]
+fn a_seeding_reader_never_keeps_a_rolled_back_write() {
+    const OBJECTS: usize = 3_000;
+    let seed = seed_from_env(0x5EED_0B0B);
+    announce_seed("a_seeding_reader_never_keeps_a_rolled_back_write", seed);
+    let dir = std::env::temp_dir().join(format!("reach-seeding-reader-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let accounts: Vec<ObjectId> = {
+        let (db, class) = open(&dir);
+        let t = db.begin().unwrap();
+        let accounts = (0..OBJECTS)
+            .map(|_| {
+                let oid = db
+                    .create_with(t, class, &[("balance", Value::Int(OPENING))])
+                    .unwrap();
+                db.persist(t, oid).unwrap();
+                oid
+            })
+            .collect();
+        db.commit(t).unwrap();
+        db.checkpoint().unwrap();
+        accounts
+    };
+    let (db, _) = open(&dir);
+    assert_eq!(db.snapshot_pm().retained_versions(), 0, "no chain yet");
+    let next = AtomicUsize::new(0);
+    let reading = AtomicBool::new(true);
+    let mut rng = SplitMix64::new(seed);
+    let wrong = std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let mut rng = rng.fork(w);
+            let (db, accounts, next, reading) = (&db, &accounts, &next, &reading);
+            s.spawn(move || {
+                while reading.load(Ordering::Relaxed) {
+                    let i = (next.load(Ordering::Relaxed) + rng.below(2)).min(OBJECTS - 1);
+                    let t = db.begin().unwrap();
+                    // Through a subtransaction that rolls back, or the
+                    // whole transaction aborting.
+                    let child = rng.chance(1, 2).then(|| db.begin_nested(t).unwrap());
+                    let bogus = Value::Int(OPENING + 1_000);
+                    let _ = db.set_attr(child.unwrap_or(t), accounts[i], "balance", bogus);
+                    if let Some(child) = child {
+                        db.abort(child).unwrap();
+                    }
+                    db.abort(t).unwrap();
+                }
+            });
+        }
+        // Reads every object once, and stops the writers however the
+        // reads went.
+        let mut wrong = Vec::new();
+        for (i, oid) in accounts.iter().enumerate() {
+            next.store(i, Ordering::Relaxed);
+            let t = db.begin_read_only().unwrap();
+            let got = db.get_attr(t, *oid, "balance");
+            db.commit(t).unwrap();
+            if got != Ok(Value::Int(OPENING)) {
+                wrong.push((i, got));
+            }
+        }
+        reading.store(false, Ordering::Relaxed);
+        wrong
+    });
+    assert!(wrong.is_empty(), "seed {seed:#x}: snapshot reads {wrong:?}");
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -201,8 +201,9 @@ fn dead_letter_to_wire(d: &DeadLetter) -> WireDeadLetter {
     }
 }
 
-/// A running server. Dropping the handle does *not* stop the server;
-/// call [`ServerHandle::shutdown`].
+/// A running server. Dropping the handle shuts it down (see
+/// [`ServerHandle::shutdown`]): its threads hold the system, so a server
+/// left running would keep a dropped world alive.
 pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: std::net::SocketAddr,
@@ -223,9 +224,12 @@ impl ServerHandle {
 
     /// Graceful shutdown: stop admitting, let in-flight requests
     /// finish, abort every remaining session transaction, close all
-    /// connections, and join the server threads.
+    /// connections, and join the server threads. Only the first call
+    /// does anything.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.lock().take() {
@@ -251,6 +255,12 @@ impl ServerHandle {
         if let Some(h) = self.reaper.lock().take() {
             let _ = h.join();
         }
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

@@ -29,6 +29,7 @@
 use crate::dependency::{DependencyGraph, Outcome, Permission};
 use crate::events::{TxnEvent, TxnEventKind, TxnListener};
 use crate::locks::{LockManager, LockMode};
+pub use crate::mvcc::VACUUM_CHAIN_THRESHOLD;
 use crate::mvcc::{CommitTs, SnapshotRegistry, VersionPublisher};
 use reach_common::sync::{Mutex, RwLock};
 use reach_common::{
@@ -37,14 +38,6 @@ use reach_common::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Writer-path vacuum trigger: when any version publisher retains a
-/// chain longer than this after a publish, the committing writer runs a
-/// vacuum itself instead of waiting for a snapshot-stamp release (which
-/// a stamp-free, write-heavy workload never produces). The watermark is
-/// still computed against the oldest live snapshot, so a triggered
-/// vacuum can never reclaim a version a reader might resolve to.
-pub const VACUUM_CHAIN_THRESHOLD: usize = 64;
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -780,16 +773,12 @@ impl TransactionManager {
             // Writer-triggered vacuum backstop: snapshot-stamp release
             // is the primary GC trigger, but a write-heavy workload
             // that never begins a read-only transaction would grow
-            // chains without bound. When any publisher's longest chain
-            // exceeds the threshold, vacuum right here (the watermark
-            // computation is snapshot-aware, so live readers still pin
-            // whatever they need). The O(1) longest-chain poll keeps
-            // the common commit path free of any GC cost.
-            if published > 0
-                && publishers
-                    .iter()
-                    .any(|p| p.longest_chain() > VACUUM_CHAIN_THRESHOLD)
-            {
+            // chains without bound. When any publisher holds a chain
+            // longer than the threshold, vacuum right here (the
+            // watermark computation is snapshot-aware, so live readers
+            // still pin whatever they need). The O(1) long-chain count
+            // keeps the common commit path free of any GC cost.
+            if published > 0 && publishers.iter().any(|p| p.long_chains() > 0) {
                 drop(_gate);
                 self.vacuum_versions();
             }
@@ -1715,8 +1704,8 @@ mod tests {
         fn vacuum(&self, watermark: CommitTs) -> usize {
             self.store.vacuum(watermark)
         }
-        fn longest_chain(&self) -> usize {
-            self.store.longest_chain()
+        fn long_chains(&self) -> usize {
+            self.store.long_chains()
         }
     }
 

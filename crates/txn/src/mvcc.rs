@@ -29,11 +29,14 @@
 //! versions strictly below the oldest registered stamp are reclaimed,
 //! except the newest such version per object (it is the base some
 //! present or future snapshot still resolves to). With no live
-//! snapshots only the newest version per object survives.
+//! snapshots only the newest version per object survives. A vacuum
+//! visits only the chains a superseding version has named since the
+//! last one passed, so its cost is what it reclaims, not the store's
+//! size.
 
 use reach_common::sync::Mutex;
 use reach_common::{FastMap, ObjectId, Result, TxnId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A commit timestamp drawn from the transaction manager's commit
@@ -44,6 +47,15 @@ pub type CommitTs = u64;
 /// The timestamp of baseline versions: committed state captured before
 /// the object's first MVCC-era write.
 pub const BASELINE_TS: CommitTs = 0;
+
+/// Writer-path vacuum trigger: when any version publisher retains a
+/// chain longer than this after a publish, the committing writer runs a
+/// vacuum itself instead of waiting for a snapshot-stamp release (which
+/// a stamp-free, write-heavy workload never produces). The watermark is
+/// still computed against the oldest live snapshot, so a triggered
+/// vacuum can never reclaim a version a reader might resolve to.
+/// [`VersionStore`] counts the chains past it as they cross.
+pub const VACUUM_CHAIN_THRESHOLD: usize = 64;
 
 /// One entry in an object's version chain. `payload == None` is a
 /// tombstone: at this timestamp the object does not exist (deleted, or
@@ -56,6 +68,22 @@ pub struct Version<T> {
     pub payload: Option<T>,
 }
 
+/// The chains and the vacuum's work list, under one mutex.
+struct Chains<T> {
+    /// Keyed by oids of objects that exist or existed: a read of an
+    /// absent object inserts nothing (see [`VersionStore::read_or_seed`]).
+    by_oid: FastMap<ObjectId, Vec<Version<T>>>,
+    /// `(ts, oid)` of every version pushed onto a non-empty chain, in
+    /// publish order — which is `ts` order, because the manager's
+    /// publish gate serialises publications. Only such a version can
+    /// make an older one reclaimable, and only once its `ts` falls
+    /// below the watermark, so [`VersionStore::vacuum`] pops the
+    /// entries below the watermark and trims just the chains they
+    /// name. Every version but a chain's first has an entry here until
+    /// a vacuum passes it, which is what lets the vacuum skip the rest.
+    superseded: VecDeque<(CommitTs, ObjectId)>,
+}
+
 /// A multi-version store: per-object chains of committed versions,
 /// ordered by commit timestamp.
 ///
@@ -63,18 +91,16 @@ pub struct Version<T> {
 /// object model: the OODB instantiates it with object state, the
 /// oracle workloads with plain integers.
 pub struct VersionStore<T> {
-    /// Keyed by oids of objects that exist or existed: a read of an
-    /// absent object inserts nothing (see [`VersionStore::read_or_seed`]).
-    chains: Mutex<FastMap<ObjectId, Vec<Version<T>>>>,
-    /// Length of the longest chain, maintained incrementally by
-    /// [`VersionStore::publish`] and recomputed by
-    /// [`VersionStore::vacuum`]. Lets a committing writer decide in
-    /// O(1) whether chains have grown enough to warrant a vacuum —
-    /// without this, a write-heavy workload that never opens a
-    /// read-only (snapshot) transaction accumulates versions
-    /// unboundedly, because vacuum otherwise only runs on
+    chains: Mutex<Chains<T>>,
+    /// Chains longer than [`VACUUM_CHAIN_THRESHOLD`], changed under the
+    /// `chains` lock: [`VersionStore::publish`] counts a chain when it
+    /// crosses the threshold, [`VersionStore::vacuum`] uncounts it when
+    /// a trim brings it back. Lets a committing writer decide in O(1)
+    /// whether to vacuum — without this, a write-heavy workload that
+    /// never opens a read-only (snapshot) transaction accumulates
+    /// versions unboundedly, because vacuum otherwise only runs on
     /// snapshot-stamp release.
-    longest: AtomicUsize,
+    long_chains: AtomicUsize,
 }
 
 impl<T> Default for VersionStore<T> {
@@ -87,59 +113,89 @@ impl<T> VersionStore<T> {
     /// An empty store.
     pub fn new() -> Self {
         VersionStore {
-            chains: Mutex::new(FastMap::default()),
-            longest: AtomicUsize::new(0),
+            chains: Mutex::new(Chains {
+                by_oid: FastMap::default(),
+                superseded: VecDeque::new(),
+            }),
+            long_chains: AtomicUsize::new(0),
         }
     }
 
-    /// Length of the longest version chain (O(1); see the field doc).
+    /// Number of chains longer than [`VACUUM_CHAIN_THRESHOLD`] (O(1);
+    /// see the field doc).
+    pub fn long_chains(&self) -> usize {
+        self.long_chains.load(Ordering::Relaxed)
+    }
+
+    /// Length of the longest version chain. Walks every chain:
+    /// introspection for tests, like [`VersionStore::total_versions`];
+    /// the writer-path trigger reads [`VersionStore::long_chains`].
     pub fn longest_chain(&self) -> usize {
-        self.longest.load(Ordering::Relaxed)
+        let chains = self.chains.lock();
+        chains.by_oid.values().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// Versions a vacuum still has to look at: one per version pushed
+    /// onto a non-empty chain and not yet passed by a vacuum.
+    #[cfg(test)]
+    fn pending_superseded(&self) -> usize {
+        self.chains.lock().superseded.len()
     }
 }
 
 impl<T: Clone> VersionStore<T> {
     /// Publish a committed version of `oid` at `ts` (`None` = delete
-    /// tombstone). Timestamps arrive monotonically per object because
-    /// publication happens under the manager's publish mutex while the
-    /// writer still holds its exclusive lock; a same-`ts` republish
-    /// replaces the entry (a transaction writing the same object twice
-    /// commits one version).
+    /// tombstone). Timestamps arrive monotonically — per object and
+    /// across objects — because publication happens under the
+    /// manager's publish gate while the writer still holds its
+    /// exclusive lock; a same-`ts` republish replaces the entry (a
+    /// transaction writing the same object twice commits one version).
     pub fn publish(&self, oid: ObjectId, ts: CommitTs, payload: Option<T>) {
-        let mut chains = self.chains.lock();
-        let chain = chains.entry(oid).or_default();
+        let mut guard = self.chains.lock();
+        let chains = &mut *guard;
+        let chain = chains.by_oid.entry(oid).or_default();
         match chain.last_mut() {
             Some(last) if last.ts == ts => last.payload = payload,
-            _ => chain.push(Version { ts, payload }),
+            _ => {
+                if !chain.is_empty() {
+                    chains.superseded.push_back((ts, oid));
+                }
+                chain.push(Version { ts, payload });
+                if chain.len() == VACUUM_CHAIN_THRESHOLD + 1 {
+                    self.long_chains.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
-        self.longest.fetch_max(chain.len(), Ordering::Relaxed);
     }
 
-    /// Seed the baseline version of `oid` if (and only if) it has no
-    /// chain yet. `committed` is evaluated under the store lock, which
-    /// is what makes first-write seeding race-free: a writer seeds the
-    /// pre-image *before* its first in-place mutation, so any snapshot
-    /// reader either finds the chain (and never looks at the mutable
-    /// object) or reads state the writer has provably not touched yet.
-    /// Returns whether a baseline was inserted.
-    pub fn seed_baseline_with(
-        &self,
-        oid: ObjectId,
-        committed: impl FnOnce() -> Result<Option<T>>,
-    ) -> Result<bool> {
+    /// The subset of `items` whose oid (by `oid`) has no chain yet, in
+    /// order, under one lock: what a committing writer must seed
+    /// before it publishes.
+    pub fn unchained<E: Copy>(&self, items: &[E], oid: impl Fn(&E) -> ObjectId) -> Vec<E> {
+        let chains = self.chains.lock();
+        items
+            .iter()
+            .filter(|e| !chains.by_oid.contains_key(&oid(e)))
+            .copied()
+            .collect()
+    }
+
+    /// Seed each `(oid, committed)` as that object's baseline version
+    /// unless it already has a chain (insert-if-absent), under one
+    /// lock. The caller must hold the objects' exclusive locks and
+    /// derive `committed` from its own undo log, so a concurrent
+    /// [`VersionStore::read_or_seed`] that got there first seeded the
+    /// very same state.
+    pub fn seed_baselines(&self, seeds: impl IntoIterator<Item = (ObjectId, Option<T>)>) {
         let mut chains = self.chains.lock();
-        if chains.contains_key(&oid) {
-            return Ok(false);
+        for (oid, payload) in seeds {
+            chains.by_oid.entry(oid).or_insert_with(|| {
+                vec![Version {
+                    ts: BASELINE_TS,
+                    payload,
+                }]
+            });
         }
-        let payload = committed()?;
-        chains.insert(
-            oid,
-            vec![Version {
-                ts: BASELINE_TS,
-                payload,
-            }],
-        );
-        Ok(true)
     }
 
     /// The newest version of `oid` visible at `stamp` (largest
@@ -147,15 +203,17 @@ impl<T: Clone> VersionStore<T> {
     /// version old enough.
     pub fn read_at(&self, oid: ObjectId, stamp: CommitTs) -> Option<Version<T>> {
         let chains = self.chains.lock();
-        let chain = chains.get(&oid)?;
+        let chain = chains.by_oid.get(&oid)?;
         chain.iter().rev().find(|v| v.ts <= stamp).cloned()
     }
 
     /// Visible payload at `stamp`, seeding the baseline from
-    /// `committed` when the object has no chain yet (same race-free
-    /// contract as [`VersionStore::seed_baseline_with`]). Returns
-    /// `Ok(None)` when the object does not exist at `stamp` (tombstone
-    /// or created later).
+    /// `committed` when the object has no chain yet. `committed` runs
+    /// under the store lock, so the check and the insert are one step
+    /// and a concurrent [`VersionStore::seed_baselines`] of the same
+    /// committed state cannot be overwritten. Returns `Ok(None)` when
+    /// the object does not exist at `stamp` (tombstone or created
+    /// later).
     ///
     /// An object with no committed state seeds nothing: vacuum never
     /// drops a chain's only version, so a tombstone baseline per probed
@@ -170,7 +228,7 @@ impl<T: Clone> VersionStore<T> {
         committed: impl FnOnce() -> Result<Option<T>>,
     ) -> Result<Option<T>> {
         let mut chains = self.chains.lock();
-        if let Some(chain) = chains.get(&oid) {
+        if let Some(chain) = chains.by_oid.get(&oid) {
             return Ok(chain
                 .iter()
                 .rev()
@@ -179,7 +237,7 @@ impl<T: Clone> VersionStore<T> {
         }
         let payload = committed()?;
         if let Some(state) = &payload {
-            chains.insert(
+            chains.by_oid.insert(
                 oid,
                 vec![Version {
                     ts: BASELINE_TS,
@@ -194,36 +252,55 @@ impl<T: Clone> VersionStore<T> {
     /// stamp, or one past the commit clock when no snapshot is live),
     /// keeping per object every version at or above the watermark plus
     /// the newest one below it. Returns how many versions were dropped.
+    ///
+    /// Costs what it reclaims: it visits only the chains named by
+    /// superseding versions now below the watermark. A chain with no
+    /// such entry has, past its first version, only versions at or
+    /// above the watermark (every later version's entry is still
+    /// queued, and the queue is in `ts` order), so the rule leaves it
+    /// as it is.
     pub fn vacuum(&self, watermark: CommitTs) -> usize {
-        let mut chains = self.chains.lock();
+        let mut guard = self.chains.lock();
+        let chains = &mut *guard;
         let mut dropped = 0;
-        let mut longest = 0;
-        for chain in chains.values_mut() {
+        while let Some(&(ts, oid)) = chains.superseded.front() {
+            if ts >= watermark {
+                break;
+            }
+            chains.superseded.pop_front();
+            let Some(chain) = chains.by_oid.get_mut(&oid) else {
+                continue;
+            };
             // Index of the newest version strictly below the watermark:
             // everything before it is unreachable by any live or future
             // snapshot.
             let keep_from = chain.iter().rposition(|v| v.ts < watermark).unwrap_or(0);
-            dropped += keep_from;
+            if keep_from == 0 {
+                continue;
+            }
+            let was_long = chain.len() > VACUUM_CHAIN_THRESHOLD;
             chain.drain(..keep_from);
-            longest = longest.max(chain.len());
+            dropped += keep_from;
+            if was_long && chain.len() <= VACUUM_CHAIN_THRESHOLD {
+                self.long_chains.fetch_sub(1, Ordering::Relaxed);
+            }
         }
-        self.longest.store(longest, Ordering::Relaxed);
         dropped
     }
 
     /// Number of objects with a version chain.
     pub fn objects(&self) -> usize {
-        self.chains.lock().len()
+        self.chains.lock().by_oid.len()
     }
 
     /// Total versions across all chains (introspection / GC tests).
     pub fn total_versions(&self) -> usize {
-        self.chains.lock().values().map(Vec::len).sum()
+        self.chains.lock().by_oid.values().map(Vec::len).sum()
     }
 
     /// Versions currently retained for `oid`.
     pub fn versions_of(&self, oid: ObjectId) -> usize {
-        self.chains.lock().get(&oid).map_or(0, Vec::len)
+        self.chains.lock().by_oid.get(&oid).map_or(0, Vec::len)
     }
 }
 
@@ -284,13 +361,14 @@ pub trait VersionPublisher: Send + Sync {
     /// Reclaim versions below `watermark`. Returns versions dropped.
     fn vacuum(&self, watermark: CommitTs) -> usize;
 
-    /// Length of the longest version chain this publisher retains.
-    /// The transaction manager polls this after each publish to decide
-    /// whether to vacuum from the *writer* path — the backstop that
-    /// keeps chains bounded when no snapshot reader ever registers
-    /// (stamp release being the only other vacuum trigger). The
-    /// default `0` opts a publisher out of writer-triggered vacuums.
-    fn longest_chain(&self) -> usize {
+    /// Number of version chains this publisher retains that are longer
+    /// than [`VACUUM_CHAIN_THRESHOLD`]. The transaction manager polls
+    /// this after each publish to decide whether to vacuum from the
+    /// *writer* path — the backstop that keeps chains bounded when no
+    /// snapshot reader ever registers (stamp release being the only
+    /// other vacuum trigger). The default `0` opts a publisher out of
+    /// writer-triggered vacuums.
+    fn long_chains(&self) -> usize {
         0
     }
 }
@@ -340,12 +418,20 @@ mod tests {
     #[test]
     fn seed_baseline_only_once() {
         let store = VersionStore::new();
-        assert!(store.seed_baseline_with(o(1), || Ok(Some(7u64))).unwrap());
-        assert!(!store
-            .seed_baseline_with(o(1), || panic!("chain exists; closure must not run"))
-            .unwrap());
-        let v = store.read_at(o(1), 0).unwrap();
+        store.seed_baselines([(o(1), Some(7u64))]);
+        assert_eq!(store.versions_of(o(1)), 1);
+        // A chain exists: a second seed, and a seed after a publish,
+        // leave it as it is.
+        store.seed_baselines([(o(1), Some(8)), (o(2), None)]);
+        store.publish(o(1), 1, Some(10));
+        store.seed_baselines([(o(1), Some(9))]);
+        assert_eq!(store.versions_of(o(1)), 2);
+        let v = store.read_at(o(1), BASELINE_TS).unwrap();
         assert_eq!((v.ts, v.payload), (BASELINE_TS, Some(7)));
+        assert_eq!(store.read_at(o(1), 1).unwrap().payload, Some(10));
+        // A tombstone seed is a chain too (a created object's baseline).
+        let v = store.read_at(o(2), BASELINE_TS).unwrap();
+        assert_eq!((v.ts, v.payload), (BASELINE_TS, None));
     }
 
     #[test]
@@ -413,5 +499,209 @@ mod tests {
         reg.release(5);
         assert_eq!(reg.oldest(), None);
         assert_eq!(reg.live_readers(), 0);
+    }
+
+    #[test]
+    fn vacuum_visits_only_superseded_versions() {
+        let store = VersionStore::new();
+        store.seed_baselines((0..10_000u64).map(|n| (o(n), Some(n))));
+        store.publish(o(4_321), 1, Some(1));
+        assert_eq!(store.pending_superseded(), 1);
+        assert_eq!(store.vacuum(2), 1, "exactly the one superseded version");
+        assert_eq!(store.pending_superseded(), 0, "nothing left pending");
+        assert_eq!(store.versions_of(o(4_321)), 1);
+        assert_eq!(store.total_versions(), 10_000);
+        assert_eq!(store.read_at(o(4_321), 1).unwrap().payload, Some(1));
+        assert_eq!(store.vacuum(2), 0);
+    }
+
+    #[test]
+    fn long_chain_count_tracks_the_threshold() {
+        let store = VersionStore::new();
+        let top = VACUUM_CHAIN_THRESHOLD as u64;
+        for ts in 1..=top {
+            store.publish(o(1), ts, Some(ts));
+            store.publish(o(2), ts, Some(ts));
+        }
+        assert_eq!(store.long_chains(), 0, "chains of exactly the threshold");
+        store.publish(o(1), top + 1, Some(0));
+        store.publish(o(1), top + 1, Some(1)); // same-ts replace: no growth
+        assert_eq!(store.long_chains(), 1);
+        // A pinned watermark trims nothing; the chain stays counted.
+        assert_eq!(store.vacuum(1), 0);
+        assert_eq!(store.long_chains(), 1);
+        assert_eq!(store.vacuum(top + 2), 2 * top as usize - 1);
+        assert_eq!(store.long_chains(), 0);
+        assert_eq!(store.longest_chain(), 1);
+    }
+
+    /// The all-chains vacuum the store had before it kept a superseded
+    /// list: every operation on a plain map, the reclaim a walk over
+    /// every chain. The differential test holds the store to it.
+    #[derive(Default)]
+    struct OracleStore {
+        chains: std::collections::HashMap<ObjectId, Vec<Version<u64>>>,
+    }
+
+    impl OracleStore {
+        fn publish(&mut self, oid: ObjectId, ts: CommitTs, payload: Option<u64>) {
+            let chain = self.chains.entry(oid).or_default();
+            match chain.last_mut() {
+                Some(last) if last.ts == ts => last.payload = payload,
+                _ => chain.push(Version { ts, payload }),
+            }
+        }
+
+        fn seed(&mut self, oid: ObjectId, payload: Option<u64>) {
+            self.chains.entry(oid).or_insert_with(|| {
+                vec![Version {
+                    ts: BASELINE_TS,
+                    payload,
+                }]
+            });
+        }
+
+        fn read_or_seed(
+            &mut self,
+            oid: ObjectId,
+            stamp: CommitTs,
+            committed: Option<u64>,
+        ) -> Option<u64> {
+            if let Some(chain) = self.chains.get(&oid) {
+                return chain
+                    .iter()
+                    .rev()
+                    .find(|v| v.ts <= stamp)
+                    .and_then(|v| v.payload);
+            }
+            if committed.is_some() {
+                self.seed(oid, committed);
+            }
+            committed
+        }
+
+        fn read_at(&self, oid: ObjectId, stamp: CommitTs) -> Option<(CommitTs, Option<u64>)> {
+            let chain = self.chains.get(&oid)?;
+            chain
+                .iter()
+                .rev()
+                .find(|v| v.ts <= stamp)
+                .map(|v| (v.ts, v.payload))
+        }
+
+        fn vacuum(&mut self, watermark: CommitTs) -> usize {
+            let mut dropped = 0;
+            for chain in self.chains.values_mut() {
+                let keep_from = chain.iter().rposition(|v| v.ts < watermark).unwrap_or(0);
+                dropped += keep_from;
+                chain.drain(..keep_from);
+            }
+            dropped
+        }
+
+        fn total_versions(&self) -> usize {
+            self.chains.values().map(Vec::len).sum()
+        }
+
+        fn long_chains(&self) -> usize {
+            self.chains
+                .values()
+                .filter(|c| c.len() > VACUUM_CHAIN_THRESHOLD)
+                .count()
+        }
+    }
+
+    /// Random publish / seed / read-or-seed / snapshot register-release
+    /// / vacuum sequences against the store and the oracle, with the
+    /// commit clock and the watermark computed the way the transaction
+    /// manager computes them. After every vacuum both must answer every
+    /// read at every live stamp (and at the clock) the same, and retain
+    /// the same number of versions.
+    #[test]
+    fn vacuum_differential_against_the_all_chains_oracle() {
+        use std::collections::BTreeSet;
+        let base = reach_common::seed_from_env(0x5EED_7AC0);
+        let mut long_seen = 0;
+        for round in 0..8u64 {
+            let seed = base ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            reach_common::announce_seed("mvcc::vacuum_differential", seed);
+            let mut rng = reach_common::SplitMix64::new(seed);
+            // Odd rounds pin snapshots for long and write few objects,
+            // so chains cross the long-chain threshold.
+            let (oids, release) = if round % 2 == 0 { (24, 8) } else { (6, 1) };
+            let store = VersionStore::new();
+            let mut oracle = OracleStore::default();
+            let mut clock: CommitTs = 0;
+            let mut live: Vec<CommitTs> = Vec::new();
+            let mut vacuums = 0;
+            for _ in 0..3_000 {
+                let roll = rng.below(100) as u64;
+                if roll < 55 {
+                    // A writer commit: seed what has no chain, then
+                    // publish at the next stamp (some oids twice).
+                    let ts = clock + 1;
+                    let writes: Vec<ObjectId> = (0..1 + rng.below(4))
+                        .map(|_| o(rng.below(oids) as u64))
+                        .collect();
+                    let seeds: Vec<(ObjectId, Option<u64>)> = store
+                        .unchained(&writes, |oid| *oid)
+                        .into_iter()
+                        .map(|oid| (oid, rng.chance(3, 4).then(|| rng.next_u64() % 1000)))
+                        .collect();
+                    for &(oid, payload) in &seeds {
+                        oracle.seed(oid, payload);
+                    }
+                    store.seed_baselines(seeds);
+                    for oid in writes {
+                        let payload = rng.chance(7, 8).then(|| rng.next_u64() % 1000);
+                        store.publish(oid, ts, payload);
+                        oracle.publish(oid, ts, payload);
+                    }
+                    clock = ts;
+                } else if roll < 60 {
+                    let oid = o(rng.below(oids) as u64);
+                    let payload = Some(rng.next_u64() % 1000);
+                    store.seed_baselines([(oid, payload)]);
+                    oracle.seed(oid, payload);
+                    let got = store.read_at(oid, BASELINE_TS).map(|v| (v.ts, v.payload));
+                    assert_eq!(got, oracle.read_at(oid, BASELINE_TS), "seed {oid:?}");
+                    let want = oracle.chains.get(&oid).map_or(0, Vec::len);
+                    assert_eq!(store.versions_of(oid), want, "seed {oid:?}");
+                } else if roll < 72 {
+                    let oid = o(rng.below(oids + 2) as u64);
+                    let stamp = live
+                        .get(rng.below(live.len() + 1))
+                        .copied()
+                        .unwrap_or(clock);
+                    let committed = rng.chance(1, 2).then(|| rng.next_u64() % 1000);
+                    let got = store.read_or_seed(oid, stamp, || Ok(committed)).unwrap();
+                    let want = oracle.read_or_seed(oid, stamp, committed);
+                    assert_eq!(got, want, "read_or_seed {oid:?}@{stamp}");
+                } else if roll < 80 {
+                    live.push(clock);
+                } else if roll < 80 + release {
+                    if !live.is_empty() {
+                        live.swap_remove(rng.below(live.len()));
+                    }
+                } else {
+                    let watermark = live.iter().min().copied().unwrap_or(clock + 1);
+                    let dropped = store.vacuum(watermark);
+                    assert_eq!(dropped, oracle.vacuum(watermark), "dropped at {watermark}");
+                    vacuums += 1;
+                    let stamps: BTreeSet<CommitTs> = live.iter().copied().chain([clock]).collect();
+                    for stamp in stamps {
+                        for n in 0..oids as u64 + 2 {
+                            let got = store.read_at(o(n), stamp).map(|v| (v.ts, v.payload));
+                            assert_eq!(got, oracle.read_at(o(n), stamp), "read_at {n}@{stamp}");
+                        }
+                    }
+                    assert_eq!(store.total_versions(), oracle.total_versions());
+                    assert_eq!(store.long_chains(), oracle.long_chains());
+                    long_seen = long_seen.max(store.long_chains());
+                }
+            }
+            assert!(vacuums > 0);
+        }
+        assert!(long_seen > 0, "no round crossed the long-chain threshold");
     }
 }

@@ -553,8 +553,8 @@ impl crate::mvcc::VersionPublisher for WorkloadPublisher {
         self.store.vacuum(watermark)
     }
 
-    fn longest_chain(&self) -> usize {
-        self.store.longest_chain()
+    fn long_chains(&self) -> usize {
+        self.store.long_chains()
     }
 }
 
