@@ -1,6 +1,6 @@
 //! Experiment E18 — concurrency correctness stress harness.
 //!
-//! Three oracles, one binary, all driven by the schedule-perturbing
+//! Four oracles, one binary, all driven by the schedule-perturbing
 //! sync layer (`reach_common::sync`, built with the `sched` feature):
 //!
 //! 1. **Trace determinism** — the same seed must produce the identical
@@ -13,7 +13,12 @@
 //!    and random streams through the real compositor and the naive
 //!    reference interpreter (`reach_core::oracle`); detections must be
 //!    identical per arrival and at window close, for all four SNOOP
-//!    consumption policies.
+//!    consumption policies;
+//! 4. **Causal-dependency oracle** — triggers commit or abort on several
+//!    threads while their parallel, sequential and exclusive causally
+//!    dependent rules fire; every rule transaction must commit exactly
+//!    once when Table 1 says it may (parallel and sequential: the
+//!    trigger committed; exclusive: it aborted) and never otherwise.
 //!
 //! Exits nonzero on the first discrepancy, printing the seed to replay.
 //!
@@ -22,12 +27,17 @@
 //!     [--seed N] [--schedules N] [--streams N] [--smoke]
 //! ```
 
+use open_oodb::Database;
 use reach_common::sync::sched;
-use reach_common::{EventTypeId, SplitMix64, TimePoint, Timestamp, TxnId};
+use reach_common::{EventTypeId, ObjectId, SplitMix64, TimePoint, Timestamp, TxnId};
 use reach_core::compositor::Compositor;
-use reach_core::event::{EventData, EventOccurrence};
+use reach_core::event::{EventData, EventOccurrence, MethodPhase};
 use reach_core::oracle::OracleCompositor;
-use reach_core::{CompositionScope, ConsumptionPolicy, EventExpr, Lifespan};
+use reach_core::{
+    CompositionScope, ConsumptionPolicy, CouplingMode, EventExpr, Lifespan, ReachSystem,
+    RuleBuilder,
+};
+use reach_object::{Value, ValueType};
 use reach_txn::serial::{run_lock_workload, WorkloadCfg};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,9 +83,12 @@ fn main() {
     check_trace_determinism(base_seed);
     let committed = serializability_sweep(base_seed, schedules);
     let firings = differential_fuzz(base_seed, streams);
+    let dependents = causal_oracle(base_seed, schedules);
     println!(
         "E18 OK in {:.1?}: {schedules} schedules serializable ({committed} commits), \
-         {streams} streams x 4 policies differentially equal ({firings} firings compared)",
+         {streams} streams x 4 policies differentially equal ({firings} firings compared), \
+         {schedules} schedules of causally dependent rules as Table 1 says \
+         ({dependents} rule commits)",
         t0.elapsed()
     );
 }
@@ -247,4 +260,130 @@ fn check_stream(expr: &EventExpr, policy: ConsumptionPolicy, stream: &[u64], see
         std::process::exit(1);
     }
     fired
+}
+
+/// Threads ending triggers concurrently, and triggers per thread, in
+/// one causal-oracle schedule.
+const CAUSAL_THREADS: usize = 4;
+const CAUSAL_TRIGGERS: usize = 8;
+/// The causally dependent modes, in ledger-slot order.
+const CAUSAL_MODES: [CouplingMode; 3] = [
+    CouplingMode::ParallelCausallyDependent,
+    CouplingMode::SequentialCausallyDependent,
+    CouplingMode::ExclusiveCausallyDependent,
+];
+
+/// Oracle 4 over `schedules` perturbed schedules; the number of rule
+/// transactions that committed.
+fn causal_oracle(base_seed: u64, schedules: usize) -> u64 {
+    let mut committed = 0;
+    for i in 0..schedules as u64 {
+        let replay = base_seed.wrapping_add(i);
+        let seed = replay.wrapping_add(0xCA05_0000);
+        let (n, _) = sched::run_seeded(seed, || causal_schedule(seed, replay));
+        committed += n;
+    }
+    committed
+}
+
+/// One schedule: each trigger pokes its own object, naming its ledger
+/// row, and then commits or aborts (a pure function of the seed). Each
+/// mode's rule increments the row's counter for that mode in its own
+/// transaction, so a counter is the number of times that rule
+/// transaction committed.
+fn causal_schedule(seed: u64, replay: u64) -> u64 {
+    let db = Database::in_memory().expect("database");
+    let (b, poke) = db
+        .define_class("Trigger")
+        .attr("v", ValueType::Int, Value::Int(0))
+        .virtual_method("poke");
+    let trigger_class = b.define().expect("trigger class");
+    db.methods().register_fn(poke, |ctx| {
+        ctx.set("v", ctx.arg(0))?;
+        Ok(Value::Null)
+    });
+    let ledger_class = db
+        .define_class("Ledger")
+        .attr("n", ValueType::Int, Value::Int(0))
+        .define()
+        .expect("ledger class");
+    let rows = CAUSAL_THREADS * CAUSAL_TRIGGERS;
+    let t = db.begin().expect("begin");
+    let create = |class| {
+        let oid = db.create(t, class).expect("create");
+        db.persist(t, oid).expect("persist");
+        oid
+    };
+    let triggers: Vec<ObjectId> = (0..rows).map(|_| create(trigger_class)).collect();
+    let ledger: Arc<Vec<[ObjectId; 3]>> = Arc::new(
+        (0..rows)
+            .map(|_| [0; 3].map(|_| create(ledger_class)))
+            .collect(),
+    );
+    db.commit(t).expect("commit set-up");
+    let sys = ReachSystem::new(Arc::clone(&db), Default::default());
+    let ev = sys
+        .define_method_event("poked", trigger_class, "poke", MethodPhase::After)
+        .expect("event");
+    for (slot, mode) in CAUSAL_MODES.into_iter().enumerate() {
+        let ledger = Arc::clone(&ledger);
+        sys.define_rule(
+            RuleBuilder::new(&format!("{mode:?}"))
+                .on(ev)
+                .coupling(mode)
+                .then(move |ctx| {
+                    let oid = ledger[ctx.arg(0).as_int()? as usize][slot];
+                    let n = ctx.db.get_attr(ctx.txn, oid, "n")?.as_int()?;
+                    ctx.db.set_attr(ctx.txn, oid, "n", Value::Int(n + 1))
+                }),
+        )
+        .expect("rule");
+    }
+    let mut rng = SplitMix64::new(seed);
+    let commits: Vec<bool> = (0..rows).map(|_| rng.chance(1, 2)).collect();
+    std::thread::scope(|scope| {
+        for thread in 0..CAUSAL_THREADS {
+            let (db, triggers, commits) = (&db, &triggers, &commits);
+            scope.spawn(move || {
+                for row in (thread * CAUSAL_TRIGGERS..).take(CAUSAL_TRIGGERS) {
+                    let t = db.begin().expect("begin trigger");
+                    db.invoke(t, triggers[row], "poke", &[Value::Int(row as i64)])
+                        .expect("poke");
+                    if commits[row] {
+                        db.commit(t).expect("commit trigger");
+                    } else {
+                        db.abort(t).expect("abort trigger");
+                    }
+                }
+            });
+        }
+    });
+    sys.wait_quiescent();
+    let r = db.begin_read_only().expect("reader");
+    let mut committed = 0;
+    for (row, slots) in ledger.iter().enumerate() {
+        for (slot, mode) in CAUSAL_MODES.into_iter().enumerate() {
+            let n = db.get_attr(r, slots[slot], "n").expect("read ledger");
+            let may_commit = commits[row] != (mode == CouplingMode::ExclusiveCausallyDependent);
+            if n != Value::Int(may_commit as i64) {
+                eprintln!(
+                    "FAIL: {mode:?} rule committed {n:?} times after its trigger {}, \
+                     replay with --seed {replay:#x} --schedules 1",
+                    if commits[row] { "committed" } else { "aborted" },
+                );
+                std::process::exit(1);
+            }
+            committed += may_commit as u64;
+        }
+    }
+    db.commit(r).expect("end reader");
+    let letters = sys.engine().dead_letters();
+    if !letters.is_empty() {
+        eprintln!(
+            "FAIL: causally dependent firings dead-lettered, replay with --seed {replay:#x} \
+             --schedules 1: {letters:?}"
+        );
+        std::process::exit(1);
+    }
+    committed
 }

@@ -592,7 +592,8 @@ impl Router {
             return;
         }
         let (tx, rx) = bounded::<WorkerMsg>(INBOX_CAP);
-        let router = Arc::clone(self);
+        // Weak: the router's drop joins its workers.
+        let router = Arc::downgrade(self);
         let ty = mgr.event_type;
         let outer_mgr = Arc::clone(mgr);
         let mgr = Arc::clone(mgr);
@@ -601,6 +602,9 @@ impl Router {
             .spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
                 while let Ok(msg) = rx.recv() {
+                    let Some(router) = router.upgrade() else {
+                        break;
+                    };
                     match msg {
                         WorkerMsg::Feed(occ) => router.feed_compositor(&mgr, &occ),
                         WorkerMsg::CloseTxn(txn, fire) => router.close_compositor(&mgr, txn, fire),
@@ -1067,10 +1071,14 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        let mut workers = self.workers.lock();
-        for (_, (tx, handle)) in workers.drain() {
-            let _ = tx.send(WorkerMsg::Shutdown);
-            let _ = handle.join();
+        // A worker that held the last reference runs this drop itself;
+        // it cannot join itself, and exits at its next message.
+        let me = std::thread::current().id();
+        for (_, (tx, handle)) in self.workers.lock().drain() {
+            let _ = tx.try_send(WorkerMsg::Shutdown);
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }

@@ -13,11 +13,11 @@
 //!   aborts the triggering transaction (consistency semantics);
 //! * **deferred** rules are buffered per top-level transaction and
 //!   drained at pre-commit through the Transaction PM, in order;
-//! * the four **detached** variants run on worker threads in fresh
-//!   top-level transactions, with commit/abort dependencies registered
-//!   against *every* origin transaction of the triggering event
-//!   (Table 1's "all commit" / "all abort"), sequential start-after-
-//!   commit scheduling, and lock hand-over for the exclusive mode;
+//! * the four **detached** variants run on a fixed worker pool in fresh
+//!   top-level transactions, with commit/abort dependencies on *every*
+//!   origin transaction (Table 1's "all commit" / "all abort") awaited
+//!   by continuations, never by a worker, their commits on workers of
+//!   their own, and lock hand-over for the exclusive mode;
 //! * **§3.2 parameter rule** — references to transient objects never
 //!   cross into detached executions; such firings are rejected and
 //!   counted.
@@ -32,38 +32,64 @@ use reach_common::{
     EventTypeId, FastMap, FastSet, MetricsRegistry, ObjectId, ReachError, Result, RuleId, Stage,
     TxnId,
 };
-use reach_txn::dependency::{CommitRule, Outcome};
+use reach_txn::dependency::{CommitRule, Permission};
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// A small reusable worker pool for parallel immediate actions. Thread
-/// spawn costs hundreds of microseconds — more than most rule actions —
-/// so parallel sibling subtransactions only ever win if the workers are
-/// standing by. Submission never blocks: when all workers are busy the
-/// job runs inline on the caller (graceful degradation to the serial
-/// ring-sequence, and immune to pool-exhaustion deadlocks from cascaded
-/// rule firings).
-struct ActionPool {
-    tx: crossbeam::channel::Sender<Box<dyn FnOnce() + Send>>,
+type Job = Box<dyn FnOnce() + Send>;
+
+/// Named standing workers on one queue: a thread spawn costs more than
+/// most rule actions. No job waits for a job of its own pool (a lock
+/// a detached job waits for is released by a commit job, which runs on
+/// another pool), so a fixed number of workers drains it. Submission
+/// never blocks: a job that cannot be
+/// queued (the bounded parallel-immediate queue is full) runs inline,
+/// degrading to the serial ring-sequence. The workers share only the
+/// receiving end, so dropping the pool drops the one sender; each
+/// worker drains the queue and exits, and the drop joins them.
+struct WorkerPool {
+    tx: crossbeam::channel::Sender<Job>,
+    workers: Box<[std::thread::JoinHandle<()>]>,
 }
 
-impl ActionPool {
-    fn new(workers: usize) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded::<Box<dyn FnOnce() + Send>>(workers * 2);
-        for i in 0..workers {
-            let rx = rx.clone();
-            std::thread::Builder::new()
-                .name(format!("reach-action-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn action worker");
+impl WorkerPool {
+    /// `available_parallelism` (at least 2) workers named `name-i`; the
+    /// queue holds `bound` jobs per worker (`None`: unbounded).
+    fn new(name: &str, bound: Option<usize>) -> Self {
+        let n = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(2)
+            .max(2);
+        let (tx, rx) = match bound {
+            Some(per_worker) => crossbeam::channel::bounded::<Job>(n * per_worker),
+            None => crossbeam::channel::unbounded::<Job>(),
+        };
+        let workers = (0..n)
+            .map(|i| {
+                let rx = rx.clone();
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            job();
+                        }
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        WorkerPool { tx, workers }
+    }
+
+    /// Run `job` on a worker, or inline if it cannot be queued.
+    fn run(&self, job: Job) {
+        if let Err(
+            crossbeam::channel::TrySendError::Full(job)
+            | crossbeam::channel::TrySendError::Disconnected(job),
+        ) = self.tx.try_send(job)
+        {
+            job();
         }
-        ActionPool { tx }
     }
 
     /// Run all jobs (possibly concurrently), returning their AND-ed
@@ -73,16 +99,9 @@ impl ActionPool {
         let (ack_tx, ack_rx) = crossbeam::channel::bounded::<bool>(n);
         for job in jobs {
             let ack = ack_tx.clone();
-            let wrapped: Box<dyn FnOnce() + Send> = Box::new(move || {
+            self.run(Box::new(move || {
                 let _ = ack.send(job());
-            });
-            if let Err(e) = self.tx.try_send(wrapped) {
-                // Pool saturated: run inline.
-                match e {
-                    crossbeam::channel::TrySendError::Full(job)
-                    | crossbeam::channel::TrySendError::Disconnected(job) => job(),
-                }
-            }
+            }));
         }
         drop(ack_tx);
         let mut all_ok = true;
@@ -93,75 +112,7 @@ impl ActionPool {
     }
 }
 
-/// Standing workers for detached rule firings. A thread spawn per
-/// detached firing dominates the detached path under load (E13 fires
-/// ~1.6k detached rules per run). The pool parks a few workers and
-/// falls back to a fresh thread whenever none is idle, so the blocking
-/// dependency waits of the causally-dependent modes never queue behind
-/// a busy worker — detached concurrency is preserved exactly, only the
-/// spawn cost of the common case is amortized.
-///
-/// The workers share only the `idle` counter and the receiving end, so
-/// dropping the pool drops the one sender: each worker sees the
-/// disconnect and exits, and the drop joins them.
-struct DetachedPool {
-    tx: crossbeam::channel::Sender<Box<dyn FnOnce() + Send>>,
-    /// Workers parked in `recv` and not yet reserved by a submission.
-    /// Every successful reservation (CAS decrement) pairs with exactly
-    /// one queued job, so a job never waits behind a blocked one.
-    idle: Arc<AtomicIsize>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl DetachedPool {
-    fn new(workers: usize) -> Arc<Self> {
-        let (tx, rx) = crossbeam::channel::unbounded::<Box<dyn FnOnce() + Send>>();
-        let idle = Arc::new(AtomicIsize::new(workers as isize));
-        let workers = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                let idle = Arc::clone(&idle);
-                std::thread::Builder::new()
-                    .name(format!("reach-detached-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                            idle.fetch_add(1, Ordering::Release);
-                        }
-                    })
-                    .expect("spawn detached worker")
-            })
-            .collect();
-        Arc::new(DetachedPool { tx, idle, workers })
-    }
-
-    /// Run `job` on a parked worker, or a fresh thread if none is idle.
-    fn run(&self, job: Box<dyn FnOnce() + Send>) {
-        let mut idle = self.idle.load(Ordering::Acquire);
-        loop {
-            if idle <= 0 {
-                std::thread::spawn(job);
-                return;
-            }
-            match self.idle.compare_exchange_weak(
-                idle,
-                idle - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(current) => idle = current,
-            }
-        }
-        if let Err(crossbeam::channel::SendError(job)) = self.tx.send(job) {
-            // Workers gone (engine tearing down): degrade to a thread.
-            self.idle.fetch_add(1, Ordering::Release);
-            std::thread::spawn(job);
-        }
-    }
-}
-
-impl Drop for DetachedPool {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Swap in a sender nobody receives from: the real one drops and
         // the workers see the disconnect.
@@ -176,7 +127,7 @@ impl Drop for DetachedPool {
         if self.workers.iter().any(|w| w.thread().id() == me) {
             return;
         }
-        for w in self.workers.drain(..) {
+        for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
         }
     }
@@ -286,6 +237,32 @@ pub struct DeadLetter {
 
 type Pending = (Arc<Rule>, Arc<EventOccurrence>, bool);
 
+/// One detached firing, carried from job to continuation to job until
+/// it commits, is refused or is dead-lettered.
+struct Firing {
+    rule: Arc<Rule>,
+    occ: Arc<EventOccurrence>,
+    mode: CouplingMode,
+    /// The triggering occurrence's origin transactions.
+    origins: Vec<TxnId>,
+    /// Split C-A coupling: the condition already held.
+    action_only: bool,
+}
+
+impl Firing {
+    /// The commit conditions of the mode's rule transaction: Table 1's
+    /// "all commit" (parallel) or "all abort" (exclusive) over the
+    /// origins.
+    fn commit_rules(&self) -> Vec<CommitRule> {
+        let rule = match self.mode {
+            CouplingMode::ParallelCausallyDependent => CommitRule::IfCommitted,
+            CouplingMode::ExclusiveCausallyDependent => CommitRule::IfAborted,
+            _ => return Vec::new(),
+        };
+        self.origins.iter().map(|o| rule(*o)).collect()
+    }
+}
+
 /// The engine. Installed as the router's [`FireHandler`].
 pub struct Engine {
     db: Arc<Database>,
@@ -303,16 +280,23 @@ pub struct Engine {
     /// cites \[AWH92\] for; suppressing rule-transaction flow events is
     /// REACH's pragmatic guard).
     rule_txns: Mutex<FastSet<TxnId>>,
-    /// Standing workers for parallel immediate actions (lazy).
-    pool: Mutex<Option<Arc<ActionPool>>>,
-    /// Standing workers for detached firings (lazy).
-    detached_pool: Mutex<Option<Arc<DetachedPool>>>,
+    /// Standing workers for parallel immediate actions (lazy; a short
+    /// queue, so a saturated pool runs siblings inline).
+    pool: OnceLock<WorkerPool>,
+    /// Standing workers for detached firings (lazy; unbounded queue).
+    detached_pool: OnceLock<WorkerPool>,
+    /// Standing workers for the commits of parallel and exclusive rule
+    /// transactions (lazy; unbounded queue). A commit only releases
+    /// locks, so it must not queue behind detached jobs that may be
+    /// waiting for the very locks it holds.
+    commit_pool: OnceLock<WorkerPool>,
+    /// Detached jobs queued or running; a firing parked on its trigger
+    /// becomes one inside the trigger's commit or abort.
     inflight: Mutex<usize>,
     idle: Condvar,
     /// Stack-wide registry; rule accounting lands in `metrics.engine`
     /// (ungated — these counters pre-date the observability switch).
     metrics: Arc<MetricsRegistry>,
-    dep_timeout: Duration,
     retry: RwLock<RetryPolicy>,
     dead_letters: Mutex<Vec<DeadLetter>>,
     firing_listeners: RwLock<Vec<FiringListener>>,
@@ -330,12 +314,12 @@ impl Engine {
             simple_events_first: RwLock::new(false),
             deferred: Mutex::new(FastMap::default()),
             rule_txns: Mutex::new(FastSet::default()),
-            pool: Mutex::new(None),
-            detached_pool: Mutex::new(None),
+            pool: OnceLock::new(),
+            detached_pool: OnceLock::new(),
+            commit_pool: OnceLock::new(),
             inflight: Mutex::new(0),
             idle: Condvar::new(),
             metrics,
-            dep_timeout: Duration::from_secs(10),
             retry: RwLock::new(RetryPolicy::default()),
             dead_letters: Mutex::new(Vec::new()),
             firing_listeners: RwLock::new(Vec::new()),
@@ -650,18 +634,9 @@ impl Engine {
                 }
             }
             ExecutionStrategy::Parallel => {
-                let pool = {
-                    let mut guard = self.pool.lock();
-                    guard
-                        .get_or_insert_with(|| {
-                            let n = std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(2)
-                                .max(2);
-                            Arc::new(ActionPool::new(n))
-                        })
-                        .clone()
-                };
+                let pool = self
+                    .pool
+                    .get_or_init(|| WorkerPool::new("reach-action", Some(2)));
                 let jobs: Vec<Box<dyn FnOnce() -> bool + Send>> = to_run
                     .into_iter()
                     .map(|rule| {
@@ -836,169 +811,177 @@ impl Engine {
             let _ = ReachError::TransientReferenceEscape(oid); // documented refusal
             return;
         }
-        let origins = occ.origin_txns();
-        // Exclusive mode: arrange the resource (lock) hand-over *now*,
-        // while the trigger is still active — if the trigger aborts, its
-        // locks transfer to the contingency transaction before release.
-        let tm = self.db.txn_manager();
-        let rule_txn_for_exclusive = if mode == CouplingMode::ExclusiveCausallyDependent {
-            match tm.begin() {
-                Ok(txn) => {
-                    self.mark_rule_txn(txn);
-                    for o in &origins {
-                        tm.dependencies().add(txn, CommitRule::IfAborted(*o));
-                        if tm.is_active(*o) {
-                            let locks = Arc::clone(tm.locks());
-                            let from = *o;
-                            let _ = tm.on_abort(*o, Box::new(move || locks.transfer(from, txn)));
-                        }
-                    }
-                    Some(txn)
-                }
-                Err(e) => {
-                    self.give_up(&rule, &origins, e, 1);
-                    return;
-                }
-            }
-        } else {
-            None
+        let firing = Firing {
+            origins: occ.origin_txns(),
+            rule,
+            occ,
+            mode,
+            action_only,
         };
+        let tm = self.db.txn_manager();
+        match mode {
+            // Exclusive mode: arrange the resource (lock) hand-over
+            // *now*, while the trigger is still active — if the trigger
+            // aborts, its locks transfer to the contingency transaction
+            // before release.
+            CouplingMode::ExclusiveCausallyDependent => {
+                let txn = match tm.begin() {
+                    Ok(txn) => txn,
+                    Err(e) => return self.give_up(&firing.rule, &firing.origins, e, 1),
+                };
+                self.mark_rule_txn(txn);
+                for r in firing.commit_rules() {
+                    tm.dependencies().add(txn, r);
+                }
+                for o in &firing.origins {
+                    if tm.is_active(*o) {
+                        let locks = Arc::clone(tm.locks());
+                        let from = *o;
+                        let _ = tm.on_abort(*o, Box::new(move || locks.transfer(from, txn)));
+                    }
+                }
+                self.submit(move |e| e.run_detached(firing, Some(txn), 1));
+            }
+            // Sequential mode starts once every origin committed, from
+            // a continuation the last origin's commit runs; an aborted
+            // origin skips it.
+            CouplingMode::SequentialCausallyDependent => {
+                let gate: Vec<_> = firing
+                    .origins
+                    .iter()
+                    .map(|o| CommitRule::IfCommitted(*o))
+                    .collect();
+                let engine = Arc::downgrade(self);
+                let owner = Arc::as_ptr(self) as usize;
+                tm.dependencies().when_resolved(owner, &gate, move |p| {
+                    let Some(engine) = engine.upgrade() else {
+                        return;
+                    };
+                    if p == Permission::Commit {
+                        engine.submit(move |e| e.run_detached(firing, None, 1));
+                    } else {
+                        engine.metrics.engine.skipped_dependency.inc();
+                    }
+                });
+            }
+            _ => self.submit(move |e| e.run_detached(firing, None, 1)),
+        }
+    }
+
+    /// Queue `job` on a detached worker, counted in `inflight` until it
+    /// returns.
+    fn submit(self: &Arc<Self>, job: impl FnOnce(&Arc<Engine>) + Send + 'static) {
+        self.submit_to(&self.detached_pool, "reach-detached", job);
+    }
+
+    fn submit_to(
+        self: &Arc<Self>,
+        pool: &OnceLock<WorkerPool>,
+        name: &str,
+        job: impl FnOnce(&Arc<Engine>) + Send + 'static,
+    ) {
         *self.inflight.lock() += 1;
         let engine = Arc::clone(self);
-        let job = Box::new(move || {
-            engine.run_detached(
-                rule,
-                occ,
-                mode,
-                origins,
-                rule_txn_for_exclusive,
-                action_only,
-            );
+        let pool = pool.get_or_init(|| WorkerPool::new(name, None));
+        pool.run(Box::new(move || {
+            job(&engine);
             let mut n = engine.inflight.lock();
             *n -= 1;
             if *n == 0 {
                 engine.idle.notify_all();
             }
-        });
-        let pool = {
-            let mut guard = self.detached_pool.lock();
-            Arc::clone(guard.get_or_insert_with(|| {
-                let n = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(2)
-                    .max(2);
-                DetachedPool::new(n)
-            }))
-        };
-        pool.run(job);
+        }));
     }
 
-    fn run_detached(
-        self: &Arc<Self>,
-        rule: Arc<Rule>,
-        occ: Arc<EventOccurrence>,
-        mode: CouplingMode,
-        origins: Vec<TxnId>,
-        pre_created: Option<TxnId>,
-        action_only: bool,
-    ) {
+    /// Attempt `attempt` of one detached firing. A parallel or exclusive
+    /// attempt ends by parking its commit as a continuation on the
+    /// origins, which hands it to the commit workers; a failed attempt
+    /// or commit queues its retry as a job of its own.
+    fn run_detached(self: &Arc<Self>, f: Firing, pre_created: Option<TxnId>, attempt: u32) {
+        if attempt > 1 {
+            std::thread::sleep(self.retry_policy().backoff(attempt - 1));
+        }
         let tm = self.db.txn_manager();
-        let deps = tm.dependencies();
-        // Sequential mode gates on the origins exactly once — an
-        // already-satisfied gate needs no re-check on retry.
-        if mode == CouplingMode::SequentialCausallyDependent {
-            for o in &origins {
-                match deps.wait_for_outcome(*o, self.dep_timeout) {
-                    Ok(Outcome::Committed) => {}
-                    Ok(Outcome::Aborted) => {
-                        self.metrics.engine.skipped_dependency.inc();
-                        return;
+        // The first exclusive attempt runs in the pre-created
+        // contingency transaction (its IfAborted dependencies and the
+        // lock hand-over were wired by the spawner); every other attempt
+        // gets a fresh transaction with the mode's dependencies
+        // re-registered. A retry can no longer inherit the trigger's
+        // locks, but the commit condition survives it.
+        let txn = match pre_created {
+            Some(txn) => txn,
+            None => match tm.begin() {
+                Ok(txn) => {
+                    for r in f.commit_rules() {
+                        tm.dependencies().add(txn, r);
                     }
-                    Err(e) => {
-                        self.give_up(&rule, &origins, e, 1);
-                        return;
-                    }
+                    self.mark_rule_txn(txn);
+                    txn
                 }
+                Err(e) => return self.give_up(&f.rule, &f.origins, e, attempt),
+            },
+        };
+        if attempt == 1 {
+            self.metrics.engine.detached_runs.inc();
+        }
+        let outcome = if f.action_only {
+            self.run_action_only(&f.rule, txn, &f.occ, false)
+                .map(|_| true)
+        } else {
+            self.run_rule(&f.rule, txn, &f.occ, false)
+        };
+        if let Err(e) = outcome {
+            let _ = tm.abort(txn);
+            self.unmark_rule_txn(txn);
+            return self.retry_or_give_up(f, e, attempt);
+        }
+        let rules = f.commit_rules();
+        if rules.is_empty() {
+            if let Some(err) = self.commit_detached(txn, attempt) {
+                self.retry_or_give_up(f, err, attempt);
+            }
+            return;
+        }
+        let engine = Arc::downgrade(self);
+        tm.dependencies()
+            .when_resolved(Arc::as_ptr(self) as usize, &rules, move |_| {
+                if let Some(engine) = engine.upgrade() {
+                    engine.submit_to(&engine.commit_pool, "reach-commit", move |e| {
+                        if let Some(err) = e.commit_detached(txn, attempt) {
+                            e.retry_or_give_up(f, err, attempt);
+                        }
+                    });
+                }
+            });
+    }
+
+    /// Commit a detached rule transaction whose dependencies resolved.
+    /// Returns the error if the attempt should be retried. A refusal —
+    /// an exclusive rule whose trigger committed, a parallel one whose
+    /// trigger aborted — is final, not an error to retry.
+    fn commit_detached(&self, txn: TxnId, attempt: u32) -> Option<ReachError> {
+        let committed = self.db.txn_manager().commit(txn);
+        self.unmark_rule_txn(txn);
+        match committed {
+            Ok(()) => None,
+            Err(e) if e.is_transient() && attempt < self.retry_policy().max_attempts => Some(e),
+            Err(_) => {
+                self.metrics.engine.skipped_dependency.inc();
+                None
             }
         }
-        let policy = self.retry_policy();
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            // First exclusive attempt runs in the pre-created contingency
-            // transaction (its IfAborted dependencies and the lock
-            // hand-over were wired by the spawner); every other attempt
-            // gets a fresh transaction with the mode's dependencies
-            // re-registered.
-            let txn = if attempt == 1 && mode == CouplingMode::ExclusiveCausallyDependent {
-                pre_created.expect("pre-created txn")
-            } else {
-                let t = match tm.begin() {
-                    Ok(t) => t,
-                    Err(e) => {
-                        self.give_up(&rule, &origins, e, attempt);
-                        return;
-                    }
-                };
-                match mode {
-                    CouplingMode::ParallelCausallyDependent => {
-                        for o in &origins {
-                            deps.add(t, CommitRule::IfCommitted(*o));
-                        }
-                    }
-                    CouplingMode::ExclusiveCausallyDependent => {
-                        // A retry can no longer inherit the trigger's
-                        // locks (the abort already happened), but the
-                        // commit condition must survive the retry.
-                        for o in &origins {
-                            deps.add(t, CommitRule::IfAborted(*o));
-                        }
-                    }
-                    _ => {}
-                }
-                t
-            };
-            self.mark_rule_txn(txn);
-            if attempt == 1 {
-                self.metrics.engine.detached_runs.inc();
-            }
-            let outcome = if action_only {
-                self.run_action_only(&rule, txn, &occ, false).map(|_| true)
-            } else {
-                self.run_rule(&rule, txn, &occ, false)
-            };
-            // On success, commit honours the registered dependencies; an
-            // exclusive rule whose trigger committed aborts here — a
-            // final refusal, not an error to retry.
-            let err = match outcome {
-                Ok(_) => match tm.commit(txn) {
-                    Ok(()) => {
-                        self.unmark_rule_txn(txn);
-                        return;
-                    }
-                    Err(e) => {
-                        self.unmark_rule_txn(txn);
-                        if e.is_transient() && attempt < policy.max_attempts {
-                            e
-                        } else {
-                            self.metrics.engine.skipped_dependency.inc();
-                            return;
-                        }
-                    }
-                },
-                Err(e) => {
-                    let _ = tm.abort(txn);
-                    self.unmark_rule_txn(txn);
-                    e
-                }
-            };
-            if err.is_transient() && attempt < policy.max_attempts {
-                self.metrics.engine.retries.inc();
-                std::thread::sleep(policy.backoff(attempt));
-            } else {
-                self.give_up(&rule, &origins, err, attempt);
-                return;
-            }
+    }
+
+    /// After failed attempt `attempt`: queue the next attempt, which
+    /// first sleeps its backoff, or dead-letter the firing. The retry
+    /// is a new job, so no worker loops on one firing while jobs queued
+    /// meanwhile wait.
+    fn retry_or_give_up(self: &Arc<Self>, f: Firing, err: ReachError, attempt: u32) {
+        if err.is_transient() && attempt < self.retry_policy().max_attempts {
+            self.metrics.engine.retries.inc();
+            self.submit(move |e| e.run_detached(f, None, attempt + 1));
+        } else {
+            self.give_up(&f.rule, &f.origins, err, attempt);
         }
     }
 
@@ -1015,7 +998,8 @@ impl Engine {
         self.rule_txns.lock().remove(&txn);
     }
 
-    /// Block until every detached worker has finished.
+    /// Block until no detached job is queued or running. A firing still
+    /// parked on a running trigger is not waited for.
     pub fn wait_idle(&self) {
         let mut n = self.inflight.lock();
         while *n > 0 {
@@ -1028,6 +1012,21 @@ impl Engine {
     /// deferred rules).
     pub fn on_txn_finished(&self, top: TxnId) {
         self.deferred.lock().remove(&top);
+    }
+}
+
+impl Drop for Engine {
+    /// A dropped engine runs nothing more: its open rule transactions
+    /// abort, and its continuations, which own their rules and so what
+    /// an action captured (the database, say), leave the graph unrun.
+    fn drop(&mut self) {
+        let tm = self.db.txn_manager();
+        let open: Vec<TxnId> = self.rule_txns.lock().iter().copied().collect();
+        for txn in open {
+            let _ = tm.abort(txn);
+        }
+        tm.dependencies()
+            .forget_continuations(self as *const Engine as usize);
     }
 }
 

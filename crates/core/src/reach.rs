@@ -615,8 +615,9 @@ impl ReachSystem {
         self.ticker_stop.store(true, Ordering::Release);
     }
 
-    /// Wait until composition queues are drained and all detached rule
-    /// transactions have finished.
+    /// Wait until composition queues are drained and no detached rule
+    /// job is queued or running; a firing parked on a running trigger
+    /// is not waited for.
     pub fn wait_quiescent(&self) {
         self.router.flush();
         self.engine.wait_idle();

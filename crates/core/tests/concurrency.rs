@@ -1,6 +1,7 @@
 //! Concurrency-sensitive behaviours: the exclusive mode's lock
 //! hand-over, 2PL blocking between application transactions, deadlock
-//! surfacing, and parallel detached rule storms.
+//! surfacing, parallel detached rule storms, and causally dependent
+//! rules contending for one object.
 
 use crossbeam::channel::bounded;
 use open_oodb::Database;
@@ -234,4 +235,73 @@ fn concurrent_transactions_feeding_one_cross_tx_composite() {
     }
     sys.wait_quiescent();
     assert_eq!(fired.load(Ordering::SeqCst), 4, "40 primitives = 4 tens");
+}
+
+/// Parallel and exclusive rule transactions keep the locks their actions
+/// took until their triggers end. With more such firings contending for
+/// one object than there are detached workers, the waiting firings hold
+/// every worker; the holder's commit must still run as soon as its
+/// trigger ends, not after a lock timeout, so every firing commits once,
+/// at its first attempt.
+#[test]
+fn contending_dependent_rules_commit_without_lock_timeouts() {
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2)
+        .max(2);
+    let n = workers + 2;
+    for mode in [
+        CouplingMode::ParallelCausallyDependent,
+        CouplingMode::ExclusiveCausallyDependent,
+    ] {
+        let (sys, class) = world();
+        let ledger = persistent_obj(&sys, class);
+        let ev = sys
+            .define_method_event("e", class, "poke", MethodPhase::After)
+            .unwrap();
+        sys.define_rule(
+            RuleBuilder::new("count")
+                .on(ev)
+                .coupling(mode)
+                .then(move |ctx| {
+                    ctx.db
+                        .txn_manager()
+                        .lock(ctx.txn, ledger, LockMode::Exclusive)?;
+                    let v = ctx.db.get_attr(ctx.txn, ledger, "v")?.as_int()?;
+                    ctx.db.set_attr(ctx.txn, ledger, "v", Value::Int(v + 1))
+                }),
+        )
+        .unwrap();
+        let oids: Vec<_> = (0..n).map(|_| persistent_obj(&sys, class)).collect();
+        let db = sys.db();
+        let triggers: Vec<_> = oids
+            .iter()
+            .map(|oid| {
+                let t = db.begin().unwrap();
+                db.invoke(t, *oid, "poke", &[Value::Int(1)]).unwrap();
+                t
+            })
+            .collect();
+        // Let the first firing take the ledger and the rest queue on it.
+        std::thread::sleep(Duration::from_millis(300));
+        for t in triggers {
+            if mode == CouplingMode::ParallelCausallyDependent {
+                db.commit(t).unwrap();
+            } else {
+                db.abort(t).unwrap();
+            }
+        }
+        sys.wait_quiescent();
+        let t = db.begin().unwrap();
+        let v = db.get_attr(t, ledger, "v").unwrap();
+        db.commit(t).unwrap();
+        let stats = sys.stats();
+        assert_eq!(v, Value::Int(n as i64), "{mode:?}");
+        assert_eq!(stats.detached_runs, n as u64, "{mode:?}");
+        assert_eq!(
+            stats.retries, 0,
+            "{mode:?}: a firing waited out a lock timeout"
+        );
+        assert!(sys.engine().dead_letters().is_empty(), "{mode:?}");
+    }
 }

@@ -5,9 +5,8 @@
 //!   parallel but may not commit unless the triggering transaction
 //!   commits": a [`CommitRule::IfCommitted`] dependency;
 //! * **sequential causally dependent** — "may initiate only after the
-//!   triggering transaction has committed": scheduling is handled by the
-//!   rule engine, and the same `IfCommitted` dependency guards against
-//!   races;
+//!   triggering transaction has committed": the rule engine starts the
+//!   rule transaction from a continuation on `IfCommitted`;
 //! * **exclusive causally dependent** — "may commit only if the
 //!   triggering transaction aborts": a [`CommitRule::IfAborted`]
 //!   dependency.
@@ -16,16 +15,23 @@
 //! Table 1 requires the dependency on **all** of them ("all commit" /
 //! "all abort"), so a dependent transaction carries a set of conditions.
 //!
+//! **Continuations, not waits.** Nothing here blocks: a verdict not yet
+//! known is a continuation ([`DependencyGraph::when_resolved`]) that the
+//! deciding [`DependencyGraph::record_all`] runs. Both take the one lock,
+//! so a continuation racing a record is neither lost nor run twice. A
+//! commit only [`DependencyGraph::check`]s, and refuses while a subject
+//! still runs.
+//!
 //! **Retention.** A dependency may name a transaction that finished long
 //! ago (a composite's lifespan can span hours), so final outcomes are
 //! kept *indefinitely* — but only the outcome: two bits per transaction
 //! id in a paged bitmap (`OutcomeStore`), which is also what
 //! [`crate::TransactionManager::state`] answers from once the manager
-//! has retired a finished transaction's record.
+//! has retired a finished transaction's record. A continuation is kept
+//! only while parked.
 
-use reach_common::sync::{Condvar, Mutex, MutexGuard};
-use reach_common::{FastMap, ReachError, Result, TxnId};
-use std::time::Duration;
+use reach_common::sync::Mutex;
+use reach_common::{FastMap, TxnId};
 
 /// Final fate of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,24 +120,48 @@ impl OutcomeStore {
     }
 }
 
+/// What runs once a registration's conditions resolve.
+type Continuation = Box<dyn FnOnce(Permission) + Send>;
+
 #[derive(Default)]
 struct Inner {
     /// Final outcomes of every finished transaction.
     outcomes: OutcomeStore,
     /// Dependencies per dependent transaction.
     deps: FastMap<TxnId, Vec<CommitRule>>,
-    /// Threads blocked in `wait`/`wait_for_outcome`. Every finished
-    /// transaction records an outcome, almost none has a waiter, and
-    /// waking a condvar is a system call whether or not anyone sleeps
-    /// on it — so `record_all` only notifies when this is non-zero.
-    waiters: usize,
+    /// Parked continuations by registration number, with their owner
+    /// and conditions.
+    parked: FastMap<u64, (usize, Vec<CommitRule>, Continuation)>,
+    /// Registration numbers parked on each unresolved subject. A number
+    /// already decided by another subject is skipped, and dropped with
+    /// this subject's list when it resolves.
+    by_subject: FastMap<TxnId, Vec<u64>>,
+    next: u64,
+}
+
+impl Inner {
+    fn verdict(&self, rules: &[CommitRule]) -> Permission {
+        let mut all_resolved = true;
+        for rule in rules {
+            match self.outcomes.get(rule.subject()) {
+                Some(outcome) if !rule.satisfied_by(outcome) => return Permission::MustAbort,
+                Some(_) => {}
+                None => all_resolved = false,
+            }
+        }
+        if all_resolved {
+            Permission::Commit
+        } else {
+            Permission::Wait
+        }
+    }
 }
 
 /// The dependency graph. Shared between the transaction manager (which
-/// records outcomes) and the rule engine (which registers dependencies).
+/// records outcomes) and the rule engine (which registers dependencies
+/// and continuations).
 pub struct DependencyGraph {
     inner: Mutex<Inner>,
-    changed: Condvar,
 }
 
 /// What a dependent transaction is allowed to do right now.
@@ -150,7 +180,6 @@ impl DependencyGraph {
     pub fn new() -> Self {
         DependencyGraph {
             inner: Mutex::new(Inner::default()),
-            changed: Condvar::new(),
         }
     }
 
@@ -160,94 +189,84 @@ impl DependencyGraph {
         inner.deps.entry(dependent).or_default().push(rule);
     }
 
-    /// Record a transaction's final outcome and wake waiters.
+    /// Record a transaction's final outcome and run the continuations it
+    /// made due.
     pub fn record(&self, txn: TxnId, outcome: Outcome) {
         self.record_all(&[(txn, outcome)]);
     }
 
     /// Record the final outcomes of a finished transaction tree (the
     /// top-level transaction and its subtransactions) under one lock
-    /// pass, then wake waiters — if there are any — once.
+    /// pass, then run — after dropping the lock — every continuation
+    /// they made due.
     pub fn record_all(&self, outcomes: &[(TxnId, Outcome)]) {
+        let mut due = Vec::new();
         let mut inner = self.inner.lock();
         for (txn, outcome) in outcomes {
             inner.outcomes.set(*txn, *outcome);
         }
-        let waiters = inner.waiters;
+        for (txn, _) in outcomes {
+            for id in inner.by_subject.remove(txn).unwrap_or_default() {
+                let verdict = match inner.parked.get(&id) {
+                    Some((_, rules, _)) => inner.verdict(rules),
+                    None => continue,
+                };
+                if verdict != Permission::Wait {
+                    due.push((inner.parked.remove(&id).expect("parked").2, verdict));
+                }
+            }
+        }
         drop(inner);
-        if waiters > 0 {
-            self.changed.notify_all();
+        for (k, permission) in due {
+            k(permission);
         }
     }
 
-    /// One condvar wait, counted in `waiters` so that `record_all` knows
-    /// to notify; `true` if it timed out. The count changes under the
-    /// same lock `record_all` reads it under, so no wake-up is missed.
-    fn wait_changed(&self, inner: &mut MutexGuard<'_, Inner>, timeout: Duration) -> bool {
-        inner.waiters += 1;
-        let timed_out = self.changed.wait_for(inner, timeout).timed_out();
-        inner.waiters -= 1;
-        timed_out
+    /// Run `k` exactly once, with [`Permission::Commit`] when every rule
+    /// holds or [`Permission::MustAbort`] as soon as one cannot: at once
+    /// if that is already decided, else on the thread whose
+    /// [`Self::record_all`] decides it, outside the graph's lock. `k`
+    /// delays the end of that thread's transaction, so it should only
+    /// hand work on. `owner` tags a parked `k` for
+    /// [`Self::forget_continuations`].
+    pub fn when_resolved(
+        &self,
+        owner: usize,
+        rules: &[CommitRule],
+        k: impl FnOnce(Permission) + Send + 'static,
+    ) {
+        let mut inner = self.inner.lock();
+        let verdict = inner.verdict(rules);
+        if verdict != Permission::Wait {
+            drop(inner);
+            return k(verdict);
+        }
+        let id = inner.next;
+        inner.next += 1;
+        for rule in rules {
+            if inner.outcomes.get(rule.subject()).is_none() {
+                inner.by_subject.entry(rule.subject()).or_default().push(id);
+            }
+        }
+        inner
+            .parked
+            .insert(id, (owner, rules.to_vec(), Box::new(k)));
+    }
+
+    /// Drop `owner`'s parked continuations unrun, outside the lock.
+    pub fn forget_continuations(&self, owner: usize) {
+        let mut inner = self.inner.lock();
+        let forgotten: Vec<_> = inner.parked.extract_if(|_, k| k.0 == owner).collect();
+        drop(inner);
+        drop(forgotten);
     }
 
     /// Non-blocking check of `dependent`'s permission to commit.
     pub fn check(&self, dependent: TxnId) -> Permission {
         let inner = self.inner.lock();
-        Self::check_locked(&inner, dependent)
-    }
-
-    fn check_locked(inner: &Inner, dependent: TxnId) -> Permission {
-        let Some(rules) = inner.deps.get(&dependent) else {
-            return Permission::Commit;
-        };
-        let mut all_resolved = true;
-        for rule in rules {
-            match inner.outcomes.get(rule.subject()) {
-                Some(outcome) => {
-                    if !rule.satisfied_by(outcome) {
-                        return Permission::MustAbort;
-                    }
-                }
-                None => all_resolved = false,
-            }
-        }
-        if all_resolved {
-            Permission::Commit
-        } else {
-            Permission::Wait
-        }
-    }
-
-    /// Block until `dependent` may commit or must abort. Errors with
-    /// `DependencyViolation` on timeout (a subject never finished).
-    pub fn wait(&self, dependent: TxnId, timeout: Duration) -> Result<Permission> {
-        let mut inner = self.inner.lock();
-        loop {
-            match Self::check_locked(&inner, dependent) {
-                Permission::Wait => {}
-                p => return Ok(p),
-            }
-            if self.wait_changed(&mut inner, timeout) {
-                return Err(ReachError::DependencyViolation(format!(
-                    "{dependent} timed out waiting for its causal dependencies"
-                )));
-            }
-        }
-    }
-
-    /// Wait until `txn`'s outcome is known (used by sequential causally
-    /// dependent scheduling: start only after the trigger finishes).
-    pub fn wait_for_outcome(&self, txn: TxnId, timeout: Duration) -> Result<Outcome> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(o) = inner.outcomes.get(txn) {
-                return Ok(o);
-            }
-            if self.wait_changed(&mut inner, timeout) {
-                return Err(ReachError::DependencyViolation(format!(
-                    "timed out waiting for outcome of {txn}"
-                )));
-            }
+        match inner.deps.get(&dependent) {
+            Some(rules) => inner.verdict(rules),
+            None => Permission::Commit,
         }
     }
 
@@ -362,32 +381,124 @@ mod tests {
         assert_eq!(s.pages.len(), 4);
     }
 
-    #[test]
-    fn wait_blocks_until_resolution() {
-        let g = Arc::new(DependencyGraph::new());
-        g.add(t(2), CommitRule::IfCommitted(t(1)));
-        let g2 = Arc::clone(&g);
-        let h = std::thread::spawn(move || g2.wait(t(2), Duration::from_secs(5)).unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-        g.record(t(1), Outcome::Committed);
-        assert_eq!(h.join().unwrap(), Permission::Commit);
+    /// A continuation that records each permission it is run with.
+    fn recorder() -> (
+        Arc<std::sync::Mutex<Vec<Permission>>>,
+        impl FnOnce(Permission) + Send + 'static,
+    ) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let s = Arc::clone(&seen);
+        (seen, move |p| s.lock().unwrap().push(p))
     }
 
     #[test]
-    fn wait_times_out() {
+    fn already_resolved_continuation_runs_at_once() {
         let g = DependencyGraph::new();
-        g.add(t(2), CommitRule::IfCommitted(t(1)));
-        assert!(g.wait(t(2), Duration::from_millis(30)).is_err());
+        g.record(t(1), Outcome::Committed);
+        let (seen, k) = recorder();
+        g.when_resolved(0, &[CommitRule::IfCommitted(t(1))], k);
+        assert_eq!(*seen.lock().unwrap(), [Permission::Commit]);
+        let (seen, k) = recorder();
+        g.when_resolved(0, &[], k);
+        assert_eq!(*seen.lock().unwrap(), [Permission::Commit]);
     }
 
     #[test]
-    fn wait_for_outcome_sees_later_record() {
+    fn continuation_runs_once_on_its_last_subject() {
+        let g = DependencyGraph::new();
+        let (seen, k) = recorder();
+        let rules = [
+            CommitRule::IfCommitted(t(1)),
+            CommitRule::IfAborted(t(2)),
+            CommitRule::IfCommitted(t(3)),
+            CommitRule::IfCommitted(t(1)),
+        ];
+        g.when_resolved(0, &rules, k);
+        g.record(t(1), Outcome::Committed);
+        g.record_all(&[(t(2), Outcome::Aborted), (t(7), Outcome::Committed)]);
+        assert!(seen.lock().unwrap().is_empty());
+        g.record(t(3), Outcome::Committed);
+        assert_eq!(*seen.lock().unwrap(), [Permission::Commit]);
+        g.record(t(3), Outcome::Committed);
+        assert_eq!(seen.lock().unwrap().len(), 1);
+        assert!(g.inner.lock().parked.is_empty());
+        assert!(g.inner.lock().by_subject.is_empty());
+    }
+
+    #[test]
+    fn contrary_outcome_gives_must_abort_at_once() {
+        let g = DependencyGraph::new();
+        let (seen, k) = recorder();
+        g.when_resolved(
+            0,
+            &[CommitRule::IfCommitted(t(1)), CommitRule::IfCommitted(t(2))],
+            k,
+        );
+        g.record(t(2), Outcome::Aborted);
+        assert_eq!(*seen.lock().unwrap(), [Permission::MustAbort]);
+        assert!(g.inner.lock().parked.is_empty());
+        // The other subject's stale entry goes when it resolves.
+        g.record(t(1), Outcome::Committed);
+        assert_eq!(seen.lock().unwrap().len(), 1);
+        assert!(g.inner.lock().by_subject.is_empty());
+        // Already decided against: at once, without parking.
+        let (seen, k) = recorder();
+        g.when_resolved(
+            0,
+            &[CommitRule::IfAborted(t(1)), CommitRule::IfCommitted(t(9))],
+            k,
+        );
+        assert_eq!(*seen.lock().unwrap(), [Permission::MustAbort]);
+        assert!(g.inner.lock().parked.is_empty());
+    }
+
+    #[test]
+    fn forgotten_continuations_never_run() {
+        let g = DependencyGraph::new();
+        let (gone, k) = recorder();
+        g.when_resolved(1, &[CommitRule::IfCommitted(t(1))], k);
+        let (kept, k) = recorder();
+        g.when_resolved(2, &[CommitRule::IfCommitted(t(1))], k);
+        g.forget_continuations(1);
+        g.record(t(1), Outcome::Committed);
+        assert!(gone.lock().unwrap().is_empty());
+        assert_eq!(*kept.lock().unwrap(), [Permission::Commit]);
+        assert!(g.inner.lock().by_subject.is_empty());
+    }
+
+    #[test]
+    fn registration_racing_record_all_is_neither_lost_nor_run_twice() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let g = Arc::new(DependencyGraph::new());
-        let g2 = Arc::clone(&g);
-        let h =
-            std::thread::spawn(move || g2.wait_for_outcome(t(7), Duration::from_secs(5)).unwrap());
-        std::thread::sleep(Duration::from_millis(10));
-        g.record(t(7), Outcome::Aborted);
-        assert_eq!(h.join().unwrap(), Outcome::Aborted);
+        for i in 0..10_000u64 {
+            let (a, b) = (t(2 * i + 1), t(2 * i + 2));
+            let ran = Arc::new(AtomicUsize::new(0));
+            let outcome = if i % 3 == 0 {
+                Outcome::Aborted
+            } else {
+                Outcome::Committed
+            };
+            let recorder = {
+                let g = Arc::clone(&g);
+                std::thread::spawn(move || g.record_all(&[(a, Outcome::Committed), (b, outcome)]))
+            };
+            let r = Arc::clone(&ran);
+            let expect = if outcome == Outcome::Committed {
+                Permission::Commit
+            } else {
+                Permission::MustAbort
+            };
+            g.when_resolved(
+                0,
+                &[CommitRule::IfCommitted(a), CommitRule::IfCommitted(b)],
+                move |p| {
+                    assert_eq!(p, expect);
+                    r.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            recorder.join().unwrap();
+            assert_eq!(ran.load(Ordering::SeqCst), 1, "iteration {i}");
+        }
+        assert!(g.inner.lock().parked.is_empty());
     }
 }

@@ -132,8 +132,6 @@ pub struct TransactionManager {
     listeners: RwLock<Arc<Vec<Arc<dyn TxnListener>>>>,
     resources: RwLock<Arc<Vec<Arc<dyn ResourceManager>>>>,
     ids: IdGen,
-    /// Patience for causal-dependency waits at commit.
-    dep_timeout: Duration,
     metrics: Arc<MetricsRegistry>,
     /// The commit-timestamp authority: the last commit whose versions
     /// are *fully published*. Snapshot stamps are plain loads of this.
@@ -168,7 +166,6 @@ impl TransactionManager {
             listeners: RwLock::new(Arc::new(Vec::new())),
             resources: RwLock::new(Arc::new(Vec::new())),
             ids: IdGen::new(),
-            dep_timeout: Duration::from_secs(10),
             metrics,
             commit_ts: AtomicU64::new(0),
             publish_gate: Mutex::new(()),
@@ -624,21 +621,19 @@ impl TransactionManager {
             }
         }
         // Causal dependencies (this transaction may itself be a detached
-        // rule execution): wait for permission.
-        match self.deps.wait(txn, self.dep_timeout) {
-            Ok(Permission::Commit) => Ok(()),
-            Ok(Permission::MustAbort) => {
-                self.abort(txn)?;
-                Err(ReachError::DependencyViolation(format!(
-                    "{txn} aborted: causal dependency resolved against it"
-                )))
-            }
-            Ok(Permission::Wait) => unreachable!("wait() never returns Wait"),
-            Err(e) => {
-                self.abort(txn)?;
-                Err(e)
-            }
-        }
+        // rule execution). Nothing waits for them here: the rule engine
+        // commits a dependent only from a continuation on its subjects
+        // (`DependencyGraph::when_resolved`), so a subject still running
+        // means the caller did not, and the commit is refused.
+        let refusal = match self.deps.check(txn) {
+            Permission::Commit => return Ok(()),
+            Permission::MustAbort => "a causal dependency resolved against it",
+            Permission::Wait => "a causal dependency is still unresolved",
+        };
+        self.abort(txn)?;
+        Err(ReachError::DependencyViolation(format!(
+            "{txn} aborted: {refusal}"
+        )))
     }
 
     fn commit_top(&self, txn: TxnId) -> Result<()> {
@@ -1270,6 +1265,28 @@ mod tests {
     }
 
     #[test]
+    fn dependency_on_a_running_subject_refuses_at_once() {
+        let tm = manager();
+        let trigger = tm.begin().unwrap();
+        let dependent = tm.begin().unwrap();
+        tm.dependencies().add(
+            dependent,
+            crate::dependency::CommitRule::IfCommitted(trigger),
+        );
+        let t0 = std::time::Instant::now();
+        assert!(matches!(
+            tm.commit(dependent),
+            Err(ReachError::DependencyViolation(_))
+        ));
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "no wait for the trigger"
+        );
+        assert_eq!(tm.state(dependent).unwrap(), TxnState::Aborted);
+        tm.commit(trigger).unwrap();
+    }
+
+    #[test]
     fn dependency_commit_allows() {
         let tm = manager();
         let trigger = tm.begin().unwrap();
@@ -1648,11 +1665,7 @@ mod tests {
         deps.add(refused, crate::dependency::CommitRule::IfCommitted(aborted));
         assert!(tm.commit(refused).is_err());
         assert_eq!(tm.state(refused).unwrap(), TxnState::Aborted);
-        assert_eq!(
-            deps.wait_for_outcome(aborted, Duration::from_millis(1))
-                .unwrap(),
-            Outcome::Aborted
-        );
+        assert_eq!(deps.outcome(aborted), Some(Outcome::Aborted));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 #
 #   --stress       additionally run the E18 concurrency stress smoke
 #                  (schedule-perturbed serializability sweep + algebra
-#                  differential fuzz; see crates/bench/src/bin/exp_stress.rs)
+#                  differential fuzz + causal-dependency oracle; see
+#                  crates/bench/src/bin/exp_stress.rs)
 #   --bench-check  additionally run the flat-memory gate on the
 #                  benchmark's two in-memory workloads (peak RSS must
 #                  not scale with run length) and the E21 index smoke
@@ -103,7 +104,7 @@ echo "== tier-1: benchmark package tests (builds against crates/*, every workloa
 timeout "$EXP_TIMEOUT" cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 if [[ "$STRESS" == 1 ]]; then
-  echo "== tier-1: concurrency stress smoke (perturbed schedules + differential fuzz) =="
+  echo "== tier-1: concurrency stress smoke (perturbed schedules + differential fuzz + causal dependencies) =="
   timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --features sched --bin exp_stress -- --smoke
 fi
 

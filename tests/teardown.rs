@@ -2,23 +2,30 @@
 //! its active layer leaves the heap where the first such cycle left it,
 //! and nothing keeps the dropped `Database` or `ReachSystem` alive.
 //!
-//! Three shapes, each built and dropped several times: an embedded
-//! world (immediate and detached rules, a snapshot reader), a
+//! Four shapes, each built and dropped several times: an embedded
+//! world (immediate, detached, sequential and parallel rules, a
+//! snapshot reader, and a trigger left open with its causally dependent
+//! firings parked on it), the same world with threaded composition, a
 //! file-backed served world with one connected client, and a two-shard
 //! in-memory deployment committing locally and across shards. Before
 //! the back-edges from the substrate into the active layer were made
 //! weak, every cycle leaked its whole world: the detector bridges held
 //! the system, the temporal observer and the temporal manager held each
 //! other, the change log and the object space held each other, the
-//! detached workers held their own pool, and a server kept running
-//! after its handle was dropped.
+//! detached workers held their own pool, a server kept running after
+//! its handle was dropped, and a threaded router's composition workers
+//! held the router.
 //!
 //! Live bytes by a counting allocator, as in `reach-core`'s
 //! `steady_state` test.
 
 use open_oodb::{Database, DatabaseConfig};
+use reach_core::eca::CompositionMode;
 use reach_core::event::MethodPhase;
-use reach_core::{CouplingMode, ReachSystem, RuleBuilder};
+use reach_core::{
+    CompositionScope, ConsumptionPolicy, CouplingMode, EventExpr, Lifespan, ReachConfig,
+    ReachSystem, RuleBuilder,
+};
 use reach_dist::DistSystem;
 use reach_object::{Value, ValueType};
 use reach_server::{serve, Client, ClientConfig, ServerConfig};
@@ -110,12 +117,69 @@ fn rules(sys: &ReachSystem, class: reach_common::ClassId, fired: &Arc<AtomicUsiz
     .unwrap();
 }
 
-fn embedded() -> Dropped {
+/// The embedded world. Threaded composition adds a cross-transaction
+/// composite (only composites get a composition worker) with a detached
+/// rule.
+fn embedded(composition: CompositionMode) -> Dropped {
     let db = Database::in_memory().unwrap();
     let class = sensor_class(&db);
-    let sys = ReachSystem::new(Arc::clone(&db), Default::default());
+    let sys = ReachSystem::new(
+        Arc::clone(&db),
+        ReachConfig {
+            composition,
+            ..Default::default()
+        },
+    );
     let fired = Arc::new(AtomicUsize::new(0));
     rules(&sys, class, &fired);
+    let report = sys.router().event_by_name("report").unwrap();
+    // The causally dependent rules' actions hold the database: a firing
+    // parked on the trigger left open below must not keep the world
+    // alive from inside the database's dependency graph.
+    let after_commit = Arc::new(AtomicUsize::new(0));
+    for (name, mode) in [
+        ("after-commit", CouplingMode::SequentialCausallyDependent),
+        ("with-commit", CouplingMode::ParallelCausallyDependent),
+    ] {
+        let (f, held) = (Arc::clone(&after_commit), Arc::clone(&db));
+        sys.define_rule(
+            RuleBuilder::new(name)
+                .on(report)
+                .coupling(mode)
+                .then(move |ctx| {
+                    assert!(Arc::ptr_eq(ctx.db, &held));
+                    f.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }),
+        )
+        .unwrap();
+    }
+    let composed = Arc::new(AtomicUsize::new(0));
+    if composition == CompositionMode::Parallel {
+        let pairs = sys
+            .define_composite(
+                "pair",
+                EventExpr::History {
+                    expr: Arc::new(EventExpr::Primitive(report)),
+                    count: 2,
+                },
+                CompositionScope::CrossTransaction,
+                Lifespan::Interval(Duration::from_secs(3600)),
+                ConsumptionPolicy::Chronicle,
+            )
+            .unwrap();
+        let f = Arc::clone(&composed);
+        sys.define_rule(
+            RuleBuilder::new("on-pair")
+                .on(pairs)
+                .coupling(CouplingMode::Detached)
+                .then(move |_| {
+                    f.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }),
+        )
+        .unwrap();
+    }
     let t = db.begin().unwrap();
     let oids: Vec<_> = (0..OBJECTS)
         .map(|_| {
@@ -138,6 +202,16 @@ fn embedded() -> Dropped {
     }
     sys.wait_quiescent();
     assert!(fired.load(Ordering::Relaxed) > 0);
+    assert!(after_commit.load(Ordering::Relaxed) > 0);
+    assert_eq!(
+        composed.load(Ordering::Relaxed) > 0,
+        composition == CompositionMode::Parallel
+    );
+    // A trigger that never ends: its sequential firing stays parked on
+    // it when the world is dropped.
+    let open = db.begin().unwrap();
+    db.invoke(open, oids[0], "report", &[Value::Int(1)])
+        .unwrap();
     Dropped {
         dbs: vec![Arc::downgrade(&db)],
         systems: vec![Arc::downgrade(&sys)],
@@ -254,8 +328,11 @@ fn settle(dropped: &Dropped, threads_before: Option<usize>, what: &str, cycle: u
 
 #[test]
 fn dropped_worlds_free_themselves() {
-    let shapes: [(&str, &dyn Fn(usize) -> Dropped); 3] = [
-        ("embedded", &|_| embedded()),
+    let shapes: [(&str, &dyn Fn(usize) -> Dropped); 4] = [
+        ("embedded", &|_| embedded(CompositionMode::Synchronous)),
+        ("threaded composition", &|_| {
+            embedded(CompositionMode::Parallel)
+        }),
         ("served", &served),
         ("sharded", &|_| sharded()),
     ];
