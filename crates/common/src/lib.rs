@@ -4,15 +4,17 @@
 //! transactions or rules; it only provides the vocabulary the other
 //! crates speak: strongly-typed identifiers, the unified error type,
 //! the virtual clock used for temporal events, rule priorities, the
-//! deterministic fault injector, the hasher for id-keyed tables
-//! ([`hash::FastMap`]), the observability registry
-//! ([`obs::MetricsRegistry`]) every layer records into, and the
-//! schedule-perturbing synchronization layer ([`sync`]) all crates take
-//! their locks from.
+//! bounds-checked byte codec every stored record and wire frame is
+//! read through ([`codec::Reader`]), the deterministic fault injector,
+//! the hasher for id-keyed tables ([`hash::FastMap`]), the
+//! observability registry ([`obs::MetricsRegistry`]) every layer
+//! records into, and the schedule-perturbing synchronization layer
+//! ([`sync`]) all crates take their locks from.
 
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod codec;
 pub mod error;
 pub mod fault;
 pub mod hash;

@@ -39,4 +39,4 @@ pub use extent::ExtentRegistry;
 pub use method::{MethodBody, MethodCtx, MethodRegistry};
 pub use schema::{AttrDef, ClassDef, MethodDecl, Schema};
 pub use space::{LifecycleSentry, ObjectSpace, ObjectState, StateChange, StateSentry, UndoLog};
-pub use value::{Args, Value, ValueType};
+pub use value::{Args, Value, ValueType, MAX_VALUE_DEPTH};

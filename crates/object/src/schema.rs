@@ -140,6 +140,13 @@ impl Schema {
                     a.name, def.name
                 )));
             }
+            // A default is stored like any write, so it must be readable.
+            if !a.default.conforms_to(ValueType::Any) {
+                return Err(ReachError::SchemaError(format!(
+                    "default of attribute {:?} of class {:?} nests lists too deep to store",
+                    a.name, def.name
+                )));
+            }
             attr_index.insert(a.name.clone(), attrs.len());
             attrs.push(a.clone());
         }
@@ -414,6 +421,17 @@ mod tests {
         let err = ClassBuilder::new(&s, "Derived")
             .base(base)
             .attr("x", ValueType::Int, Value::Int(1))
+            .define();
+        assert!(matches!(err, Err(ReachError::SchemaError(_))));
+    }
+
+    #[test]
+    fn an_unreadable_default_is_rejected() {
+        let s = schema();
+        let deep = (0..=crate::MAX_VALUE_DEPTH + 1)
+            .fold(Value::List(Vec::new()), |inner, _| Value::List(vec![inner]));
+        let err = ClassBuilder::new(&s, "Deep")
+            .attr("tree", ValueType::Any, deep)
             .define();
         assert!(matches!(err, Err(ReachError::SchemaError(_))));
     }

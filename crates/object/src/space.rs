@@ -22,6 +22,7 @@
 use crate::extent::ExtentRegistry;
 use crate::schema::Schema;
 use crate::value::Value;
+use reach_common::codec::{put_u32, put_u64, Reader};
 use reach_common::sync::RwLock;
 use reach_common::{ClassId, FastMap, FastSet, IdGen, ObjectId, ReachError, Result, TxnId};
 use std::sync::{Arc, OnceLock};
@@ -34,27 +35,24 @@ pub struct ObjectState {
 }
 
 impl ObjectState {
-    /// Wire encoding (class id + attribute values), used by persistence.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.class.raw().to_le_bytes());
-        out.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
+    /// Append the stored form: class id, attribute count, then each
+    /// attribute value ([`Value::encode_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.class.raw());
+        put_u32(out, self.attrs.len() as u32);
         for v in &self.attrs {
-            v.encode_into(&mut out);
+            v.encode_into(out);
         }
-        out
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        if buf.len() < 12 {
-            return Err(ReachError::Io("truncated object state".into()));
-        }
-        let class = ClassId::new(u64::from_le_bytes(buf[0..8].try_into().unwrap()));
-        let n = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        let mut pos = 12;
-        let mut attrs = Vec::with_capacity(n.min(1024));
+    /// Read the form [`ObjectState::encode_into`] writes.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self> {
+        let class = ClassId::new(r.u64()?);
+        // Every value is at least its tag byte.
+        let n = r.count(1)?;
+        let mut attrs = Vec::with_capacity(n);
         for _ in 0..n {
-            attrs.push(Value::decode_from(buf, &mut pos)?);
+            attrs.push(Value::read(r)?);
         }
         Ok(ObjectState { class, attrs })
     }
@@ -213,12 +211,7 @@ impl ObjectSpace {
         let mut attrs = self.schema.defaults(class)?;
         for (name, value) in overrides {
             let (slot, ty) = self.schema.attr_slot_type(class, name)?;
-            if !value.conforms_to(ty) {
-                return Err(ReachError::TypeMismatch {
-                    expected: format!("{ty:?}"),
-                    got: format!("{:?}", value.value_type()),
-                });
-            }
+            value.check_type(ty)?;
             attrs[slot] = value.clone();
         }
         Ok(self.install(txn, class, attrs))
@@ -363,12 +356,7 @@ impl ObjectSpace {
                 .get_mut(&oid)
                 .ok_or(ReachError::ObjectNotFound(oid))?;
             let (slot, ty) = self.schema.attr_slot_type(state.class, name)?;
-            if !value.conforms_to(ty) {
-                return Err(ReachError::TypeMismatch {
-                    expected: format!("{ty:?}"),
-                    got: format!("{:?}", value.value_type()),
-                });
-            }
+            value.check_type(ty)?;
             if let Some(log) = self.undo_log.get() {
                 log.on_write(txn, oid, slot, &state.attrs[slot]);
             }
@@ -544,7 +532,12 @@ mod tests {
             class: ClassId::new(9),
             attrs: vec![Value::Int(1), Value::Str("s".into()), Value::Null],
         };
-        assert_eq!(ObjectState::decode(&st.encode()).unwrap(), st);
-        assert!(ObjectState::decode(&st.encode()[..5]).is_err());
+        let mut enc = Vec::new();
+        st.encode_into(&mut enc);
+        let mut r = Reader::new(&enc, ReachError::Io);
+        assert_eq!(ObjectState::read(&mut r).unwrap(), st);
+        r.finish().unwrap();
+        let mut r = Reader::new(&enc[..5], ReachError::Io);
+        assert!(ObjectState::read(&mut r).is_err());
     }
 }

@@ -4,8 +4,15 @@
 //! mirror what the paper's C++ model can express in rule parameters:
 //! primitives, strings, object references, raw bytes and lists.
 
+use reach_common::codec::{put_bytes, put_str, put_u32, put_u64, Reader};
 use reach_common::{ObjectId, ReachError, Result};
 use std::fmt;
+
+/// Deepest nesting the decoders read: a value may sit at most this
+/// many `List` levels below the top one. It bounds the decoder's
+/// recursion, so a crafted record of nested list tags is an error, not
+/// a stack overflow.
+pub const MAX_VALUE_DEPTH: usize = 32;
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,9 +128,37 @@ impl Value {
         }
     }
 
-    /// Whether this value conforms to a declared type.
+    /// Whether this value conforms to a declared type. A `List` nested
+    /// deeper than the decoders read ([`MAX_VALUE_DEPTH`]) conforms to
+    /// nothing, so no write can store a value that cannot be read back.
     pub fn conforms_to(&self, ty: ValueType) -> bool {
-        ty == ValueType::Any || self.value_type() == ty || matches!(self, Value::Null)
+        (ty == ValueType::Any || self.value_type() == ty || matches!(self, Value::Null))
+            && self.readable_at(0)
+    }
+
+    /// [`Value::conforms_to`] as the error a refused write returns.
+    pub fn check_type(&self, ty: ValueType) -> Result<()> {
+        if self.conforms_to(ty) {
+            return Ok(());
+        }
+        Err(ReachError::TypeMismatch {
+            expected: format!("{ty:?}"),
+            got: if self.readable_at(0) {
+                format!("{:?}", self.value_type())
+            } else {
+                format!("List nested deeper than {MAX_VALUE_DEPTH}")
+            },
+        })
+    }
+
+    /// Whether [`Value::read`] accepts this value `depth` levels down.
+    fn readable_at(&self, depth: usize) -> bool {
+        match self {
+            Value::List(items) => items
+                .iter()
+                .all(|v| depth < MAX_VALUE_DEPTH && v.readable_at(depth + 1)),
+            _ => true,
+        }
     }
 
     fn mismatch(&self, want: &str) -> ReachError {
@@ -212,41 +247,38 @@ impl Value {
         }
     }
 
-    // ---- wire encoding (used by the Persistence PM) ----
+    // ---- the value format, stored and on the wire ----
 
-    /// Append the encoded value to `out`.
+    /// Append the encoded value to `out`: a tag byte (`Null`=0 …
+    /// `List`=7, declaration order), then the little-endian payload;
+    /// `Str`/`Bytes` carry a `u32` length and `List` a `u32` count.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Value::Null => out.push(0),
-            Value::Bool(b) => {
-                out.push(1);
-                out.push(*b as u8);
-            }
+            Value::Bool(b) => out.extend_from_slice(&[1, u8::from(*b)]),
             Value::Int(i) => {
                 out.push(2);
-                out.extend_from_slice(&i.to_le_bytes());
+                put_u64(out, *i as u64);
             }
             Value::Float(f) => {
                 out.push(3);
-                out.extend_from_slice(&f.to_le_bytes());
+                put_u64(out, f.to_bits());
             }
             Value::Str(s) => {
                 out.push(4);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                put_str(out, s);
             }
             Value::Ref(o) => {
                 out.push(5);
-                out.extend_from_slice(&o.raw().to_le_bytes());
+                put_u64(out, o.raw());
             }
             Value::Bytes(b) => {
                 out.push(6);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
+                put_bytes(out, b);
             }
             Value::List(l) => {
                 out.push(7);
-                out.extend_from_slice(&(l.len() as u32).to_le_bytes());
+                put_u32(out, l.len() as u32);
                 for v in l {
                     v.encode_into(out);
                 }
@@ -254,43 +286,34 @@ impl Value {
         }
     }
 
-    /// Decode one value from `buf` starting at `*pos`, advancing `*pos`.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Value> {
-        let corrupt = || ReachError::Io("corrupt value encoding".into());
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > buf.len() {
-                return Err(corrupt());
-            }
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let tag = take(pos, 1)?[0];
-        Ok(match tag {
+    /// Read one value written by [`Value::encode_into`], nested at most
+    /// [`MAX_VALUE_DEPTH`] levels deep.
+    pub fn read(r: &mut Reader<'_>) -> Result<Value> {
+        Value::read_at(r, 0)
+    }
+
+    fn read_at(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
+        if depth > MAX_VALUE_DEPTH {
+            return Err(r.error(format!("value nesting exceeds {MAX_VALUE_DEPTH}")));
+        }
+        Ok(match r.u8()? {
             0 => Value::Null,
-            1 => Value::Bool(take(pos, 1)?[0] != 0),
-            2 => Value::Int(i64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-            3 => Value::Float(f64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-            4 => {
-                let n = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                Value::Str(String::from_utf8(take(pos, n)?.to_vec()).map_err(|_| corrupt())?)
-            }
-            5 => Value::Ref(ObjectId::new(u64::from_le_bytes(
-                take(pos, 8)?.try_into().unwrap(),
-            ))),
-            6 => {
-                let n = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                Value::Bytes(take(pos, n)?.to_vec())
-            }
+            1 => Value::Bool(r.u8()? != 0),
+            2 => Value::Int(r.i64()?),
+            3 => Value::Float(f64::from_bits(r.u64()?)),
+            4 => Value::Str(r.str()?),
+            5 => Value::Ref(ObjectId::new(r.u64()?)),
+            6 => Value::Bytes(r.bytes()?.to_vec()),
             7 => {
-                let n = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                let mut l = Vec::with_capacity(n.min(1024));
+                // Every item is at least its tag byte.
+                let n = r.count(1)?;
+                let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    l.push(Value::decode_from(buf, pos)?);
+                    items.push(Value::read_at(r, depth + 1)?);
                 }
-                Value::List(l)
+                Value::List(items)
             }
-            _ => return Err(corrupt()),
+            tag => return Err(r.error(format!("unknown value tag {tag}"))),
         })
     }
 
@@ -378,11 +401,10 @@ impl Value {
     /// Decode one memcomparable key back into a value (the whole buffer
     /// must be consumed — index keys are stored one per entry).
     pub fn decode_index_key(buf: &[u8]) -> Result<Value> {
-        let mut pos = 0usize;
-        let v = decode_index_from(buf, &mut pos)?;
-        if pos != buf.len() {
-            return Err(ReachError::Io("trailing bytes after index key".into()));
-        }
+        let mut r = Reader::new(buf, ReachError::Io);
+        let rank = r.u8()?;
+        let v = read_index_key(&mut r, rank, 0)?;
+        r.finish()?;
         Ok(v)
     }
 }
@@ -400,51 +422,34 @@ fn escape_into(data: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&[0x00, 0x00]);
 }
 
-fn unescape_from(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
-    let corrupt = || ReachError::Io("corrupt index key".into());
+/// Read an escaped run up to its terminator (see [`escape_into`]).
+fn unescape(r: &mut Reader<'_>) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     loop {
-        let b = *buf.get(*pos).ok_or_else(corrupt)?;
-        *pos += 1;
-        if b != 0x00 {
-            out.push(b);
-            continue;
-        }
-        match *buf.get(*pos).ok_or_else(corrupt)? {
-            0x00 => {
-                *pos += 1;
-                return Ok(out);
-            }
-            0xFF => {
-                *pos += 1;
-                out.push(0x00);
-            }
-            _ => return Err(corrupt()),
+        match r.u8()? {
+            0x00 => match r.u8()? {
+                0x00 => return Ok(out),
+                0xFF => out.push(0x00),
+                b => return Err(r.error(format!("bad index key escape {b:#04x}"))),
+            },
+            b => out.push(b),
         }
     }
 }
 
-fn decode_index_from(buf: &[u8], pos: &mut usize) -> Result<Value> {
+/// Read the rest of a key whose rank byte was `rank`, nested `depth`
+/// lists deep (bounded like [`Value::read`]).
+fn read_index_key(r: &mut Reader<'_>, rank: u8, depth: usize) -> Result<Value> {
     const SIGN: u64 = 1 << 63;
-    let corrupt = || ReachError::Io("corrupt index key".into());
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        if *pos + n > buf.len() {
-            return Err(corrupt());
-        }
-        let s = &buf[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    let rank = take(pos, 1)?[0];
+    if depth > MAX_VALUE_DEPTH {
+        return Err(r.error(format!("index key nesting exceeds {MAX_VALUE_DEPTH}")));
+    }
     Ok(match rank {
         0x01 => Value::Null,
-        0x02 => Value::Bool(take(pos, 1)?[0] != 0),
-        0x03 => {
-            let u = u64::from_be_bytes(take(pos, 8)?.try_into().unwrap());
-            Value::Int((u ^ SIGN) as i64)
-        }
+        0x02 => Value::Bool(r.u8()? != 0),
+        0x03 => Value::Int((u64::from_be_bytes(r.array()?) ^ SIGN) as i64),
         0x04 => {
-            let ordered = u64::from_be_bytes(take(pos, 8)?.try_into().unwrap());
+            let ordered = u64::from_be_bytes(r.array()?);
             let bits = if ordered & SIGN != 0 {
                 ordered ^ SIGN
             } else {
@@ -452,26 +457,23 @@ fn decode_index_from(buf: &[u8], pos: &mut usize) -> Result<Value> {
             };
             Value::Float(f64::from_bits(bits))
         }
-        0x05 => {
-            let bytes = unescape_from(buf, pos)?;
-            Value::Str(String::from_utf8(bytes).map_err(|_| corrupt())?)
-        }
-        0x06 => Value::Ref(ObjectId::new(u64::from_be_bytes(
-            take(pos, 8)?.try_into().unwrap(),
-        ))),
-        0x07 => Value::Bytes(unescape_from(buf, pos)?),
+        0x05 => Value::Str(
+            String::from_utf8(unescape(r)?).map_err(|_| r.error("index key is not UTF-8"))?,
+        ),
+        0x06 => Value::Ref(ObjectId::new(u64::from_be_bytes(r.array()?))),
+        0x07 => Value::Bytes(unescape(r)?),
         0x08 => {
+            // Elements until the 0x00 terminator, which no rank byte is.
             let mut l = Vec::new();
             loop {
-                if *buf.get(*pos).ok_or_else(corrupt)? == 0x00 {
-                    *pos += 1;
-                    break;
+                match r.u8()? {
+                    0x00 => break,
+                    rank => l.push(read_index_key(r, rank, depth + 1)?),
                 }
-                l.push(decode_index_from(buf, pos)?);
             }
             Value::List(l)
         }
-        _ => return Err(corrupt()),
+        rank => return Err(r.error(format!("unknown index key rank {rank:#04x}"))),
     })
 }
 
@@ -565,14 +567,19 @@ mod tests {
         ]
     }
 
+    fn read_all(buf: &[u8]) -> Result<Vec<Value>> {
+        let mut r = Reader::new(buf, ReachError::Io);
+        let mut out = Vec::new();
+        while r.finish().is_err() {
+            out.push(Value::read(&mut r)?);
+        }
+        Ok(out)
+    }
+
     #[test]
     fn every_value_round_trips() {
         for v in samples() {
-            let enc = v.encode();
-            let mut pos = 0;
-            let dec = Value::decode_from(&enc, &mut pos).unwrap();
-            assert_eq!(dec, v);
-            assert_eq!(pos, enc.len(), "decoder must consume exactly the encoding");
+            assert_eq!(read_all(&v.encode()).unwrap(), vec![v]);
         }
     }
 
@@ -582,17 +589,39 @@ mod tests {
         for v in samples() {
             v.encode_into(&mut buf);
         }
-        let mut pos = 0;
-        for v in samples() {
-            assert_eq!(Value::decode_from(&buf, &mut pos).unwrap(), v);
-        }
+        assert_eq!(read_all(&buf).unwrap(), samples());
     }
 
     #[test]
     fn truncated_encoding_is_an_error() {
         let enc = Value::Str("hello world".into()).encode();
-        let mut pos = 0;
-        assert!(Value::decode_from(&enc[..enc.len() - 2], &mut pos).is_err());
+        let got = read_all(&enc[..enc.len() - 2]);
+        assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
+    }
+
+    /// `levels` lists, each holding the next; the innermost is empty.
+    fn nested_lists(levels: usize) -> Value {
+        (1..levels).fold(Value::List(Vec::new()), |inner, _| Value::List(vec![inner]))
+    }
+
+    #[test]
+    fn writes_accept_exactly_the_nesting_reads_accept() {
+        for levels in MAX_VALUE_DEPTH - 1..MAX_VALUE_DEPTH + 4 {
+            let v = nested_lists(levels);
+            let readable = read_all(&v.encode()).is_ok();
+            assert_eq!(readable, levels <= MAX_VALUE_DEPTH + 1, "{levels} levels");
+            assert_eq!(v.conforms_to(ValueType::Any), readable, "{levels} levels");
+            assert_eq!(v.conforms_to(ValueType::List), readable, "{levels} levels");
+        }
+        let with_item = Value::List(vec![nested_lists(MAX_VALUE_DEPTH)]);
+        assert!(with_item.conforms_to(ValueType::Any));
+        let too_deep = Value::List(vec![Value::Int(1), nested_lists(MAX_VALUE_DEPTH + 1)]);
+        assert!(!too_deep.conforms_to(ValueType::Any));
+        assert!(read_all(&too_deep.encode()).is_err());
+        match too_deep.check_type(ValueType::List) {
+            Err(ReachError::TypeMismatch { got, .. }) => assert!(got.contains("nested"), "{got}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -747,5 +776,47 @@ mod tests {
         assert!(Value::decode_index_key(&[0x01, 0x01]).is_err());
         // Unterminated list.
         assert!(Value::decode_index_key(&[0x08, 0x01]).is_err());
+        // Lists nested past MAX_VALUE_DEPTH, as a corrupt node could.
+        let mut deep = vec![0x08; 200_000];
+        deep.extend(vec![0x00; 200_000]);
+        assert!(Value::decode_index_key(&deep).is_err());
+        let readable = nested_lists(MAX_VALUE_DEPTH + 1).index_key();
+        assert!(Value::decode_index_key(&readable).is_ok());
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A decoder may accept garbage, but may fail only as `Io`.
+        fn ok_or_io<T>(got: Result<T>) -> bool {
+            match got {
+                Ok(_) => true,
+                Err(e) => matches!(e, ReachError::Io(_)),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn garbage_values_and_keys_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+                prop_assert!(ok_or_io(read_all(&bytes)));
+                prop_assert!(ok_or_io(Value::decode_index_key(&bytes)));
+            }
+
+            #[test]
+            fn bit_flipped_values_and_keys_never_panic(
+                which in any::<prop::sample::Index>(),
+                at in any::<prop::sample::Index>(),
+                bit in 0u8..8,
+            ) {
+                let v = &samples()[which.index(samples().len())];
+                for mut enc in [v.encode(), v.index_key()] {
+                    let i = at.index(enc.len());
+                    enc[i] ^= 1 << bit;
+                    prop_assert!(ok_or_io(read_all(&enc)));
+                    prop_assert!(ok_or_io(Value::decode_index_key(&enc)));
+                }
+            }
+        }
     }
 }

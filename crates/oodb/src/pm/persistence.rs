@@ -28,6 +28,7 @@ use crate::meta::PolicyManager;
 use crate::pm::change::ChangePm;
 use crate::pm::indexing::IndexingPm;
 use crate::translation::{externalize, internalize};
+use reach_common::codec::{put_str, put_u32, put_u64, Reader};
 use reach_common::sync::{Mutex, RwLock};
 use reach_common::{FastMap, FastSet, ObjectId, ReachError, Result, TxnId};
 use reach_object::ObjectSpace;
@@ -313,33 +314,73 @@ impl PolicyManager for PersistencePm {
 
 fn encode_roots(bindings: &[(String, ObjectId)]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(bindings.len() as u32).to_le_bytes());
+    put_u32(&mut out, bindings.len() as u32);
     for (name, oid) in bindings {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&oid.raw().to_le_bytes());
+        put_str(&mut out, name);
+        put_u64(&mut out, oid.raw());
     }
     out
 }
 
 fn decode_roots(buf: &[u8]) -> Result<Vec<(String, ObjectId)>> {
-    let corrupt = || ReachError::Io("corrupt roots record".into());
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Result<&[u8]> {
-        if pos + n > buf.len() {
-            return Err(corrupt());
-        }
-        let s = &buf[pos..pos + n];
-        pos += n;
-        Ok(s)
-    };
-    let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
+    let mut r = Reader::new(buf, ReachError::Io);
+    // A binding is at least a name length and an oid.
+    let n = r.count(12)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(len)?.to_vec()).map_err(|_| corrupt())?;
-        let oid = ObjectId::new(u64::from_le_bytes(take(8)?.try_into().unwrap()));
-        out.push((name, oid));
+        out.push((r.str()?, ObjectId::new(r.u64()?)));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn sample_roots() -> Vec<(String, ObjectId)> {
+        vec![
+            ("plant".to_string(), ObjectId::new(7)),
+            (String::new(), ObjectId::new(u64::MAX)),
+        ]
+    }
+
+    /// FNV-1a 64 of `bytes`, to pin a format.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn roots_record_round_trips_and_is_pinned() {
+        let enc = encode_roots(&sample_roots());
+        assert_eq!(decode_roots(&enc).unwrap(), sample_roots());
+        assert_eq!(digest(&enc), 0xfe9abb3422855e28);
+    }
+
+    #[test]
+    fn a_count_the_record_cannot_hold_is_an_error() {
+        let got = decode_roots(&u32::MAX.to_le_bytes());
+        assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
+    }
+
+    proptest! {
+        #[test]
+        fn garbage_roots_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+            if let Err(e) = decode_roots(&bytes) {
+                prop_assert!(matches!(e, ReachError::Io(_)), "{e:?}");
+            }
+        }
+
+        #[test]
+        fn bit_flipped_roots_never_panic(at in any::<prop::sample::Index>(), bit in 0u8..8) {
+            let mut enc = encode_roots(&sample_roots());
+            let i = at.index(enc.len());
+            enc[i] ^= 1 << bit;
+            if let Err(e) = decode_roots(&enc) {
+                prop_assert!(matches!(e, ReachError::Io(_)), "{e:?}");
+            }
+        }
+    }
 }

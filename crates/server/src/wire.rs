@@ -3,23 +3,24 @@
 //! A frame is a little-endian `u32` payload length followed by the
 //! payload. The length is validated against [`MAX_FRAME`] *before* any
 //! allocation, so a hostile or corrupted peer can never make either
-//! side over-allocate. Every decode path is bounds-checked and returns
-//! [`ReachError::Protocol`] on malformed input — never a panic.
+//! side over-allocate. Payloads are written and read with the shared
+//! byte codec ([`reach_common::codec`]) and values in the one stored
+//! value format ([`Value::encode_into`] / [`Value::read`]); every
+//! decode path is bounds-checked and returns [`ReachError::Protocol`]
+//! on malformed input — never a panic.
 //!
 //! Request payload: `u64 request_id | u32 deadline_ms | u8 opcode |
 //! body`. Response payload: `u64 request_id | u8 tag | body`.
 //! `request_id 0` is reserved for server-push notifications; clients
 //! start their ids at 1.
 
+use reach_common::codec::{put_str, put_u16, put_u32, put_u64, Reader};
 use reach_common::{ObjectId, ReachError, Result, RuleId, TxnId};
 use reach_object::Value;
+pub use reach_object::MAX_VALUE_DEPTH;
 
 /// Hard cap on one frame's payload (1 MiB). Checked before allocating.
 pub const MAX_FRAME: usize = 1 << 20;
-
-/// Cap on `Value::List` nesting accepted off the wire, so a crafted
-/// deeply-nested payload cannot blow the decoder's stack.
-pub const MAX_VALUE_DEPTH: usize = 32;
 
 /// Protocol revision carried in `Hello`/`HelloOk`.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -223,189 +224,6 @@ pub enum Notification {
     DeadLetter(WireDeadLetter),
 }
 
-// ---- primitive writers ----
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
-        Value::Ref(oid) => {
-            out.push(5);
-            put_u64(out, oid.raw());
-        }
-        Value::Bytes(b) => {
-            out.push(6);
-            put_u32(out, b.len() as u32);
-            out.extend_from_slice(b);
-        }
-        Value::List(items) => {
-            out.push(7);
-            put_u32(out, items.len() as u32);
-            for it in items {
-                put_value(out, it);
-            }
-        }
-    }
-}
-
-// ---- primitive readers (all bounds-checked) ----
-
-/// A bounds-checked cursor over one frame payload.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A cursor over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bail<T>(&self, what: &str) -> Result<T> {
-        Err(ReachError::Protocol(format!(
-            "truncated frame: {what} at offset {} of {}",
-            self.pos,
-            self.buf.len()
-        )))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return self.bail("byte run");
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian i64.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a length-prefixed UTF-8 string. The declared length is
-    /// checked against the remaining payload before any allocation.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        if self.buf.len() - self.pos < len {
-            return self.bail("string body");
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ReachError::Protocol("string is not valid UTF-8".into()))
-    }
-
-    /// Read a value, recursing at most [`MAX_VALUE_DEPTH`] deep.
-    pub fn value(&mut self) -> Result<Value> {
-        self.value_at(0)
-    }
-
-    fn value_at(&mut self, depth: usize) -> Result<Value> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(ReachError::Protocol(format!(
-                "value nesting exceeds {MAX_VALUE_DEPTH}"
-            )));
-        }
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::Str(self.str()?),
-            5 => Value::Ref(ObjectId::new(self.u64()?)),
-            6 => {
-                let len = self.u32()? as usize;
-                if self.buf.len() - self.pos < len {
-                    return self.bail("bytes body");
-                }
-                Value::Bytes(self.take(len)?.to_vec())
-            }
-            7 => {
-                let count = self.u32()? as usize;
-                // Each element needs at least its one tag byte, so the
-                // declared count is bounded by the remaining payload —
-                // a huge count cannot pre-allocate anything.
-                if self.buf.len() - self.pos < count {
-                    return self.bail("list items");
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.value_at(depth + 1)?);
-                }
-                Value::List(items)
-            }
-            tag => {
-                return Err(ReachError::Protocol(format!("unknown value tag {tag}")));
-            }
-        })
-    }
-
-    /// Whether the whole payload was consumed.
-    pub fn finish(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ReachError::Protocol(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
 fn txn(r: &mut Reader<'_>) -> Result<TxnId> {
     Ok(TxnId::new(r.u64()?))
 }
@@ -414,14 +232,14 @@ fn oid(r: &mut Reader<'_>) -> Result<ObjectId> {
     Ok(ObjectId::new(r.u64()?))
 }
 
-/// Count-prefixed `(name, value)` pairs; count is sanity-bounded by the
-/// remaining payload.
+/// `u16`-count-prefixed `(name, value)` pairs. The pre-allocation is
+/// capped, so a count larger than the payload holds allocates little.
 fn pairs(r: &mut Reader<'_>) -> Result<Vec<(String, Value)>> {
     let count = r.u16()? as usize;
     let mut out = Vec::with_capacity(count.min(64));
     for _ in 0..count {
         let name = r.str()?;
-        let value = r.value()?;
+        let value = Value::read(r)?;
         out.push((name, value));
     }
     Ok(out)
@@ -431,7 +249,7 @@ fn values(r: &mut Reader<'_>) -> Result<Vec<Value>> {
     let count = r.u16()? as usize;
     let mut out = Vec::with_capacity(count.min(64));
     for _ in 0..count {
-        out.push(r.value()?);
+        out.push(Value::read(r)?);
     }
     Ok(out)
 }
@@ -467,7 +285,7 @@ impl Request {
                 put_u16(&mut out, overrides.len() as u16);
                 for (name, value) in overrides {
                     put_str(&mut out, name);
-                    put_value(&mut out, value);
+                    value.encode_into(&mut out);
                 }
             }
             Request::Get { txn, oid, attr } => {
@@ -486,7 +304,7 @@ impl Request {
                 put_u64(&mut out, txn.raw());
                 put_u64(&mut out, oid.raw());
                 put_str(&mut out, attr);
-                put_value(&mut out, value);
+                value.encode_into(&mut out);
             }
             Request::Invoke {
                 txn,
@@ -500,7 +318,7 @@ impl Request {
                 put_str(&mut out, method);
                 put_u16(&mut out, args.len() as u16);
                 for a in args {
-                    put_value(&mut out, a);
+                    a.encode_into(&mut out);
                 }
             }
             Request::Persist { txn, oid } => {
@@ -538,7 +356,7 @@ impl Request {
                 put_str(&mut out, name);
                 put_u16(&mut out, args.len() as u16);
                 for a in args {
-                    put_value(&mut out, a);
+                    a.encode_into(&mut out);
                 }
             }
             Request::Subscribe {
@@ -561,7 +379,7 @@ impl Request {
 
     /// Decode a frame payload into `(request_id, deadline_ms, request)`.
     pub fn decode(payload: &[u8]) -> Result<(u64, u32, Request)> {
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(payload, ReachError::Protocol);
         let request_id = r.u64()?;
         let deadline_ms = r.u32()?;
         let req = match r.u8()? {
@@ -583,7 +401,7 @@ impl Request {
                 txn: txn(&mut r)?,
                 oid: oid(&mut r)?,
                 attr: r.str()?,
-                value: r.value()?,
+                value: Value::read(&mut r)?,
             },
             8 => Request::Invoke {
                 txn: txn(&mut r)?,
@@ -682,7 +500,7 @@ impl Response {
             }
             Response::Value(v) => {
                 out.push(4);
-                put_value(&mut out, v);
+                v.encode_into(&mut out);
             }
             Response::Rule(rid) => {
                 out.push(5);
@@ -731,7 +549,7 @@ impl Response {
 
     /// Decode a frame payload into `(request_id, response)`.
     pub fn decode(payload: &[u8]) -> Result<(u64, Response)> {
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(payload, ReachError::Protocol);
         let request_id = r.u64()?;
         let resp = match r.u8()? {
             0 => Response::Ok,
@@ -741,7 +559,7 @@ impl Response {
             },
             2 => Response::Txn(TxnId::new(r.u64()?)),
             3 => Response::Oid(ObjectId::new(r.u64()?)),
-            4 => Response::Value(r.value()?),
+            4 => Response::Value(Value::read(&mut r)?),
             5 => Response::Rule(RuleId::new(r.u64()?)),
             6 => Response::HelloOk {
                 session: r.u64()?,

@@ -156,6 +156,152 @@ fn response_strategy() -> BoxedStrategy<Response> {
     .boxed()
 }
 
+/// One value of every kind, a nested list among them.
+fn sample_value() -> Value {
+    Value::List(vec![
+        Value::Null,
+        Value::Bool(true),
+        Value::Int(-42),
+        Value::Float(2.5),
+        Value::Str("h\u{e9}llo".into()),
+        Value::Ref(ObjectId::new(99)),
+        Value::Bytes(vec![0, 1, 255]),
+        Value::List(vec![Value::List(Vec::new())]),
+    ])
+}
+
+fn sample_dead_letter() -> WireDeadLetter {
+    WireDeadLetter {
+        rule: RuleId::new(5),
+        rule_name: "audit".into(),
+        code: 42,
+        message: "gave up".into(),
+        attempts: 3,
+        shard: 1,
+        origin_txn: 77,
+    }
+}
+
+/// FNV-1a 64 of `bytes`. Pinning a format's digest catches the changes
+/// a round trip cannot see: one made to encoder and decoder alike.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn request_frames_are_pinned() {
+    let (t, o) = (TxnId::new(11), ObjectId::new(12));
+    let requests = [
+        Request::Hello { version: 1 },
+        Request::Begin,
+        Request::BeginReadOnly,
+        Request::Commit { txn: t },
+        Request::Abort { txn: t },
+        Request::Create {
+            txn: t,
+            class: "Sensor".into(),
+            overrides: vec![
+                ("level".into(), Value::Int(3)),
+                ("tags".into(), sample_value()),
+            ],
+        },
+        Request::Get {
+            txn: t,
+            oid: o,
+            attr: "level".into(),
+        },
+        Request::Set {
+            txn: t,
+            oid: o,
+            attr: "tags".into(),
+            value: sample_value(),
+        },
+        Request::Invoke {
+            txn: t,
+            oid: o,
+            method: "raise".into(),
+            args: vec![Value::Float(-0.5), sample_value()],
+        },
+        Request::Persist { txn: t, oid: o },
+        Request::PersistNamed {
+            txn: t,
+            name: "root".into(),
+            oid: o,
+        },
+        Request::FetchRoot {
+            name: "root".into(),
+        },
+        Request::DefineRule {
+            source: "rule r on e do x".into(),
+        },
+        Request::DefineSignal {
+            name: "alarm".into(),
+        },
+        Request::RaiseSignal {
+            txn: Some(t),
+            name: "alarm".into(),
+            args: vec![sample_value()],
+        },
+        Request::RaiseSignal {
+            txn: None,
+            name: "alarm".into(),
+            args: Vec::new(),
+        },
+        Request::Subscribe {
+            firings: true,
+            dead_letters: false,
+        },
+        Request::DrainDeadLetters,
+        Request::Ping,
+        Request::ShardOf { oid: o },
+    ];
+    let frames: Vec<u8> = requests
+        .iter()
+        .zip(1u64..)
+        .flat_map(|(r, id)| r.encode(id, 250))
+        .collect();
+    assert_eq!(digest(&frames), 0xb346d2cadf2fd77d);
+}
+
+#[test]
+fn response_frames_are_pinned() {
+    let responses = [
+        Response::Ok,
+        Response::Err {
+            code: 61,
+            message: "bad".into(),
+        },
+        Response::Txn(TxnId::new(11)),
+        Response::Oid(ObjectId::new(12)),
+        Response::Value(sample_value()),
+        Response::Rule(RuleId::new(5)),
+        Response::HelloOk {
+            session: 9,
+            max_frame: MAX_FRAME as u32,
+        },
+        Response::Pong,
+        Response::DeadLetters(vec![sample_dead_letter()]),
+        Response::Notification(Notification::RuleFired {
+            rule: RuleId::new(5),
+            rule_name: "audit".into(),
+            event_type: 8,
+        }),
+        Response::Notification(Notification::DeadLetter(sample_dead_letter())),
+        Response::Shard {
+            shard: 1,
+            shards: 2,
+        },
+    ];
+    let frames: Vec<u8> = responses
+        .iter()
+        .zip(1u64..)
+        .flat_map(|(r, id)| r.encode(id))
+        .collect();
+    assert_eq!(digest(&frames), 0x81231840f3c4e229);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

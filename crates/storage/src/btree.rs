@@ -39,6 +39,7 @@ use crate::buffer::BufferPool;
 use crate::heap::put_logged;
 use crate::page::MAX_RECORD;
 use crate::wal::WriteAheadLog;
+use reach_common::codec::{put_bytes, put_u32, put_u64, Reader};
 use reach_common::sync::Mutex;
 use reach_common::{PageId, ReachError, Result};
 use std::ops::Bound;
@@ -137,22 +138,19 @@ impl Node {
     }
 
     fn encode(&self) -> Vec<u8> {
-        fn put_opt_page(out: &mut Vec<u8>, p: &Option<PageId>) {
-            match p {
+        fn put_pair(out: &mut Vec<u8>, e: &Entry) {
+            put_bytes(out, &e.0);
+            put_u64(out, e.1);
+        }
+        fn put_links(out: &mut Vec<u8>, right: &Option<PageId>, high: &Option<Entry>) {
+            match right {
                 Some(p) => {
                     out.push(1);
-                    out.extend_from_slice(&p.raw().to_le_bytes());
+                    put_u64(out, p.raw());
                 }
                 None => out.push(0),
             }
-        }
-        fn put_pair(out: &mut Vec<u8>, e: &Entry) {
-            out.extend_from_slice(&(e.0.len() as u32).to_le_bytes());
-            out.extend_from_slice(&e.0);
-            out.extend_from_slice(&e.1.to_le_bytes());
-        }
-        fn put_opt_pair(out: &mut Vec<u8>, e: &Option<Entry>) {
-            match e {
+            match high {
                 Some(e) => {
                     out.push(1);
                     put_pair(out, e);
@@ -168,9 +166,8 @@ impl Node {
                 entries,
             } => {
                 out.push(1);
-                put_opt_page(&mut out, right);
-                put_opt_pair(&mut out, high);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                put_links(&mut out, right, high);
+                put_u32(&mut out, entries.len() as u32);
                 for e in entries {
                     put_pair(&mut out, e);
                 }
@@ -182,13 +179,12 @@ impl Node {
                 seps,
             } => {
                 out.push(0);
-                put_opt_page(&mut out, right);
-                put_opt_pair(&mut out, high);
-                out.extend_from_slice(&(children.len() as u32).to_le_bytes());
-                out.extend_from_slice(&children[0].raw().to_le_bytes());
+                put_links(&mut out, right, high);
+                put_u32(&mut out, children.len() as u32);
+                put_u64(&mut out, children[0].raw());
                 for (s, c) in seps.iter().zip(children[1..].iter()) {
                     put_pair(&mut out, s);
-                    out.extend_from_slice(&c.raw().to_le_bytes());
+                    put_u64(&mut out, c.raw());
                 }
             }
         }
@@ -196,52 +192,28 @@ impl Node {
     }
 
     fn decode(buf: &[u8]) -> Result<Node> {
-        let corrupt = || ReachError::Io("corrupt index node".into());
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8]> {
-            if pos + n > buf.len() {
-                return Err(corrupt());
-            }
-            let s = &buf[pos..pos + n];
-            pos += n;
-            Ok(s)
-        };
-        macro_rules! u8v {
-            () => {
-                take(1)?[0]
-            };
+        fn pair(r: &mut Reader<'_>) -> Result<Entry> {
+            Ok((r.bytes()?.to_vec(), r.u64()?))
         }
-        macro_rules! u32v {
-            () => {
-                u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize
-            };
-        }
-        macro_rules! u64v {
-            () => {
-                u64::from_le_bytes(take(8)?.try_into().unwrap())
-            };
-        }
-        macro_rules! pair {
-            () => {{
-                let n = u32v!();
-                let key = take(n)?.to_vec();
-                let oid = u64v!();
-                (key, oid)
-            }};
-        }
-        let tag = u8v!();
-        let right = if u8v!() == 1 {
-            Some(PageId::new(u64v!()))
+        let mut r = Reader::new(buf, ReachError::Io);
+        let tag = r.u8()?;
+        let right = if r.u8()? == 1 {
+            Some(PageId::new(r.u64()?))
         } else {
             None
         };
-        let high = if u8v!() == 1 { Some(pair!()) } else { None };
+        let high = if r.u8()? == 1 {
+            Some(pair(&mut r)?)
+        } else {
+            None
+        };
         match tag {
             1 => {
-                let n = u32v!();
+                // An entry is at least a key length and an oid.
+                let n = r.count(12)?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    entries.push(pair!());
+                    entries.push(pair(&mut r)?);
                 }
                 Ok(Node::Leaf {
                     right,
@@ -250,16 +222,17 @@ impl Node {
                 })
             }
             0 => {
-                let n = u32v!();
+                // Every child is at least its page id.
+                let n = r.count(8)?;
                 if n == 0 {
-                    return Err(corrupt());
+                    return Err(r.error("internal index node without children"));
                 }
                 let mut children = Vec::with_capacity(n);
-                let mut seps = Vec::with_capacity(n.saturating_sub(1));
-                children.push(PageId::new(u64v!()));
+                let mut seps = Vec::with_capacity(n - 1);
+                children.push(PageId::new(r.u64()?));
                 for _ in 1..n {
-                    seps.push(pair!());
-                    children.push(PageId::new(u64v!()));
+                    seps.push(pair(&mut r)?);
+                    children.push(PageId::new(r.u64()?));
                 }
                 Ok(Node::Internal {
                     right,
@@ -268,7 +241,7 @@ impl Node {
                     seps,
                 })
             }
-            _ => Err(corrupt()),
+            _ => Err(r.error(format!("unknown index node tag {tag}"))),
         }
     }
 }
@@ -711,6 +684,74 @@ mod tests {
 
     fn key(i: u32) -> Vec<u8> {
         format!("k{i:08}").into_bytes()
+    }
+
+    fn sample_nodes() -> [Node; 2] {
+        [
+            Node::Leaf {
+                right: Some(PageId::new(5)),
+                high: Some((b"zz".to_vec(), 9)),
+                entries: vec![(b"a".to_vec(), 1), (b"b\0".to_vec(), 2)],
+            },
+            Node::Internal {
+                right: None,
+                high: None,
+                children: vec![PageId::new(3), PageId::new(4), PageId::new(6)],
+                seps: vec![(b"m".to_vec(), 10), (b"t".to_vec(), 11)],
+            },
+        ]
+    }
+
+    /// FNV-1a 64 of `bytes`, to pin a format (see the WAL's twin).
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn node_format_is_pinned() {
+        let [leaf, internal] = sample_nodes();
+        assert_eq!(digest(&leaf.encode()), 0x5bc1328da8a04f2b);
+        assert_eq!(digest(&internal.encode()), 0xc7070c4cb8c24403);
+    }
+
+    #[test]
+    fn a_count_the_node_cannot_hold_is_corruption() {
+        // tag (leaf 1, internal 0), no right link, no high key, count.
+        for tag in [1u8, 0] {
+            let buf = [&[tag, 0, 0][..], &u32::MAX.to_le_bytes()].concat();
+            let got = Node::decode(&buf);
+            assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
+        }
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn garbage_nodes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+                if let Err(e) = Node::decode(&bytes) {
+                    prop_assert!(matches!(e, ReachError::Io(_)), "{e:?}");
+                }
+            }
+
+            #[test]
+            fn bit_flipped_nodes_never_panic(
+                which in any::<prop::sample::Index>(),
+                at in any::<prop::sample::Index>(),
+                bit in 0u8..8,
+            ) {
+                let mut enc = sample_nodes()[which.index(2)].encode();
+                let i = at.index(enc.len());
+                enc[i] ^= 1 << bit;
+                if let Err(e) = Node::decode(&enc) {
+                    prop_assert!(matches!(e, ReachError::Io(_)), "{e:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::checkpoint::{ActiveTxns, CheckpointStats, Checkpointer};
 use crate::disk::{FileDisk, MemDisk, StableStorage};
 use crate::heap::{put_logged, undo_on, HeapFile, RecordId};
 use crate::wal::{WalRecord, WriteAheadLog};
+use reach_common::codec::{put_str, put_u32, put_u64, Reader};
 use reach_common::sync::Mutex;
 use reach_common::{MetricsRegistry, PageId, ReachError, Result, TxnId};
 use std::collections::HashMap;
@@ -802,43 +803,29 @@ fn open_entry_tree(sm: &StorageManager, entries: &[IndexEntry], index: u64) -> R
 
 fn encode_index_catalog(entries: &[IndexEntry], next_index: u64) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&next_index.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    put_u64(&mut out, next_index);
+    put_u32(&mut out, entries.len() as u32);
     for e in entries {
-        out.extend_from_slice(&(e.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(e.name.as_bytes());
-        out.extend_from_slice(&e.id.to_le_bytes());
-        out.extend_from_slice(&e.root.raw().to_le_bytes());
-        out.extend_from_slice(&e.max_node_entries.to_le_bytes());
+        put_str(&mut out, &e.name);
+        put_u64(&mut out, e.id);
+        put_u64(&mut out, e.root.raw());
+        put_u32(&mut out, e.max_node_entries);
     }
     out
 }
 
 fn decode_index_catalog(buf: &[u8]) -> Result<(Vec<IndexEntry>, u64)> {
-    let corrupt = || ReachError::WalCorrupt("index catalog corrupt".into());
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Result<&[u8]> {
-        if pos + n > buf.len() {
-            return Err(corrupt());
-        }
-        let s = &buf[pos..pos + n];
-        pos += n;
-        Ok(s)
-    };
-    let next_index = u64::from_le_bytes(take(8)?.try_into().unwrap());
-    let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
+    let mut r = Reader::new(buf, ReachError::WalCorrupt);
+    let next_index = r.u64()?;
+    // An entry is at least a name length, id, root and fanout knob.
+    let n = r.count(24)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let name_len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(name_len)?.to_vec()).map_err(|_| corrupt())?;
-        let id = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let root = PageId::new(u64::from_le_bytes(take(8)?.try_into().unwrap()));
-        let max_node_entries = u32::from_le_bytes(take(4)?.try_into().unwrap());
         entries.push(IndexEntry {
-            name,
-            id,
-            root,
-            max_node_entries,
+            name: r.str()?,
+            id: r.u64()?,
+            root: PageId::new(r.u64()?),
+            max_node_entries: r.u32()?,
         });
     }
     Ok((entries, next_index))
@@ -848,15 +835,14 @@ fn decode_index_catalog(buf: &[u8]) -> Result<(Vec<IndexEntry>, u64)> {
 
 fn encode_catalog(entries: &[(String, u64, Vec<PageId>)], next_seg: u64) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&next_seg.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    put_u64(&mut out, next_seg);
+    put_u32(&mut out, entries.len() as u32);
     for (name, id, pages) in entries {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+        put_str(&mut out, name);
+        put_u64(&mut out, *id);
+        put_u32(&mut out, pages.len() as u32);
         for p in pages {
-            out.extend_from_slice(&p.raw().to_le_bytes());
+            put_u64(&mut out, p.raw());
         }
     }
     out
@@ -865,29 +851,18 @@ fn encode_catalog(entries: &[(String, u64, Vec<PageId>)], next_seg: u64) -> Vec<
 type CatalogEntries = Vec<(String, u64, Vec<PageId>)>;
 
 fn decode_catalog(buf: &[u8]) -> Result<(CatalogEntries, u64)> {
-    let corrupt = || ReachError::WalCorrupt("catalog page corrupt".into());
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Result<&[u8]> {
-        if pos + n > buf.len() {
-            return Err(corrupt());
-        }
-        let s = &buf[pos..pos + n];
-        pos += n;
-        Ok(s)
-    };
-    let next_seg = u64::from_le_bytes(take(8)?.try_into().unwrap());
-    let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
+    let mut r = Reader::new(buf, ReachError::WalCorrupt);
+    let next_seg = r.u64()?;
+    // An entry is at least a name length, id and page count.
+    let n = r.count(16)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let name_len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(name_len)?.to_vec()).map_err(|_| corrupt())?;
-        let id = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let pages_len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-        let mut pages = Vec::with_capacity(pages_len);
-        for _ in 0..pages_len {
-            pages.push(PageId::new(u64::from_le_bytes(
-                take(8)?.try_into().unwrap(),
-            )));
+        let name = r.str()?;
+        let id = r.u64()?;
+        let n_pages = r.count(8)?;
+        let mut pages = Vec::with_capacity(n_pages);
+        for _ in 0..n_pages {
+            pages.push(PageId::new(r.u64()?));
         }
         entries.push((name, id, pages));
     }
@@ -1067,10 +1042,7 @@ mod tests {
 
     #[test]
     fn catalog_round_trips() {
-        let entries = vec![
-            ("alpha".to_string(), 1, vec![PageId::new(2), PageId::new(3)]),
-            ("beta".to_string(), 2, vec![]),
-        ];
+        let entries = sample_segments();
         let enc = encode_catalog(&entries, 7);
         let (dec, next) = decode_catalog(&enc).unwrap();
         assert_eq!(dec, entries);
@@ -1106,7 +1078,23 @@ mod tests {
 
     #[test]
     fn index_catalog_round_trips() {
-        let entries = vec![
+        let entries = sample_indexes();
+        let enc = encode_index_catalog(&entries, 3);
+        let (dec, next) = decode_index_catalog(&enc).unwrap();
+        assert_eq!(dec, entries);
+        assert_eq!(next, 3);
+        assert!(decode_index_catalog(&enc[..enc.len() - 2]).is_err());
+    }
+
+    fn sample_segments() -> CatalogEntries {
+        vec![
+            ("alpha".to_string(), 1, vec![PageId::new(2), PageId::new(3)]),
+            ("beta".to_string(), 2, vec![]),
+        ]
+    }
+
+    fn sample_indexes() -> Vec<IndexEntry> {
+        vec![
             IndexEntry {
                 name: "idx.person.age".to_string(),
                 id: 1,
@@ -1119,12 +1107,75 @@ mod tests {
                 root: PageId::new(12),
                 max_node_entries: 4,
             },
-        ];
-        let enc = encode_index_catalog(&entries, 3);
-        let (dec, next) = decode_index_catalog(&enc).unwrap();
-        assert_eq!(dec, entries);
-        assert_eq!(next, 3);
-        assert!(decode_index_catalog(&enc[..enc.len() - 2]).is_err());
+        ]
+    }
+
+    /// FNV-1a 64 of `bytes`, to pin a format (see the WAL's twin).
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn segment_catalog_format_is_pinned() {
+        assert_eq!(
+            digest(&encode_catalog(&sample_segments(), 7)),
+            0xd0dccd26cd16f55d
+        );
+    }
+
+    #[test]
+    fn index_catalog_format_is_pinned() {
+        assert_eq!(
+            digest(&encode_index_catalog(&sample_indexes(), 3)),
+            0x9dd9e8562f73971d
+        );
+    }
+
+    #[test]
+    fn catalog_counts_the_page_cannot_hold_are_corruption() {
+        let buf = [&7u64.to_le_bytes()[..], &u32::MAX.to_le_bytes()].concat();
+        let got = decode_catalog(&buf);
+        assert!(matches!(got, Err(ReachError::WalCorrupt(_))), "{got:?}");
+        let got = decode_index_catalog(&buf);
+        assert!(matches!(got, Err(ReachError::WalCorrupt(_))), "{got:?}");
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A decoder may accept garbage, but may fail only as corruption.
+        fn ok_or_corrupt<T>(got: Result<T>) -> bool {
+            match got {
+                Ok(_) => true,
+                Err(e) => matches!(e, ReachError::WalCorrupt(_)),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn garbage_catalogs_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+                prop_assert!(ok_or_corrupt(decode_catalog(&bytes)));
+                prop_assert!(ok_or_corrupt(decode_index_catalog(&bytes)));
+            }
+
+            #[test]
+            fn bit_flipped_catalogs_never_panic(
+                at in any::<prop::sample::Index>(),
+                bit in 0u8..8,
+            ) {
+                let mut segments = encode_catalog(&sample_segments(), 7);
+                let i = at.index(segments.len());
+                segments[i] ^= 1 << bit;
+                prop_assert!(ok_or_corrupt(decode_catalog(&segments)));
+                let mut indexes = encode_index_catalog(&sample_indexes(), 3);
+                let i = at.index(indexes.len());
+                indexes[i] ^= 1 << bit;
+                prop_assert!(ok_or_corrupt(decode_index_catalog(&indexes)));
+            }
+        }
     }
 
     #[test]

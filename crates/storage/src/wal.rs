@@ -31,6 +31,7 @@
 //! truncate crash-atomically: the retained tail is written to a temp
 //! file, synced, and renamed over the log.
 
+use reach_common::codec::{put_bytes, put_u16, put_u32, put_u64, Reader};
 use reach_common::fault::{FaultInjector, FaultPoint, WriteOutcome};
 use reach_common::obs::Stage;
 use reach_common::sync::{Condvar, Mutex};
@@ -223,22 +224,24 @@ impl WalRecord {
 
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
-        fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
+        // The head every page-image record shares.
+        fn put_target(out: &mut Vec<u8>, txn: &TxnId, page: &PageId, slot: u16) {
+            put_u64(out, txn.raw());
+            put_u64(out, page.raw());
+            put_u16(out, slot);
         }
         match self {
             WalRecord::Begin { txn } => {
                 out.push(1);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
+                put_u64(&mut out, txn.raw());
             }
             WalRecord::Commit { txn } => {
                 out.push(2);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
+                put_u64(&mut out, txn.raw());
             }
             WalRecord::Abort { txn } => {
                 out.push(3);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
+                put_u64(&mut out, txn.raw());
             }
             WalRecord::Insert {
                 txn,
@@ -247,9 +250,7 @@ impl WalRecord {
                 payload,
             } => {
                 out.push(4);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&page.raw().to_le_bytes());
-                out.extend_from_slice(&slot.to_le_bytes());
+                put_target(&mut out, txn, page, *slot);
                 put_bytes(&mut out, payload);
             }
             WalRecord::Update {
@@ -260,9 +261,7 @@ impl WalRecord {
                 after,
             } => {
                 out.push(5);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&page.raw().to_le_bytes());
-                out.extend_from_slice(&slot.to_le_bytes());
+                put_target(&mut out, txn, page, *slot);
                 put_bytes(&mut out, before);
                 put_bytes(&mut out, after);
             }
@@ -273,9 +272,7 @@ impl WalRecord {
                 before,
             } => {
                 out.push(6);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&page.raw().to_le_bytes());
-                out.extend_from_slice(&slot.to_le_bytes());
+                put_target(&mut out, txn, page, *slot);
                 put_bytes(&mut out, before);
             }
             WalRecord::Clr {
@@ -286,10 +283,8 @@ impl WalRecord {
                 undo_next,
             } => {
                 out.push(7);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&page.raw().to_le_bytes());
-                out.extend_from_slice(&slot.to_le_bytes());
-                out.extend_from_slice(&undo_next.to_le_bytes());
+                put_target(&mut out, txn, page, *slot);
+                put_u64(&mut out, *undo_next);
                 match restore {
                     Some(img) => {
                         out.push(1);
@@ -305,9 +300,9 @@ impl WalRecord {
                 oid,
             } => {
                 out.push(10);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&index.to_le_bytes());
-                out.extend_from_slice(&oid.to_le_bytes());
+                put_u64(&mut out, txn.raw());
+                put_u64(&mut out, *index);
+                put_u64(&mut out, *oid);
                 put_bytes(&mut out, key);
             }
             WalRecord::IndexDelete {
@@ -317,55 +312,55 @@ impl WalRecord {
                 oid,
             } => {
                 out.push(11);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&index.to_le_bytes());
-                out.extend_from_slice(&oid.to_le_bytes());
+                put_u64(&mut out, txn.raw());
+                put_u64(&mut out, *index);
+                put_u64(&mut out, *oid);
                 put_bytes(&mut out, key);
             }
             WalRecord::IndexClr { txn, undo_next } => {
                 out.push(12);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&undo_next.to_le_bytes());
+                put_u64(&mut out, txn.raw());
+                put_u64(&mut out, *undo_next);
             }
             WalRecord::BeginCheckpoint => {
                 out.push(8);
             }
             WalRecord::EndCheckpoint { dirty, active } => {
                 out.push(9);
-                out.extend_from_slice(&(dirty.len() as u32).to_le_bytes());
+                put_u32(&mut out, dirty.len() as u32);
                 for (p, rec_lsn) in dirty {
-                    out.extend_from_slice(&p.raw().to_le_bytes());
-                    out.extend_from_slice(&rec_lsn.to_le_bytes());
+                    put_u64(&mut out, p.raw());
+                    put_u64(&mut out, *rec_lsn);
                 }
-                out.extend_from_slice(&(active.len() as u32).to_le_bytes());
+                put_u32(&mut out, active.len() as u32);
                 for (t, first_lsn) in active {
-                    out.extend_from_slice(&t.raw().to_le_bytes());
-                    out.extend_from_slice(&first_lsn.to_le_bytes());
+                    put_u64(&mut out, t.raw());
+                    put_u64(&mut out, *first_lsn);
                 }
             }
             WalRecord::Prepare { txn, gid } => {
                 out.push(13);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&gid.to_le_bytes());
+                put_u64(&mut out, txn.raw());
+                put_u64(&mut out, *gid);
             }
             WalRecord::CoordCommit { gid, participants } => {
                 out.push(14);
-                out.extend_from_slice(&gid.to_le_bytes());
-                out.extend_from_slice(&(participants.len() as u32).to_le_bytes());
+                put_u64(&mut out, *gid);
+                put_u32(&mut out, participants.len() as u32);
                 for p in participants {
-                    out.extend_from_slice(&p.to_le_bytes());
+                    put_u32(&mut out, *p);
                 }
             }
             WalRecord::CoordAbort { gid } => {
                 out.push(15);
-                out.extend_from_slice(&gid.to_le_bytes());
+                put_u64(&mut out, *gid);
             }
         }
         out
     }
 
     fn decode(buf: &[u8]) -> Result<Self> {
-        let mut c = Cursor { buf, pos: 0 };
+        let mut c = Reader::new(buf, ReachError::WalCorrupt);
         let kind = c.u8()?;
         let rec = match kind {
             1 => WalRecord::Begin {
@@ -381,27 +376,31 @@ impl WalRecord {
                 txn: TxnId::new(c.u64()?),
                 page: PageId::new(c.u64()?),
                 slot: c.u16()?,
-                payload: c.bytes()?,
+                payload: c.bytes()?.to_vec(),
             },
             5 => WalRecord::Update {
                 txn: TxnId::new(c.u64()?),
                 page: PageId::new(c.u64()?),
                 slot: c.u16()?,
-                before: c.bytes()?,
-                after: c.bytes()?,
+                before: c.bytes()?.to_vec(),
+                after: c.bytes()?.to_vec(),
             },
             6 => WalRecord::Delete {
                 txn: TxnId::new(c.u64()?),
                 page: PageId::new(c.u64()?),
                 slot: c.u16()?,
-                before: c.bytes()?,
+                before: c.bytes()?.to_vec(),
             },
             7 => {
                 let txn = TxnId::new(c.u64()?);
                 let page = PageId::new(c.u64()?);
                 let slot = c.u16()?;
                 let undo_next = c.u64()?;
-                let restore = if c.u8()? == 1 { Some(c.bytes()?) } else { None };
+                let restore = if c.u8()? == 1 {
+                    Some(c.bytes()?.to_vec())
+                } else {
+                    None
+                };
                 WalRecord::Clr {
                     txn,
                     page,
@@ -414,13 +413,13 @@ impl WalRecord {
                 txn: TxnId::new(c.u64()?),
                 index: c.u64()?,
                 oid: c.u64()?,
-                key: c.bytes()?,
+                key: c.bytes()?.to_vec(),
             },
             11 => WalRecord::IndexDelete {
                 txn: TxnId::new(c.u64()?),
                 index: c.u64()?,
                 oid: c.u64()?,
-                key: c.bytes()?,
+                key: c.bytes()?.to_vec(),
             },
             12 => WalRecord::IndexClr {
                 txn: TxnId::new(c.u64()?),
@@ -428,12 +427,13 @@ impl WalRecord {
             },
             8 => WalRecord::BeginCheckpoint,
             9 => {
-                let nd = c.u32()? as usize;
+                // Every table entry is two u64s.
+                let nd = c.count(16)?;
                 let mut dirty = Vec::with_capacity(nd);
                 for _ in 0..nd {
                     dirty.push((PageId::new(c.u64()?), c.u64()?));
                 }
-                let na = c.u32()? as usize;
+                let na = c.count(16)?;
                 let mut active = Vec::with_capacity(na);
                 for _ in 0..na {
                     active.push((TxnId::new(c.u64()?), c.u64()?));
@@ -446,7 +446,7 @@ impl WalRecord {
             },
             14 => {
                 let gid = c.u64()?;
-                let n = c.u32()? as usize;
+                let n = c.count(4)?;
                 let mut participants = Vec::with_capacity(n);
                 for _ in 0..n {
                     participants.push(c.u32()?);
@@ -454,41 +454,9 @@ impl WalRecord {
                 WalRecord::CoordCommit { gid, participants }
             }
             15 => WalRecord::CoordAbort { gid: c.u64()? },
-            k => return Err(ReachError::WalCorrupt(format!("unknown record kind {k}"))),
+            k => return Err(c.error(format!("unknown record kind {k}"))),
         };
         Ok(rec)
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(ReachError::WalCorrupt("truncated record".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
     }
 }
 
@@ -1205,6 +1173,65 @@ mod tests {
         for rec in sample_records() {
             let enc = rec.encode();
             assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
+        }
+    }
+
+    /// FNV-1a 64 of `bytes`. Pinning an encoding's digest catches the
+    /// format changes a round trip cannot see: one made to the encoder
+    /// and the decoder alike.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn record_format_is_pinned() {
+        let bytes: Vec<u8> = sample_records()
+            .iter()
+            .flat_map(WalRecord::encode)
+            .collect();
+        assert_eq!(digest(&bytes), 0x41a9ba0c1ae12f14);
+    }
+
+    #[test]
+    fn a_count_the_record_cannot_hold_is_corruption() {
+        let max = u32::MAX.to_le_bytes();
+        let dirty = [&[9][..], &max].concat();
+        let active = [&[9][..], &0u32.to_le_bytes(), &max].concat();
+        let participants = [&[14][..], &900u64.to_le_bytes(), &max].concat();
+        for buf in [dirty, active, participants] {
+            let got = WalRecord::decode(&buf);
+            assert!(matches!(got, Err(ReachError::WalCorrupt(_))), "{got:?}");
+        }
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn garbage_records_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+                if let Err(e) = WalRecord::decode(&bytes) {
+                    prop_assert!(matches!(e, ReachError::WalCorrupt(_)), "{e:?}");
+                }
+            }
+
+            #[test]
+            fn bit_flipped_records_never_panic(
+                which in any::<prop::sample::Index>(),
+                at in any::<prop::sample::Index>(),
+                bit in 0u8..8,
+            ) {
+                let recs = sample_records();
+                let mut enc = recs[which.index(recs.len())].encode();
+                let i = at.index(enc.len());
+                enc[i] ^= 1 << bit;
+                if let Err(e) = WalRecord::decode(&enc) {
+                    prop_assert!(matches!(e, ReachError::WalCorrupt(_)), "{e:?}");
+                }
+            }
         }
     }
 

@@ -43,8 +43,9 @@ EXP_TIMEOUT=600
 # if the longer run's peak_rss_mb exceeds 1.5x the shorter's. (Before
 # finished transactions were retired, three times the transactions cost
 # 214 -> 544 MiB = 2.5x on monitor_embedded and 219 -> 416 MiB = 1.9x on
-# dist_2pc; now 75 -> 79 MiB = 1.06x and 144 -> 167 MiB = 1.16x, the
-# rest being the benchmark's own per-transaction samples.)
+# dist_2pc; EXPERIMENTS E31 reads 16.25 -> 19.57 MiB = 1.20x and
+# 21.37 -> 31.27 MiB = 1.46x, the rest being the benchmark's own
+# per-transaction samples.)
 flat_rss() {
   local workload=$1 secs short long rss=()
   echo "== tier-1: flat-memory gate, ${workload} (6 s run within 1.5x of the 2 s run's peak RSS) =="

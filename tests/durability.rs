@@ -162,3 +162,46 @@ fn deleted_persistent_objects_stay_deleted_after_crash() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `levels` lists, each holding the next; the innermost is empty.
+fn nested_lists(levels: usize) -> Value {
+    (1..levels).fold(Value::List(Vec::new()), |inner, _| Value::List(vec![inner]))
+}
+
+#[test]
+fn the_deepest_writable_list_survives_reopen() {
+    // The decoders read a value at most MAX_VALUE_DEPTH levels below
+    // the top, so the deepest readable list nests one level more.
+    let deepest = nested_lists(reach::object::MAX_VALUE_DEPTH + 1);
+    let dir = std::env::temp_dir().join(format!("reach-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let declare = |db: &Arc<Database>| {
+        db.define_class("Tree")
+            .attr("shape", ValueType::Any, Value::Null)
+            .define()
+            .unwrap()
+    };
+    {
+        let db = Database::open(&dir, DatabaseConfig::default()).unwrap();
+        let class = declare(&db);
+        let t = db.begin().unwrap();
+        let tree = db.create(t, class).unwrap();
+        db.set_attr(t, tree, "shape", deepest.clone()).unwrap();
+        let deeper = nested_lists(reach::object::MAX_VALUE_DEPTH + 2);
+        match db.set_attr(t, tree, "shape", deeper) {
+            Err(reach::ReachError::TypeMismatch { .. }) => {}
+            other => panic!("a list no decoder can read was written: {other:?}"),
+        }
+        db.persist_named(t, "tree", tree).unwrap();
+        db.commit(t).unwrap();
+    }
+    {
+        let db = Database::open(&dir, DatabaseConfig::default()).unwrap();
+        declare(&db);
+        let t = db.begin().unwrap();
+        let tree = db.fetch("tree").unwrap();
+        assert_eq!(db.get_attr(t, tree, "shape").unwrap(), deepest);
+        db.commit(t).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,7 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
-use reach::common::{ObjectId, PageId, TxnId};
+use reach::common::codec::Reader;
+use reach::common::{ObjectId, PageId, ReachError, TxnId};
 use reach::object::{Value, ValueType};
 use reach::storage::{Page, WalRecord, WriteAheadLog};
 use reach::txn::{LockManager, LockMode};
@@ -100,10 +101,10 @@ proptest! {
     #[test]
     fn value_encoding_round_trips(v in value_strategy()) {
         let enc = v.encode();
-        let mut pos = 0;
-        let dec = Value::decode_from(&enc, &mut pos).unwrap();
+        let mut r = Reader::new(&enc, ReachError::Io);
+        let dec = Value::read(&mut r).unwrap();
         prop_assert_eq!(&dec, &v);
-        prop_assert_eq!(pos, enc.len());
+        prop_assert!(r.finish().is_ok(), "the value must consume exactly its encoding");
     }
 
     #[test]
