@@ -147,6 +147,8 @@ impl Schema {
                     a.name, def.name
                 )));
             }
+            // ... and typed like one: `set_attr` refuses what this refuses.
+            a.default.check_type(a.ty)?;
             attr_index.insert(a.name.clone(), attrs.len());
             attrs.push(a.clone());
         }
@@ -434,6 +436,23 @@ mod tests {
             .attr("tree", ValueType::Any, deep)
             .define();
         assert!(matches!(err, Err(ReachError::SchemaError(_))));
+    }
+
+    #[test]
+    fn a_default_of_the_wrong_type_is_rejected() {
+        let s = schema();
+        let err = ClassBuilder::new(&s, "Mistyped")
+            .attr("n", ValueType::Int, Value::Str("x".into()))
+            .define();
+        assert!(
+            matches!(err, Err(ReachError::TypeMismatch { .. })),
+            "{err:?}"
+        );
+        // `Null` is the absent value of every type.
+        ClassBuilder::new(&s, "Nullable")
+            .attr("peer", ValueType::Ref, Value::Null)
+            .define()
+            .unwrap();
     }
 
     #[test]

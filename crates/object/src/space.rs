@@ -262,8 +262,9 @@ impl ObjectSpace {
         }
     }
 
-    fn ids_advance_past(&self, oid: ObjectId) {
-        // Never reissue an id that already names an installed object.
+    /// Never issue `oid` (or a smaller id) again: it names an installed
+    /// or a stored object.
+    pub fn ids_advance_past(&self, oid: ObjectId) {
         while self.ids.peek() <= oid.raw() {
             self.ids.next_raw();
         }
@@ -271,6 +272,8 @@ impl ObjectSpace {
 
     /// Delete an object. Returns its last state (destructor arguments).
     pub fn delete(&self, txn: TxnId, oid: ObjectId) -> Result<ObjectState> {
+        // A stored object is deleted like a resident one.
+        self.ensure_resident(oid)?;
         let state = {
             let mut objects = self.objects.write();
             let state = objects
@@ -307,6 +310,11 @@ impl ObjectSpace {
     /// Mark an object persistent (Persistence PM bookkeeping).
     pub fn mark_persistent(&self, oid: ObjectId) {
         self.persistent.write().insert(oid);
+    }
+
+    /// Drop an object's persistent mark (an undone persist).
+    pub fn unmark_persistent(&self, oid: ObjectId) {
+        self.persistent.write().remove(&oid);
     }
 
     /// §3.2: only persistent objects may be passed by reference into

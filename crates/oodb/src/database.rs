@@ -13,7 +13,7 @@
 
 use crate::dictionary::DataDictionary;
 use crate::meta::{MetaArchitecture, PolicyManager};
-use crate::pm::change::ChangePm;
+use crate::pm::change::{Change, ChangePm};
 use crate::pm::indexing::IndexingPm;
 use crate::pm::persistence::PersistencePm;
 use crate::pm::query::{Plan, QueryPm};
@@ -59,7 +59,6 @@ pub struct Database {
     persistence: Arc<PersistencePm>,
     indexing: Arc<IndexingPm>,
     query: Arc<QueryPm>,
-    txn_pm: Arc<TransactionPm>,
     snapshot: Arc<SnapshotPm>,
 }
 
@@ -91,15 +90,6 @@ impl Database {
         Self::assemble(sm, config)
     }
 
-    /// Assemble a database over an already-opened storage manager. This
-    /// is the distribution layer's entry point: a shard resolves any
-    /// in-doubt 2PC transactions against the coordinator log at the
-    /// storage level *before* the object layer loads persisted state,
-    /// then hands the clean storage manager here.
-    pub fn open_with_storage(sm: Arc<StorageManager>, config: DatabaseConfig) -> Result<Arc<Self>> {
-        Self::assemble(sm, config)
-    }
-
     fn assemble(sm: Arc<StorageManager>, config: DatabaseConfig) -> Result<Arc<Self>> {
         let schema = Arc::new(Schema::new());
         let methods = Arc::new(MethodRegistry::new());
@@ -121,35 +111,35 @@ impl Database {
         // object that follows.
         let indexing = IndexingPm::new(&space, Arc::clone(&sm));
         let change = ChangePm::new(Arc::downgrade(&tm), &space);
+        // MVCC bridge: committed write sets become version-chain entries
+        // at commit (publish-then-advance); snapshot reads resolve here.
+        let snapshot = SnapshotPm::new(Arc::clone(&change));
         let persistence = PersistencePm::new(
             Arc::clone(&sm),
             Arc::clone(&space),
             Arc::clone(&change),
             Arc::clone(&indexing),
+            Arc::clone(&snapshot),
             Arc::clone(&dictionary),
         )?;
-        // Two resource managers. Persistence writes back the Change PM's
-        // write set (index flush first) up to the durability point; the
-        // Change PM owns the log, which rolls back on abort and outlives
-        // commit until the MVCC bridge below has published it.
+        // Two resource managers. Persistence seals the Change PM's commit
+        // set and writes it back (index flush first) up to the durability
+        // point; the Change PM owns the log, which rolls back on abort
+        // and outlives commit until the MVCC bridge has published the set.
         tm.add_resource_manager(Arc::clone(&persistence) as Arc<dyn ResourceManager>);
         tm.add_resource_manager(Arc::clone(&change) as Arc<dyn ResourceManager>);
-        // MVCC bridge: committed write sets become version-chain entries
-        // at commit (publish-then-advance); snapshot reads resolve here.
-        let snapshot = SnapshotPm::new(Arc::clone(&change), Arc::clone(&space));
         tm.add_version_publisher(Arc::clone(&snapshot) as Arc<dyn reach_txn::VersionPublisher>);
         let query = Arc::new(QueryPm::new(
             Arc::clone(&space),
             Arc::clone(&dispatcher),
             Arc::clone(&indexing),
         ));
-        let txn_pm = Arc::new(TransactionPm::new(Arc::clone(&tm)));
         let meta = MetaArchitecture::new();
         meta.plug(Arc::clone(&persistence) as Arc<dyn PolicyManager>);
         meta.plug(Arc::clone(&change) as Arc<dyn PolicyManager>);
         meta.plug(Arc::clone(&indexing) as Arc<dyn PolicyManager>);
         meta.plug(Arc::clone(&query) as Arc<dyn PolicyManager>);
-        meta.plug(Arc::clone(&txn_pm) as Arc<dyn PolicyManager>);
+        meta.plug(Arc::new(TransactionPm::new(Arc::clone(&tm))));
         meta.plug(Arc::clone(&snapshot) as Arc<dyn PolicyManager>);
         meta.add_support(Arc::clone(&dictionary) as Arc<dyn crate::meta::SupportModule>);
         meta.add_support(Arc::new(crate::asm::ActiveMemorySpace::new(Arc::clone(
@@ -173,7 +163,6 @@ impl Database {
             persistence,
             indexing,
             query,
-            txn_pm,
             snapshot,
         }))
     }
@@ -219,12 +208,6 @@ impl Database {
     }
     pub fn indexing_pm(&self) -> &Arc<IndexingPm> {
         &self.indexing
-    }
-    pub fn query_pm(&self) -> &Arc<QueryPm> {
-        &self.query
-    }
-    pub fn transaction_pm(&self) -> &Arc<TransactionPm> {
-        &self.txn_pm
     }
     pub fn snapshot_pm(&self) -> &Arc<SnapshotPm> {
         &self.snapshot
@@ -385,17 +368,25 @@ impl Database {
 
     // ---- persistence ----
 
-    /// Make an object persistent (written back at commit).
+    /// Make an object persistent (written back at commit), under an
+    /// exclusive lock: a rollback of the persist then undoes the only
+    /// one in flight.
     pub fn persist(&self, txn: TxnId, oid: ObjectId) -> Result<()> {
         self.check_writable(txn)?;
+        self.tm.lock(txn, oid, LockMode::Exclusive)?;
         self.persistence.persist(txn, oid)
     }
 
     /// Persist an object and bind it to a root name — the paper's
-    /// `OpenOODB->fetch("Block A")` works via [`Database::fetch`].
+    /// `OpenOODB->fetch("Block A")` works via [`Database::fetch`] once
+    /// `txn`'s top level commits. The roots are one stored record, which
+    /// an undone write-back puts back whole, so a bind locks them all
+    /// (`ObjectId::NULL` stands for them) until `txn`'s top level ends.
     pub fn persist_named(&self, txn: TxnId, name: &str, oid: ObjectId) -> Result<()> {
         self.persist(txn, oid)?;
-        self.dictionary.bind(name, oid);
+        self.tm.lock(txn, ObjectId::NULL, LockMode::Exclusive)?;
+        let name = name.to_string();
+        self.change.record(txn, Change::Bind { name, oid });
         Ok(())
     }
 

@@ -11,12 +11,16 @@ use reach_common::sync::RwLock;
 use reach_common::{ObjectId, ReachError, Result};
 use reach_object::Schema;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Name ⇄ object bindings plus access to type information.
 pub struct DataDictionary {
     schema: Arc<Schema>,
     names: RwLock<BTreeMap<String, ObjectId>>,
+    /// Set after the bindings change, cleared by the commit that stores
+    /// them: the next commit is to store them.
+    pub(crate) dirty: AtomicBool,
 }
 
 impl DataDictionary {
@@ -24,6 +28,7 @@ impl DataDictionary {
         DataDictionary {
             schema,
             names: RwLock::new(BTreeMap::new()),
+            dirty: AtomicBool::new(false),
         }
     }
 
@@ -32,14 +37,19 @@ impl DataDictionary {
         &self.schema
     }
 
-    /// Bind `name` to an object (a persistent root).
+    /// Bind `name` to an object (a persistent root) at once; the next
+    /// commit stores it. A transaction binds through
+    /// `Database::persist_named` instead, which binds when it commits.
     pub fn bind(&self, name: &str, oid: ObjectId) {
         self.names.write().insert(name.to_string(), oid);
+        self.dirty.store(true, Ordering::Release);
     }
 
     /// Remove a binding; returns the old target.
     pub fn unbind(&self, name: &str) -> Option<ObjectId> {
-        self.names.write().remove(name)
+        let old = self.names.write().remove(name);
+        self.dirty.store(true, Ordering::Release);
+        old
     }
 
     /// Resolve a name (the `fetch("Block A")` of the paper).

@@ -2,23 +2,27 @@
 //! and the one per-transaction write record of the OODB layer.
 //!
 //! Storage is only touched at commit (the Persistence PM's write-back),
-//! so *in-memory* object state is what must be rolled back when a
-//! transaction or subtransaction aborts. The Change PM keeps, per
-//! top-level transaction, an ordered log of `attribute write / create /
-//! delete` entries and implements the [`ResourceManager`] savepoint
-//! protocol over it — giving REACH the nested-transaction rollback the
-//! commercial systems of §4 could not provide. It is the space's
+//! so *in-memory* state is what must be rolled back when a transaction
+//! or subtransaction aborts. The Change PM keeps, per top-level
+//! transaction, an ordered log of `attribute write / create / delete /
+//! persist / root bind` entries and implements the [`ResourceManager`]
+//! savepoint protocol over it — giving REACH the nested-transaction
+//! rollback the commercial systems of §4 could not provide. A
+//! subtransaction's entries are its top's, so its persists and binds
+//! commit or roll back with it like its writes. It is the space's
 //! [`UndoLog`], not a sentry: an entry is appended under the space's
 //! write lock, before anyone can see the change it undoes, which is
 //! what lets [`ChangePm::committed_base`] serve lock-free readers.
 //!
 //! Every other policy manager reads the same log at commit instead of
-//! keeping its own: the Persistence PM writes back the
-//! [`ChangePm::write_set`], the Indexing PM flushes the persistent
-//! trees from `ChangePm::images`, and the Snapshot PM publishes the
-//! write set as MVCC versions. A log therefore lives from `begin_top`
-//! until that publication calls [`ChangePm::finish_publish`] —
-//! `commit_top` leaves it in place — or until `abort_top` undoes it.
+//! keeping its own, and reads it once: the write-back (or a 2PC
+//! prepare) calls `ChangePm::seal`, which images each object the log
+//! names once into a `CommitSet`. The Indexing PM flushes the
+//! persistent trees from it, the Persistence PM writes it back and
+//! binds its roots, and the Snapshot PM publishes it as MVCC versions.
+//! The set rides in the log record until that publication calls
+//! [`ChangePm::finish_publish`] — `commit_top` leaves both in place —
+//! or until `abort_top` undoes the log.
 //!
 //! Undo is performed through the public mutation API with
 //! `TxnId::NULL`, so the sentries (notably indexing) observe the
@@ -26,15 +30,16 @@
 
 use crate::meta::PolicyManager;
 use reach_common::sync::Mutex;
-use reach_common::{ClassId, FastMap, ObjectId, Result, TxnId};
+use reach_common::{ClassId, FastMap, ObjectId, ReachError, Result, TxnId};
 use reach_object::{ObjectSpace, ObjectState, UndoLog, Value};
 use reach_txn::manager::ResourceManager;
 use reach_txn::TransactionManager;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
+/// One entry of a top-level transaction's log.
 #[derive(Debug, Clone)]
-enum Change {
+pub(crate) enum Change {
     /// `slot` indexes the class's flattened layout: reconstruction
     /// applies it directly, and only a rollback resolves the name.
     Attr {
@@ -52,16 +57,34 @@ enum Change {
         state: ObjectState,
         persistent: bool,
     },
+    /// `marked`: the object already carried the persistent mark (it is
+    /// stored, or was persisted earlier in the transaction), which an
+    /// undo must leave. The persist holds the object's exclusive lock,
+    /// so no other transaction's persist can change the mark meanwhile.
+    Persist {
+        oid: ObjectId,
+        marked: bool,
+    },
+    /// A root bind; it reaches the dictionary when the top commits.
+    Bind {
+        name: String,
+        oid: ObjectId,
+    },
 }
 
 impl Change {
     fn oid(&self) -> ObjectId {
         match self {
-            Change::Attr { oid, .. } | Change::Create { oid } | Change::Delete { oid, .. } => *oid,
+            Change::Attr { oid, .. }
+            | Change::Create { oid }
+            | Change::Delete { oid, .. }
+            | Change::Persist { oid, .. }
+            | Change::Bind { oid, .. } => *oid,
         }
     }
 
-    /// Step `state` back over this change.
+    /// Step `state` back over this change. A persist or a bind changes
+    /// no image.
     fn undo_onto(&self, state: &mut Option<ObjectState>) {
         match self {
             Change::Attr { slot, old, .. } => {
@@ -71,13 +94,41 @@ impl Change {
             }
             Change::Create { .. } => *state = None,
             Change::Delete { state: saved, .. } => *state = Some(saved.clone()),
+            Change::Persist { .. } | Change::Bind { .. } => {}
         }
     }
 }
 
-/// One object's image before and after a transaction, `None` where it
-/// does not exist.
-pub(crate) type Images = (ObjectId, Option<ObjectState>, Option<ObjectState>);
+/// What a committing transaction did to one object: wrote, created,
+/// deleted or persisted it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Written {
+    /// The image after the transaction, `None` once deleted.
+    pub after: Option<ObjectState>,
+    /// The image before it (`Some(None)`: the object did not exist),
+    /// taken only where a consumer needs one (see [`ChangePm::seal`]).
+    pub before: Option<Option<ObjectState>>,
+    /// Written, created or deleted: a persist alone changes no image.
+    pub changed: bool,
+    /// Persisted by this transaction.
+    pub persisted: bool,
+}
+
+/// A committing transaction's write record, imaged once: its objects
+/// in first-touch order and its root binds in log order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CommitSet {
+    pub objects: Vec<(ObjectId, Written)>,
+    pub binds: Vec<(String, ObjectId)>,
+}
+
+/// One top-level transaction's record.
+#[derive(Default)]
+struct TopLog {
+    changes: Vec<Change>,
+    /// Built by [`ChangePm::seal`], taken by the publication.
+    sealed: Option<Arc<CommitSet>>,
+}
 
 /// Per-transaction in-memory undo log.
 pub struct ChangePm {
@@ -87,7 +138,7 @@ pub struct ChangePm {
     /// upgrades for as long as the database is alive; once it is gone
     /// there is nothing left to undo or read.
     space: Weak<ObjectSpace>,
-    log: Mutex<FastMap<TxnId, Vec<Change>>>,
+    log: Mutex<FastMap<TxnId, TopLog>>,
     /// Bumped under the `log` lock each time a rollback drops entries
     /// it has undone, so [`ChangePm::committed_base`] can tell that the
     /// space it read may still hold a change whose entry has gone.
@@ -109,13 +160,13 @@ impl ChangePm {
     /// Append `change` to the log of `txn`'s top-level transaction.
     /// System writes (`TxnId::NULL`) and unknown transactions are not
     /// tracked.
-    fn record(&self, txn: TxnId, change: Change) {
+    pub(crate) fn record(&self, txn: TxnId, change: Change) {
         let top = match self.tm.upgrade() {
             Some(tm) if !txn.is_null() => tm.top_of(txn),
             _ => return,
         };
         if let Ok(top) = top {
-            self.log.lock().entry(top).or_default().push(change);
+            self.log.lock().entry(top).or_default().changes.push(change);
         }
     }
 
@@ -146,6 +197,12 @@ impl ChangePm {
                 }
                 space.install_existing(oid, state);
             }
+            Change::Persist { oid, marked } => {
+                if !marked {
+                    space.unmark_persistent(oid);
+                }
+            }
+            Change::Bind { .. } => {}
         }
     }
 
@@ -161,97 +218,103 @@ impl ChangePm {
             .log
             .lock()
             .get(&top)
-            .and_then(|changes| changes.get(savepoint..))
+            .and_then(|l| l.changes.get(savepoint..))
             .map_or_else(Vec::new, <[Change]>::to_vec);
         if let Some(space) = self.space.upgrade() {
             for change in tail.into_iter().rev() {
                 self.undo(&space, change);
             }
         }
-        if let Some(changes) = self.log.lock().get_mut(&top) {
-            if changes.len() > savepoint {
-                changes.truncate(savepoint);
+        if let Some(l) = self.log.lock().get_mut(&top) {
+            if l.changes.len() > savepoint {
+                l.changes.truncate(savepoint);
                 self.unwound.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// `top`'s write set: each object it wrote, created or deleted, once,
-    /// in first-touch order, with whether its final state is *deleted*.
-    pub fn write_set(&self, top: TxnId) -> Vec<(ObjectId, bool)> {
-        let log = self.log.lock();
-        let mut order = Vec::new();
-        let mut deleted: FastMap<ObjectId, bool> = FastMap::default();
-        for c in log.get(&top).into_iter().flatten() {
-            let oid = c.oid();
-            if deleted
-                .insert(oid, matches!(c, Change::Delete { .. }))
-                .is_none()
-            {
-                order.push(oid);
-            }
-        }
-        order.into_iter().map(|oid| (oid, deleted[&oid])).collect()
-    }
-
     /// Number of pending change entries for `top` (introspection).
     pub fn pending(&self, top: TxnId) -> usize {
-        self.log.lock().get(&top).map_or(0, |v| v.len())
+        self.log.lock().get(&top).map_or(0, |l| l.changes.len())
     }
 
-    /// The image before and after `top` of each object in its write set
-    /// whose class `keep` accepts, in write-set order (see
-    /// [`ChangePm::images_of`]).
-    pub(crate) fn images(&self, top: TxnId, keep: impl Fn(ClassId) -> bool) -> Vec<Images> {
-        self.images_of(top, &self.write_set(top), keep)
-    }
-
-    /// The image before and after `top` of each `(oid, deleted)` entry
-    /// of its write set whose class `keep` accepts, in the order given:
-    /// the in-place state with `top`'s own log undone over it, in one
+    /// Image `top`'s log once, as the set its commit flushes to the
+    /// indexes, writes back and publishes, and keep it in the log
+    /// record for the publication. One entry per object, in first-touch
+    /// order, with its after-image — one `snapshot` each — and a
+    /// before-image where a consumer needs one: a deleted object, or a
+    /// changed one whose id and class `wants_before` accepts. That is
+    /// the after-image with `top`'s own log undone over it, in one
     /// reverse pass. Strict 2PL makes `top`'s log the only one with
-    /// entries for these objects, and a deleted object's before-image
-    /// comes from its undo entry, never from the space — no fault-in
-    /// brings it back.
-    pub(crate) fn images_of(
+    /// entries for these objects, and a deleted object's images come
+    /// from its undo entry, never from the space — no fault-in brings
+    /// it back.
+    pub(crate) fn seal(
         &self,
         top: TxnId,
-        entries: &[(ObjectId, bool)],
-        keep: impl Fn(ClassId) -> bool,
-    ) -> Vec<Images> {
-        let Some(space) = self.space.upgrade() else {
-            return Vec::new();
-        };
-        let mut images: Vec<Images> = Vec::new();
+        wants_before: impl Fn(ObjectId, ClassId) -> bool,
+    ) -> Result<Arc<CommitSet>> {
+        let space = self.space.upgrade().ok_or(ReachError::TxnNotActive(top))?;
+        let mut set = CommitSet::default();
         let mut at: FastMap<ObjectId, usize> = FastMap::default();
-        // After-images first, outside the log lock.
-        for &(oid, deleted) in entries {
-            let after = if deleted {
-                None
-            } else {
-                match space.snapshot(oid) {
-                    Ok(s) if keep(s.class) => Some(s),
-                    _ => continue,
-                }
-            };
-            at.insert(oid, images.len());
-            images.push((oid, after.clone(), after));
+        let log = self.log.lock();
+        for c in &log.get(&top).ok_or(ReachError::TxnNotActive(top))?.changes {
+            let oid = c.oid();
+            if let Change::Bind { name, .. } = c {
+                set.binds.push((name.clone(), oid));
+                continue;
+            }
+            let i = *at.entry(oid).or_insert_with(|| {
+                set.objects.push((oid, Written::default()));
+                set.objects.len() - 1
+            });
+            let w = &mut set.objects[i].1;
+            match c {
+                Change::Persist { .. } => w.persisted = true,
+                // A deleted object has no after-image: the reverse pass
+                // starts from none.
+                Change::Delete { .. } => (w.changed, w.before) = (true, Some(None)),
+                _ => (w.changed, w.before) = (true, None),
+            }
         }
-        if let Some(changes) = self.log.lock().get(&top) {
-            for c in changes.iter().rev() {
-                if let Some(&i) = at.get(&c.oid()) {
-                    c.undo_onto(&mut images[i].1);
+        drop(log);
+        // After-images outside the log lock: a snapshot may fault in. A
+        // before-image already set marks a deleted object.
+        for (oid, w) in &mut set.objects {
+            if w.before.is_some() {
+                continue;
+            }
+            let state = space.snapshot(*oid)?;
+            if w.changed && wants_before(*oid, state.class) {
+                w.before = Some(Some(state.clone()));
+            }
+            w.after = Some(state);
+        }
+        let mut log = self.log.lock();
+        let l = log.get_mut(&top).ok_or(ReachError::TxnNotActive(top))?;
+        if set.objects.iter().any(|(_, w)| w.before.is_some()) {
+            for c in l.changes.iter().rev() {
+                let i = at.get(&c.oid()).copied();
+                if let Some(before) = i.and_then(|i| set.objects[i].1.before.as_mut()) {
+                    c.undo_onto(before);
                 }
             }
         }
-        // A deleted object's class is known only now.
-        images.retain(|(_, before, after)| {
-            before
-                .as_ref()
-                .or(after.as_ref())
-                .is_some_and(|s| keep(s.class))
-        });
-        images
+        let set = Arc::new(set);
+        l.sealed = Some(Arc::clone(&set));
+        Ok(set)
+    }
+
+    /// `top`'s commit set, once built: its write-back has run.
+    pub(crate) fn sealed(&self, top: TxnId) -> Option<Arc<CommitSet>> {
+        self.log.lock().get(&top)?.sealed.clone()
+    }
+
+    /// Take `top`'s commit set for its publication. The log stays until
+    /// [`ChangePm::finish_publish`].
+    pub(crate) fn take_sealed(&self, top: TxnId) -> CommitSet {
+        let sealed = self.log.lock().get_mut(&top).and_then(|l| l.sealed.take());
+        sealed.map(Arc::unwrap_or_clone).unwrap_or_default()
     }
 
     /// Drop `top`'s log: its commit has been published as MVCC versions.
@@ -279,19 +342,20 @@ impl ChangePm {
         let space = self
             .space
             .upgrade()
-            .ok_or(reach_common::ReachError::ObjectNotFound(oid))?;
+            .ok_or(ReachError::ObjectNotFound(oid))?;
         loop {
             let unwound = self.unwound.load(Ordering::Acquire);
             let mut state = match space.snapshot(oid) {
                 Ok(s) => Some(s),
-                Err(reach_common::ReachError::ObjectNotFound(_)) => None,
+                Err(ReachError::ObjectNotFound(_)) => None,
                 Err(e) => return Err(e),
             };
             let log = self.log.lock();
             if self.unwound.load(Ordering::Relaxed) != unwound {
                 continue;
             }
-            let undo: Vec<&Change> = log.values().flatten().filter(|c| c.oid() == oid).collect();
+            let changes = log.values().flat_map(|l| &l.changes);
+            let undo: Vec<&Change> = changes.filter(|c| c.oid() == oid).collect();
             for change in undo.into_iter().rev() {
                 change.undo_onto(&mut state);
             }
@@ -325,12 +389,12 @@ impl UndoLog for ChangePm {
 
 impl ResourceManager for ChangePm {
     fn begin_top(&self, txn: TxnId) -> Result<()> {
-        self.log.lock().insert(txn, Vec::new());
+        self.log.lock().insert(txn, TopLog::default());
         Ok(())
     }
 
     fn savepoint(&self, top: TxnId) -> Result<u64> {
-        Ok(self.log.lock().get(&top).map_or(0, |v| v.len()) as u64)
+        Ok(self.pending(top) as u64)
     }
 
     fn rollback_to(&self, top: TxnId, savepoint: u64) -> Result<()> {

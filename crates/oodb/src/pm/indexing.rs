@@ -28,11 +28,13 @@
 //! from its write-back, before its durability point — so the logical
 //! IndexInsert/IndexDelete records sit inside the transaction's WAL
 //! window and a crash mid-commit undoes them. The flush works from the
-//! Change PM's write set, so it logs each object's net change per index;
-//! an aborted transaction never touched the trees at all.
+//! Change PM's commit set, which carries a before-image for every
+//! object of a class `IndexingPm::covers`, so it logs each object's
+//! net change per index; an aborted transaction never touched the
+//! trees at all.
 
 use crate::meta::PolicyManager;
-use crate::pm::change::ChangePm;
+use crate::pm::change::CommitSet;
 use reach_common::sync::RwLock;
 use reach_common::{ClassId, ObjectId, ReachError, Result, TxnId};
 use reach_object::{
@@ -137,10 +139,11 @@ impl IndexingPm {
         let mut tree: Tree = BTreeMap::new();
         if extent.is_empty() && !persisted.is_empty() {
             for (key, oid) in &persisted {
-                let v = Value::decode_index_key(key)?;
-                tree.entry(IndexKey(v))
-                    .or_default()
-                    .insert(ObjectId::new(*oid));
+                let (v, oid) = (Value::decode_index_key(key)?, ObjectId::new(*oid));
+                tree.entry(IndexKey(v)).or_default().insert(oid);
+                // A pair may name a transient object of the last run: a
+                // new object must not take its id and so its pair.
+                space.ids_advance_past(oid);
             }
         } else {
             for oid in extent {
@@ -270,32 +273,33 @@ impl IndexingPm {
         Ok(())
     }
 
+    /// Whether an index holds the values of some attribute of `class`:
+    /// the commit set must then carry its objects' before-images.
+    pub(crate) fn covers(&self, class: ClassId) -> bool {
+        self.indexes
+            .read()
+            .iter()
+            .any(|i| self.schema.is_subclass(class, i.class))
+    }
+
     /// Bring the persistent trees up to `txn`'s net effect; the
     /// Persistence PM calls this from its write-back, inside the
-    /// transaction's WAL window. For each object of an indexed class in
-    /// the Change PM's write set and each index serving it, the
-    /// before-image's pair is deleted and the after-image's inserted
-    /// when the two keys differ: a value written 5 → 7 → 5, or an
-    /// object created and deleted again, logs nothing.
-    pub(crate) fn flush(&self, txn: TxnId, change: &ChangePm) -> Result<()> {
-        // Copy the descriptors and drop the lock: reading the images may
-        // fault an object in, whose lifecycle sentries take the write
-        // lock.
+    /// transaction's WAL window. For each object of `set` with a
+    /// before-image and each index serving it, the before-image's pair
+    /// is deleted and the after-image's inserted when the two keys
+    /// differ: a value written 5 → 7 → 5, or an object created and
+    /// deleted again, logs nothing.
+    pub(crate) fn flush(&self, txn: TxnId, set: &CommitSet) -> Result<()> {
+        // Copy the descriptors and drop the lock: a concurrent write of
+        // an indexed attribute takes the write lock in its sentry.
         let indexes: Vec<(ClassId, String, u64)> = self
             .indexes
             .read()
             .iter()
             .map(|i| (i.class, i.attribute.clone(), i.store_id))
             .collect();
-        if indexes.is_empty() {
-            return Ok(());
-        }
-        let indexed = |class| {
-            indexes
-                .iter()
-                .any(|(base, _, _)| self.schema.is_subclass(class, *base))
-        };
-        for (oid, before, after) in change.images(txn, indexed) {
+        for (oid, w) in &set.objects {
+            let Some(before) = &w.before else { continue };
             for (base, attribute, store_id) in &indexes {
                 let key = |image: &Option<ObjectState>| {
                     let s = image
@@ -304,7 +308,7 @@ impl IndexingPm {
                     let slot = self.schema.attr_slot(s.class, attribute).ok()?;
                     Some(s.attrs[slot].index_key())
                 };
-                let (old, new) = (key(&before), key(&after));
+                let (old, new) = (key(before), key(&w.after));
                 if old == new {
                     continue;
                 }

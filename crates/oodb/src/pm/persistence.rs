@@ -9,8 +9,7 @@
 //! * [`PersistencePm::persist`] marks an object persistent within a
 //!   transaction; at top-level commit its state is externalized and
 //!   written through the storage manager (logged, recoverable);
-//! * dirty persistent objects (the Change PM's write set) are written
-//!   back at commit;
+//! * dirty persistent objects are written back at commit;
 //! * deletions of persistent objects remove the stored record — giving
 //!   REACH the *explicit delete* whose absence under O2's
 //!   persistence-by-reachability made deletion rules nearly impossible
@@ -18,22 +17,32 @@
 //! * data-dictionary name bindings are stored in their own segment so
 //!   roots survive restarts.
 //!
-//! All of it is one write-back, `write_back_all`, which a one-phase
-//! commit and a 2PC prepare both run before their durability point; it
-//! starts with the Indexing PM's flush, so the index records sit in the
-//! same WAL window as the objects.
+//! The PM keeps no per-transaction record: a persist and a root bind
+//! are Change PM log entries, so a subtransaction's persists and binds
+//! roll back with it and an abort undoes them with everything else. All
+//! of it is one write-back, `write_back_all`, which a one-phase commit
+//! and a 2PC prepare both run before their durability point. It seals
+//! the Change PM's commit set — each object imaged once — and hands it
+//! to the Indexing PM's flush first, so the index records sit in the
+//! same WAL window as the objects; the Snapshot PM publishes the same
+//! set. A bind is written into the roots record there but reaches the
+//! dictionary only once the commit is durable, so no other transaction
+//! sees an in-doubt or aborted root.
 
 use crate::dictionary::DataDictionary;
 use crate::meta::PolicyManager;
-use crate::pm::change::ChangePm;
+use crate::pm::change::{Change, ChangePm, CommitSet};
 use crate::pm::indexing::IndexingPm;
+use crate::pm::snapshot::SnapshotPm;
 use crate::translation::{externalize, internalize};
 use reach_common::codec::{put_str, put_u32, put_u64, Reader};
 use reach_common::sync::{Mutex, RwLock};
-use reach_common::{FastMap, FastSet, ObjectId, ReachError, Result, TxnId};
+use reach_common::{FastMap, ObjectId, ReachError, Result, TxnId};
 use reach_object::ObjectSpace;
 use reach_storage::{RecordId, SegmentId, StorageManager};
 use reach_txn::ResourceManager;
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const OBJECT_SEGMENT: &str = "sys.objects";
@@ -45,25 +54,19 @@ pub struct PersistencePm {
     space: Arc<ObjectSpace>,
     change: Arc<ChangePm>,
     indexing: Arc<IndexingPm>,
+    snapshot: Arc<SnapshotPm>,
     dictionary: Arc<DataDictionary>,
     objects_seg: SegmentId,
     roots_seg: SegmentId,
     /// Where each persistent object lives on disk.
     locations: Mutex<FastMap<ObjectId, RecordId>>,
-    /// Objects whose `persist()` happened in a still-running transaction.
-    pending: Mutex<FastMap<TxnId, Vec<ObjectId>>>,
-    /// Location of the single roots record, once written, plus the
-    /// bytes last stored there — unchanged roots are skipped at commit
-    /// so read-only transactions log nothing and hit the WAL's
-    /// no-force fast path.
-    roots_record: Mutex<(Option<RecordId>, Option<Vec<u8>>)>,
+    /// Location of the single roots record, once written. Held while a
+    /// commit binds its roots and writes the record, so each write
+    /// carries every bind made before it.
+    roots_record: Mutex<Option<RecordId>>,
     /// Observers of `persist()` calls — the paper's `persist`
     /// DB-internal event (§3.1) is detected here.
     persist_hooks: RwLock<Vec<PersistHook>>,
-    /// Transactions whose write-back already ran under `prepare_top`
-    /// (2PC): their `commit_top` must only seal the decision, not
-    /// repeat the write-back.
-    prepared: Mutex<FastSet<TxnId>>,
 }
 
 /// Observer of `persist()` calls.
@@ -77,6 +80,7 @@ impl PersistencePm {
         space: Arc<ObjectSpace>,
         change: Arc<ChangePm>,
         indexing: Arc<IndexingPm>,
+        snapshot: Arc<SnapshotPm>,
         dictionary: Arc<DataDictionary>,
     ) -> Result<Arc<Self>> {
         let objects_seg = sm.create_segment(OBJECT_SEGMENT)?;
@@ -86,65 +90,57 @@ impl PersistencePm {
             space: Arc::clone(&space),
             change,
             indexing,
+            snapshot,
             dictionary,
             objects_seg,
             roots_seg,
             locations: Mutex::new(FastMap::default()),
-            pending: Mutex::new(FastMap::default()),
-            roots_record: Mutex::new((None, None)),
+            roots_record: Mutex::new(None),
             persist_hooks: RwLock::new(Vec::new()),
-            prepared: Mutex::new(FastSet::default()),
         });
         let weak = Arc::downgrade(&pm);
         space.set_fault_handler(Arc::new(move |oid| match weak.upgrade() {
             Some(pm) => pm.fault(oid),
             None => Ok(None),
         }));
-        pm.load_existing().map(|_| pm)
+        pm.load_existing(true).map(|_| pm)
     }
 
-    /// Rebuild the location index and name roots from storage. Walks
-    /// the objects segment in place (borrowed payloads — only the oid
-    /// header is decoded, nothing is copied) instead of materializing
-    /// every stored object into a scan vector.
-    fn load_existing(&self) -> Result<()> {
-        self.load_locations()?;
-        // Roots: a single record of `name_len name oid` triples.
-        if let Some((rid, bytes)) = self.sm.scan_first(self.roots_seg)? {
-            self.dictionary.load(decode_roots(&bytes)?);
-            *self.roots_record.lock() = (Some(rid), Some(bytes));
-        }
-        Ok(())
-    }
-
-    /// Rebuild the oid → record-id index from the objects segment.
-    fn load_locations(&self) -> Result<()> {
+    /// Rebuild the location index and find the roots record; at open,
+    /// also load the `dictionary` from it. Walks the objects segment in
+    /// place (borrowed payloads, nothing is copied) instead of
+    /// materializing every stored object into a scan vector.
+    fn load_existing(&self, dictionary: bool) -> Result<()> {
         let mut locations = self.locations.lock();
         locations.clear();
-        let mut bad = None;
+        let mut loaded = Ok(());
         self.sm
             .for_each_while(self.objects_seg, |rid, bytes| match internalize(bytes) {
                 Ok((oid, _)) => {
                     locations.insert(oid, rid);
                     self.space.mark_persistent(oid);
+                    self.space.ids_advance_past(oid);
                     std::ops::ControlFlow::Continue(())
                 }
                 Err(e) => {
-                    bad = Some(e);
+                    loaded = Err(e);
                     std::ops::ControlFlow::Break(())
                 }
             })?;
-        if let Some(e) = bad {
-            return Err(e);
+        loaded?;
+        // Roots: a single record of `name_len name oid` triples.
+        let roots = self.sm.scan_first(self.roots_seg)?;
+        if let (true, Some((_, bytes))) = (dictionary, &roots) {
+            self.dictionary.load(decode_roots(bytes)?);
         }
+        *self.roots_record.lock() = roots.map(|(rid, _)| rid);
         Ok(())
     }
 
     /// Fault handler: load a persistent object's state from storage.
     fn fault(&self, oid: ObjectId) -> Result<Option<reach_object::ObjectState>> {
-        let rid = match self.locations.lock().get(&oid) {
-            Some(r) => *r,
-            None => return Ok(None),
+        let Some(rid) = self.locations.lock().get(&oid).copied() else {
+            return Ok(None);
         };
         let bytes = self.sm.get(self.objects_seg, rid)?;
         let (stored_oid, state) = internalize(&bytes)?;
@@ -154,15 +150,19 @@ impl PersistencePm {
 
     /// Make `oid` persistent. The object is marked immediately (so
     /// §3.2's transient-reference check passes) and written back when
-    /// `txn`'s top level commits.
+    /// `txn`'s top level commits; a rollback of `txn` drops the mark.
+    /// The caller holds the object's exclusive lock, as
+    /// `Database::persist` does, so this is the only persist of it in
+    /// flight and the mark it found is the one to put back.
     pub fn persist(&self, txn: TxnId, oid: ObjectId) -> Result<()> {
-        if !self.space.is_resident(oid) {
+        let marked = self.space.is_persistent(oid);
+        // A stored object need not be resident; a deleted one is unmarked.
+        if !marked && !self.space.is_resident(oid) {
             return Err(ReachError::ObjectNotFound(oid));
         }
+        self.change.record(txn, Change::Persist { oid, marked });
         self.space.mark_persistent(oid);
-        self.pending.lock().entry(txn).or_default().push(oid);
-        let hooks = self.persist_hooks.read().clone();
-        for h in hooks.iter() {
+        for h in self.persist_hooks.read().clone().iter() {
             h(txn, oid);
         }
         Ok(())
@@ -191,61 +191,67 @@ impl PersistencePm {
         v
     }
 
-    fn write_back(&self, txn: TxnId, oid: ObjectId) -> Result<()> {
-        let state = self.space.snapshot(oid)?;
-        let bytes = externalize(oid, &state);
-        let mut locations = self.locations.lock();
-        match locations.get(&oid) {
-            Some(rid) => self.sm.update(txn, self.objects_seg, *rid, &bytes)?,
-            None => {
-                let rid = self.sm.insert(txn, self.objects_seg, &bytes)?;
-                locations.insert(oid, rid);
+    /// Everything `txn` must have in the log before its durability
+    /// point, from its commit set: the index flush, then each object —
+    /// a deleted one loses its stored record, a persisted or stored one
+    /// is written — and, if it binds a root, the roots record.
+    fn write_back_all(&self, txn: TxnId) -> Result<Arc<CommitSet>> {
+        let set = self.change.seal(txn, |oid, class| {
+            self.indexing.covers(class) || !self.snapshot.has_chain(oid)
+        })?;
+        self.indexing.flush(txn, &set)?;
+        for (oid, w) in &set.objects {
+            let mut locations = self.locations.lock();
+            let (seg, rid) = (self.objects_seg, locations.get(oid).copied());
+            match (&w.after, rid) {
+                (None, Some(rid)) => {
+                    locations.remove(oid);
+                    self.sm.delete(txn, seg, rid)?;
+                }
+                (Some(state), Some(rid)) => {
+                    self.sm.update(txn, seg, rid, &externalize(*oid, state))?;
+                }
+                (Some(state), None) if w.persisted => {
+                    let rid = self.sm.insert(txn, seg, &externalize(*oid, state))?;
+                    locations.insert(*oid, rid);
+                }
+                _ => {}
             }
         }
-        Ok(())
+        self.save_roots(txn, &set.binds)?;
+        Ok(set)
     }
 
-    fn save_roots(&self, txn: TxnId) -> Result<()> {
-        let bytes = encode_roots(&self.dictionary.bindings());
+    /// Rewrite the roots record as the dictionary with `binds` over it,
+    /// if there are binds or the dictionary changed since it was last
+    /// written: a transaction that binds nothing logs nothing here, so
+    /// one that touched nothing commits without a WAL write and the
+    /// storage manager's read-only fast path skips the sync.
+    fn save_roots(&self, txn: TxnId, binds: &[(String, ObjectId)]) -> Result<()> {
         let mut rec = self.roots_record.lock();
-        // Unchanged roots need no logged update: a transaction that
-        // touched nothing then commits without a single WAL write, so
-        // the storage manager's read-only fast path skips the sync.
-        if rec.1.as_deref() == Some(bytes.as_slice()) {
+        if !self.dictionary.dirty.swap(false, Ordering::AcqRel) && binds.is_empty() {
             return Ok(());
         }
-        match rec.0 {
-            Some(rid) => self.sm.update(txn, self.roots_seg, rid, &bytes)?,
-            None => rec.0 = Some(self.sm.insert(txn, self.roots_seg, &bytes)?),
+        let mut names: BTreeMap<_, _> = self.dictionary.bindings().into_iter().collect();
+        names.extend(binds.iter().cloned());
+        let bytes = encode_roots(&names.into_iter().collect::<Vec<_>>());
+        match *rec {
+            Some(rid) => self.sm.update(txn, self.roots_seg, rid, &bytes),
+            None => {
+                *rec = Some(self.sm.insert(txn, self.roots_seg, &bytes)?);
+                Ok(())
+            }
         }
-        rec.1 = Some(bytes);
-        Ok(())
     }
 
-    /// Everything `txn` must have in the log before its durability
-    /// point: the index flush, the newly persisted objects, then the
-    /// write set — a deleted object loses its stored record, a dirty
-    /// stored one is rewritten — and the name roots.
-    fn write_back_all(&self, txn: TxnId) -> Result<()> {
-        self.indexing.flush(txn, &self.change)?;
-        let pending = self.pending.lock().remove(&txn).unwrap_or_default();
-        let mut written = FastSet::default();
-        for oid in pending {
-            if self.space.is_resident(oid) && written.insert(oid) {
-                self.write_back(txn, oid)?;
-            }
+    /// Bind a committed transaction's roots. The record holds them
+    /// unless a commit that stored a changed dictionary wrote it since
+    /// this one's write-back; a bind marks the dictionary changed, so
+    /// the next commit stores them either way.
+    fn bind_committed(&self, set: &CommitSet) {
+        for (name, oid) in &set.binds {
+            self.dictionary.bind(name, *oid);
         }
-        for (oid, deleted) in self.change.write_set(txn) {
-            if deleted {
-                let rid = self.locations.lock().remove(&oid);
-                if let Some(rid) = rid {
-                    self.sm.delete(txn, self.objects_seg, rid)?;
-                }
-            } else if !written.contains(&oid) && self.is_stored(oid) {
-                self.write_back(txn, oid)?;
-            }
-        }
-        self.save_roots(txn)
     }
 }
 
@@ -265,14 +271,18 @@ impl ResourceManager for PersistencePm {
     }
 
     fn commit_top(&self, txn: TxnId) -> Result<()> {
-        // 2PC commit decision: the write-back already happened under
-        // `prepare_top` and sits below the forced Prepare record; only
-        // the Commit record remains.
-        if self.prepared.lock().remove(&txn) {
-            return self.sm.decide_commit(txn);
+        // A sealed commit set is a 2PC commit decision: the write-back
+        // already happened under `prepare_top` and sits below the forced
+        // Prepare record; only the Commit record remains.
+        if let Some(set) = self.change.sealed(txn) {
+            self.sm.decide_commit(txn)?;
+            self.bind_committed(&set);
+            return Ok(());
         }
-        self.write_back_all(txn)?;
-        self.sm.commit(txn)
+        let set = self.write_back_all(txn)?;
+        self.sm.commit(txn)?;
+        self.bind_committed(&set);
+        Ok(())
     }
 
     fn prepare_top(&self, txn: TxnId, gid: u64) -> Result<()> {
@@ -280,24 +290,24 @@ impl ResourceManager for PersistencePm {
         // the eventual commit decision needs is durable, and everything
         // an abort decision must undo is WAL-covered.
         self.write_back_all(txn)?;
-        self.sm.prepare(txn, gid)?;
-        self.prepared.lock().insert(txn);
-        Ok(())
+        self.sm.prepare(txn, gid)
     }
 
     fn abort_top(&self, txn: TxnId) -> Result<()> {
-        let was_prepared = self.prepared.lock().remove(&txn);
-        self.pending.lock().remove(&txn);
-        // An abort may have rolled back a roots update this PM already
-        // cached; drop the cache so the next commit rewrites them.
-        self.roots_record.lock().1 = None;
+        // This PM runs before the Change PM, whose log still tells
+        // whether the write-back ran.
+        let written = self.change.sealed(txn).is_some();
         self.sm.abort(txn)?;
-        if was_prepared {
-            // The undone prepare write-back created/removed stored
-            // records behind the location index; rebuild it from the
-            // (now rolled-back) segment. Rare path: only a coordinator
-            // abort decision after a successful local prepare lands here.
-            self.load_locations()?;
+        if written {
+            // The undone write-back created/removed stored records behind
+            // the location index and may have removed the roots record:
+            // find both again in the rolled-back segments. The dictionary
+            // never held this transaction's binds; the next commit stores
+            // it over whatever roots record the undo put back. Rare path:
+            // an abort decision after a successful local prepare, or a
+            // failed commit.
+            self.load_existing(false)?;
+            self.dictionary.dirty.store(true, Ordering::Release);
         }
         Ok(())
     }
@@ -330,6 +340,7 @@ fn decode_roots(buf: &[u8]) -> Result<Vec<(String, ObjectId)>> {
     for _ in 0..n {
         out.push((r.str()?, ObjectId::new(r.u64()?)));
     }
+    r.finish()?;
     Ok(out)
 }
 
@@ -362,6 +373,13 @@ mod tests {
     #[test]
     fn a_count_the_record_cannot_hold_is_an_error() {
         let got = decode_roots(&u32::MAX.to_le_bytes());
+        assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_roots_are_an_error() {
+        let buf = [encode_roots(&sample_roots()), b"garbage".to_vec()].concat();
+        let got = decode_roots(&buf);
         assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
     }
 

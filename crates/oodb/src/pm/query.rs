@@ -313,23 +313,19 @@ impl Parser {
     }
 
     fn eat_sym(&mut self, s: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(t)) if *t == s) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let hit = matches!(self.peek(), Some(Tok::Sym(t)) if *t == s);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn expect_sym(&mut self, s: &str) -> Result<()> {
-        if self.eat_sym(s) {
-            Ok(())
-        } else {
-            Err(parse_err(&format!(
+        if !self.eat_sym(s) {
+            return Err(parse_err(&format!(
                 "expected {s:?}, found {:?}",
                 self.peek()
-            )))
+            )));
         }
+        Ok(())
     }
 
     fn expect_ident(&mut self) -> Result<String> {
@@ -342,73 +338,61 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_sym("or") {
-            let right = self.and_expr()?;
-            left = Expr::Bin(BinOp::Or, Box::new(left), Box::new(right));
+    /// One left-associative level: `next (op next)*`, where `op` maps
+    /// the symbols of this level to their operators.
+    fn binary(
+        &mut self,
+        next: fn(&mut Self) -> Result<Expr>,
+        op: fn(&str) -> Option<BinOp>,
+    ) -> Result<Expr> {
+        let mut left = next(self)?;
+        while let Some(op) = self.peek().and_then(|t| match t {
+            Tok::Sym(s) => op(s),
+            _ => None,
+        }) {
+            self.pos += 1;
+            left = Expr::Bin(op, Box::new(left), Box::new(next(self)?));
         }
         Ok(left)
     }
 
+    fn or_expr(&mut self) -> Result<Expr> {
+        self.binary(Self::and_expr, |s| (s == "or").then_some(BinOp::Or))
+    }
+
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.cmp_expr()?;
-        while self.eat_sym("and") {
-            let right = self.cmp_expr()?;
-            left = Expr::Bin(BinOp::And, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.binary(Self::cmp_expr, |s| (s == "and").then_some(BinOp::And))
     }
 
     fn cmp_expr(&mut self) -> Result<Expr> {
         let left = self.add_expr()?;
         let op = match self.peek() {
-            Some(Tok::Sym("==")) => Some(BinOp::Eq),
-            Some(Tok::Sym("!=")) => Some(BinOp::Ne),
-            Some(Tok::Sym("<")) => Some(BinOp::Lt),
-            Some(Tok::Sym("<=")) => Some(BinOp::Le),
-            Some(Tok::Sym(">")) => Some(BinOp::Gt),
-            Some(Tok::Sym(">=")) => Some(BinOp::Ge),
-            _ => None,
+            Some(Tok::Sym("==")) => BinOp::Eq,
+            Some(Tok::Sym("!=")) => BinOp::Ne,
+            Some(Tok::Sym("<")) => BinOp::Lt,
+            Some(Tok::Sym("<=")) => BinOp::Le,
+            Some(Tok::Sym(">")) => BinOp::Gt,
+            Some(Tok::Sym(">=")) => BinOp::Ge,
+            _ => return Ok(left),
         };
-        match op {
-            Some(op) => {
-                self.pos += 1;
-                let right = self.add_expr()?;
-                Ok(Expr::Bin(op, Box::new(left), Box::new(right)))
-            }
-            None => Ok(left),
-        }
+        self.pos += 1;
+        Ok(Expr::Bin(op, Box::new(left), Box::new(self.add_expr()?)))
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Sym("+")) => BinOp::Add,
-                Some(Tok::Sym("-")) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.mul_expr()?;
-            left = Expr::Bin(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.binary(Self::mul_expr, |s| match s {
+            "+" => Some(BinOp::Add),
+            "-" => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Sym("*")) => BinOp::Mul,
-                Some(Tok::Sym("/")) => BinOp::Div,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.unary_expr()?;
-            left = Expr::Bin(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.binary(Self::unary_expr, |s| match s {
+            "*" => Some(BinOp::Mul),
+            "/" => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
@@ -445,36 +429,25 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Tok::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Lit(Value::Int(i)))
-            }
-            Some(Tok::Float(f)) => {
-                self.pos += 1;
-                Ok(Expr::Lit(Value::Float(f)))
-            }
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Lit(Value::Str(s)))
-            }
-            Some(Tok::Ident(name)) => {
-                self.pos += 1;
-                Ok(match name.as_str() {
-                    "true" => Expr::Lit(Value::Bool(true)),
-                    "false" => Expr::Lit(Value::Bool(false)),
-                    "null" => Expr::Lit(Value::Null),
-                    _ => Expr::Var(name),
-                })
-            }
+        let tok = self.peek().cloned();
+        self.pos += 1;
+        Ok(match tok {
+            Some(Tok::Int(i)) => Expr::Lit(Value::Int(i)),
+            Some(Tok::Float(f)) => Expr::Lit(Value::Float(f)),
+            Some(Tok::Str(s)) => Expr::Lit(Value::Str(s)),
+            Some(Tok::Ident(name)) => match name.as_str() {
+                "true" => Expr::Lit(Value::Bool(true)),
+                "false" => Expr::Lit(Value::Bool(false)),
+                "null" => Expr::Lit(Value::Null),
+                _ => Expr::Var(name),
+            },
             Some(Tok::Sym("(")) => {
-                self.pos += 1;
                 let e = self.or_expr()?;
                 self.expect_sym(")")?;
-                Ok(e)
+                e
             }
-            other => Err(parse_err(&format!("unexpected token {other:?}"))),
-        }
+            other => return Err(parse_err(&format!("unexpected token {other:?}"))),
+        })
     }
 }
 

@@ -9,14 +9,15 @@
 //! * at writer commit the transaction manager calls
 //!   [`VersionPublisher::publish`] — after every resource manager
 //!   reported durable, while the writer's exclusive locks are still
-//!   held, before the commit clock advances. The PM reads the write set
-//!   from the Change PM's log, which outlives `commit_top` for exactly
-//!   this. For the written objects that have no chain yet it seeds the
-//!   *pre-commit* committed state as the chain baseline, reconstructed
-//!   in one reverse pass over this transaction's own log (so a commit
-//!   costs what it wrote, not what every live log holds); it then
-//!   publishes the post-commit state at the new timestamp and lets the
-//!   Change PM drop the log;
+//!   held, before the commit clock advances. The PM takes the commit
+//!   set the write-back sealed into the Change PM's log, which outlives
+//!   `commit_top` for exactly this. The set already holds each written
+//!   object's post-commit image and, for each object that had no chain
+//!   when it was sealed (`SnapshotPm::has_chain`), its *pre-commit*
+//!   committed state, reconstructed from this transaction's own log (so
+//!   a commit costs what it wrote, not what every live log holds). The
+//!   PM seeds those as chain baselines, publishes the post-commit
+//!   images at the new timestamp and lets the Change PM drop the log;
 //! * a snapshot read resolves through [`SnapshotPm::read`]: chain hit,
 //!   or — for objects never written since start-up — a race-free
 //!   baseline seed from [`ChangePm::committed_base`], the one caller
@@ -30,7 +31,7 @@
 use crate::meta::PolicyManager;
 use crate::pm::change::ChangePm;
 use reach_common::{ObjectId, Result, TxnId};
-use reach_object::{ObjectSpace, ObjectState};
+use reach_object::ObjectState;
 use reach_txn::mvcc::{CommitTs, VersionPublisher, VersionStore};
 use std::sync::Arc;
 
@@ -38,17 +39,15 @@ use std::sync::Arc;
 pub struct SnapshotPm {
     store: VersionStore<ObjectState>,
     change: Arc<ChangePm>,
-    space: Arc<ObjectSpace>,
 }
 
 impl SnapshotPm {
     /// Build the bridge. It must be registered as a version publisher:
     /// its publication is what ends a committed transaction's change log.
-    pub fn new(change: Arc<ChangePm>, space: Arc<ObjectSpace>) -> Arc<Self> {
+    pub fn new(change: Arc<ChangePm>) -> Arc<Self> {
         Arc::new(SnapshotPm {
             store: VersionStore::new(),
             change,
-            space,
         })
     }
 
@@ -60,6 +59,13 @@ impl SnapshotPm {
             .read_or_seed(oid, stamp, || self.change.committed_base(oid))
     }
 
+    /// Whether `oid` has a version chain. Once it has one it keeps one,
+    /// so a commit set sealed before the publication may leave out the
+    /// baseline of an object that had a chain then.
+    pub(crate) fn has_chain(&self, oid: ObjectId) -> bool {
+        self.store.versions_of(oid) > 0
+    }
+
     /// Total committed versions currently retained (introspection).
     pub fn retained_versions(&self) -> usize {
         self.store.total_versions()
@@ -68,37 +74,28 @@ impl SnapshotPm {
 
 impl VersionPublisher for SnapshotPm {
     fn publish(&self, txn: TxnId, ts: CommitTs) -> usize {
-        let write_set = self.change.write_set(txn);
-        // Seed the pre-commit committed state of the objects with no
-        // chain yet: the log is still in place, so undoing it over the
-        // in-place state gives that state. A snapshot reader seeding
-        // one of them meanwhile derives the same image (the writer's
-        // locks are held and its log is in place), and the seed is
-        // insert-if-absent either way.
-        let unchained = self.store.unchained(&write_set, |(oid, _)| *oid);
-        let mut images = Vec::new();
-        if !unchained.is_empty() {
-            images = self.change.images_of(txn, &unchained, |_| true);
-            self.store.seed_baselines(
-                images
-                    .iter_mut()
-                    .map(|(oid, before, _)| (*oid, before.take())),
-            );
-        }
-        let mut images = images.into_iter().peekable();
-        for &(oid, deleted) in &write_set {
-            // Locks are held and all RMs reported durable: the in-place
-            // state *is* the committed post-image, and a just-seeded
-            // object's image already holds it.
-            let payload = match images.next_if(|(seeded, _, _)| *seeded == oid) {
-                Some((_, _, after)) => after,
-                None if deleted => None,
-                None => self.space.snapshot(oid).ok(),
-            };
-            self.store.publish(oid, ts, payload);
+        let mut objects = self.change.take_sealed(txn).objects;
+        // A persist alone changes no image.
+        objects.retain(|(_, w)| w.changed);
+        // Seed the pre-commit committed state of the objects that had no
+        // chain. A snapshot reader seeding one of them meanwhile derives
+        // the same image (the writer's locks are held and its log is in
+        // place), and the seed is insert-if-absent either way; an
+        // indexed object's before-image is offered too and changes
+        // nothing if it has a chain.
+        self.store.seed_baselines(
+            objects
+                .iter_mut()
+                .filter_map(|(oid, w)| Some((*oid, w.before.take()?))),
+        );
+        // Locks are held and all RMs reported durable: each after-image
+        // *is* the committed post-image.
+        let published = objects.len();
+        for (oid, w) in objects {
+            self.store.publish(oid, ts, w.after);
         }
         self.change.finish_publish(txn);
-        write_set.len()
+        published
     }
 
     fn vacuum(&self, watermark: CommitTs) -> usize {

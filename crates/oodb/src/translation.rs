@@ -28,8 +28,9 @@ pub fn internalize(buf: &[u8]) -> Result<(ObjectId, ObjectState)> {
     if version != VERSION {
         return Err(r.error(format!("unsupported object format version {version}")));
     }
-    let oid = ObjectId::new(r.u64()?);
-    Ok((oid, ObjectState::read(&mut r)?))
+    let record = (ObjectId::new(r.u64()?), ObjectState::read(&mut r)?);
+    r.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -60,6 +61,13 @@ mod tests {
         ext[0] = 9;
         assert!(internalize(&ext).is_err());
         assert!(internalize(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_record_are_an_error() {
+        let ext = externalize(ObjectId::new(42), &sample_state());
+        let got = internalize(&[ext, b"garbage".to_vec()].concat());
+        assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
     }
 
     /// One attribute of every value kind, a nested list among them.

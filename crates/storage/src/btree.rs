@@ -207,7 +207,7 @@ impl Node {
         } else {
             None
         };
-        match tag {
+        let node = match tag {
             1 => {
                 // An entry is at least a key length and an oid.
                 let n = r.count(12)?;
@@ -215,11 +215,11 @@ impl Node {
                 for _ in 0..n {
                     entries.push(pair(&mut r)?);
                 }
-                Ok(Node::Leaf {
+                Node::Leaf {
                     right,
                     high,
                     entries,
-                })
+                }
             }
             0 => {
                 // Every child is at least its page id.
@@ -234,15 +234,17 @@ impl Node {
                     seps.push(pair(&mut r)?);
                     children.push(PageId::new(r.u64()?));
                 }
-                Ok(Node::Internal {
+                Node::Internal {
                     right,
                     high,
                     children,
                     seps,
-                })
+                }
             }
-            _ => Err(r.error(format!("unknown index node tag {tag}"))),
-        }
+            _ => return Err(r.error(format!("unknown index node tag {tag}"))),
+        };
+        r.finish()?;
+        Ok(node)
     }
 }
 
@@ -721,6 +723,15 @@ mod tests {
         // tag (leaf 1, internal 0), no right link, no high key, count.
         for tag in [1u8, 0] {
             let buf = [&[tag, 0, 0][..], &u32::MAX.to_le_bytes()].concat();
+            let got = Node::decode(&buf);
+            assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_node_are_corruption() {
+        for node in sample_nodes() {
+            let buf = [node.encode(), b"garbage".to_vec()].concat();
             let got = Node::decode(&buf);
             assert!(matches!(got, Err(ReachError::Io(_))), "{got:?}");
         }

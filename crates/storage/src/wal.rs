@@ -456,6 +456,7 @@ impl WalRecord {
             15 => WalRecord::CoordAbort { gid: c.u64()? },
             k => return Err(c.error(format!("unknown record kind {k}"))),
         };
+        c.finish()?;
         Ok(rec)
     }
 }
@@ -1201,6 +1202,15 @@ mod tests {
         let active = [&[9][..], &0u32.to_le_bytes(), &max].concat();
         let participants = [&[14][..], &900u64.to_le_bytes(), &max].concat();
         for buf in [dirty, active, participants] {
+            let got = WalRecord::decode(&buf);
+            assert!(matches!(got, Err(ReachError::WalCorrupt(_))), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_record_are_corruption() {
+        for rec in sample_records() {
+            let buf = [rec.encode(), b"garbage".to_vec()].concat();
             let got = WalRecord::decode(&buf);
             assert!(matches!(got, Err(ReachError::WalCorrupt(_))), "{got:?}");
         }

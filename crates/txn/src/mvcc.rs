@@ -168,18 +168,6 @@ impl<T: Clone> VersionStore<T> {
         }
     }
 
-    /// The subset of `items` whose oid (by `oid`) has no chain yet, in
-    /// order, under one lock: what a committing writer must seed
-    /// before it publishes.
-    pub fn unchained<E: Copy>(&self, items: &[E], oid: impl Fn(&E) -> ObjectId) -> Vec<E> {
-        let chains = self.chains.lock();
-        items
-            .iter()
-            .filter(|e| !chains.by_oid.contains_key(&oid(e)))
-            .copied()
-            .collect()
-    }
-
     /// Seed each `(oid, committed)` as that object's baseline version
     /// unless it already has a chain (insert-if-absent), under one
     /// lock. The caller must hold the objects' exclusive locks and
@@ -643,10 +631,10 @@ mod tests {
                     let writes: Vec<ObjectId> = (0..1 + rng.below(4))
                         .map(|_| o(rng.below(oids) as u64))
                         .collect();
-                    let seeds: Vec<(ObjectId, Option<u64>)> = store
-                        .unchained(&writes, |oid| *oid)
-                        .into_iter()
-                        .map(|oid| (oid, rng.chance(3, 4).then(|| rng.next_u64() % 1000)))
+                    let seeds: Vec<(ObjectId, Option<u64>)> = writes
+                        .iter()
+                        .filter(|oid| store.versions_of(**oid) == 0)
+                        .map(|&oid| (oid, rng.chance(3, 4).then(|| rng.next_u64() % 1000)))
                         .collect();
                     for &(oid, payload) in &seeds {
                         oracle.seed(oid, payload);
