@@ -67,6 +67,12 @@ impl<'a> Reader<'a> {
         (self.err)(what.into())
     }
 
+    /// How many bytes have been read.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     #[inline]
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos

@@ -344,7 +344,7 @@ pub struct IndexMetrics {
     pub lookups: Counter,
     /// Range scans served.
     pub range_scans: Counter,
-    /// Node page images written (every physically-logged tree write).
+    /// Node page writes: full node images and leaf splices.
     pub node_writes: Counter,
     /// Node splits performed (leaf + internal).
     pub node_splits: Counter,

@@ -10,12 +10,25 @@
 //! rec-LSNs, eviction honors the WAL flush barrier, and log truncation
 //! bounds apply unchanged.
 //!
+//! Searches read a node in place: inside the page latch, a `View`
+//! parses the node's links and count and walks its entries as borrowed
+//! bytes, so a descent, a probe or a scan decodes no node and copies
+//! only the pairs it returns. Only the structure changes (node
+//! creation, splits, root growth, a separator posted to a parent)
+//! decode a whole `Node`.
+//!
 //! # Crash safety: right links instead of physical undo
 //!
-//! Every page image the tree writes is logged *physically* under
-//! [`SYSTEM_TXN`](crate::sm::StorageManager) (an `Update`/`Insert` of
-//! slot 0 with before/after images). System records are always redo
-//! winners and never undone, so recovery replays tree structure exactly
+//! Every tree page change is logged under
+//! [`SYSTEM_TXN`](crate::sm::StorageManager) inside the page latch. A
+//! leaf insert or delete that stays within its node splices one entry
+//! and logs it *physiologically* — a
+//! [`LeafInsert`](crate::wal::WalRecord::LeafInsert) /
+//! [`LeafRemove`](crate::wal::WalRecord::LeafRemove) naming the page and
+//! the pair; node creation and splits log whole node images (an
+//! `Insert`/`Update` of slot 0). System records are always redo winners
+//! and never undone, and redo applies each only to a page whose LSN is
+//! below the record's end, so recovery replays tree structure exactly
 //! as it was built — but a crash can still land *between* the page
 //! writes of one split. The tree therefore keeps Lehman–Yao style
 //! right-sibling links with exclusive high keys and writes splits
@@ -36,13 +49,13 @@
 //! to tear.
 
 use crate::buffer::BufferPool;
-use crate::heap::put_logged;
-use crate::page::MAX_RECORD;
-use crate::wal::WriteAheadLog;
+use crate::heap::{log_applied, put_logged};
+use crate::page::{Page, MAX_RECORD};
+use crate::wal::{WalRecord, WriteAheadLog};
 use reach_common::codec::{put_bytes, put_u32, put_u64, Reader};
 use reach_common::sync::Mutex;
 use reach_common::{PageId, ReachError, Result};
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 /// Largest key the tree accepts. Keeps every node's worst-case
@@ -57,6 +70,15 @@ const SPLIT_BYTES: usize = MAX_RECORD / 2;
 
 /// One `(key, oid)` pair — the unit the multimap stores and orders.
 type Entry = (Vec<u8>, u64);
+
+/// Encoded size of one leaf entry: key length, key, oid.
+fn entry_len(key: &[u8]) -> usize {
+    4 + key.len() + 8
+}
+
+fn corrupt(what: &str) -> ReachError {
+    ReachError::Io(format!("index node corrupt: {what}"))
+}
 
 /// A search position in `(key, oid)` pair order. Mutations descend to
 /// an exact pair; range bounds descend to "just before the first entry
@@ -73,21 +95,180 @@ enum Pos<'a> {
 }
 
 impl<'a> Pos<'a> {
-    /// Does this position fall strictly before separator `sep`? A
-    /// position equal to a separator belongs to the *right* child: the
-    /// separator is always the first pair of the right node.
-    fn lt_pair(&self, sep: &Entry) -> bool {
+    /// Does this position fall strictly before separator pair
+    /// `(key, oid)`? A position equal to a separator belongs to the
+    /// *right* child: the separator is always the first pair of the
+    /// right node.
+    fn lt_pair(&self, key: &[u8], oid: u64) -> bool {
         use std::cmp::Ordering::*;
         match self {
-            Pos::Before(k) => matches!(k.cmp(&sep.0.as_slice()), Less | Equal),
-            Pos::Pair(k, oid) => match k.cmp(&sep.0.as_slice()) {
+            Pos::Before(k) => matches!(k.cmp(&key), Less | Equal),
+            Pos::Pair(k, o) => match k.cmp(&key) {
                 Less => true,
-                Equal => *oid < sep.1,
+                Equal => *o < oid,
                 Greater => false,
             },
-            Pos::AfterAll(k) => matches!(k.cmp(&sep.0.as_slice()), Less),
+            Pos::AfterAll(k) => matches!(k.cmp(&key), Less),
         }
     }
+}
+
+/// A borrowed view of an encoded node: the tag, links and count are
+/// read, the entries (leaf) or children and separators (internal) stay
+/// bytes that a search walks in place with the same bounded [`Reader`]
+/// a full decode uses.
+struct View<'a> {
+    img: &'a [u8],
+    is_leaf: bool,
+    right: Option<PageId>,
+    high: Option<(&'a [u8], u64)>,
+    /// Byte offset of the `u32` count: entries of a leaf, children of
+    /// an internal node. The entries or children follow it.
+    count_at: usize,
+    count: usize,
+}
+
+impl<'a> View<'a> {
+    fn new(img: &'a [u8]) -> Result<View<'a>> {
+        let mut r = Reader::new(img, ReachError::Io);
+        let tag = r.u8()?;
+        let right = if r.u8()? == 1 {
+            Some(PageId::new(r.u64()?))
+        } else {
+            None
+        };
+        let high = if r.u8()? == 1 {
+            Some((r.bytes()?, r.u64()?))
+        } else {
+            None
+        };
+        let count_at = r.offset();
+        let count = match tag {
+            // An entry is at least a key length and an oid.
+            1 => r.count(12)?,
+            // Every child is at least its page id.
+            0 => match r.count(8)? {
+                0 => return Err(r.error("internal index node without children")),
+                n => n,
+            },
+            _ => return Err(r.error(format!("unknown index node tag {tag}"))),
+        };
+        Ok(View {
+            img,
+            is_leaf: tag == 1,
+            right,
+            high,
+            count_at,
+            count,
+        })
+    }
+
+    /// A reader at the first entry (leaf) or first child (internal).
+    fn body(&self) -> Reader<'a> {
+        Reader::new(&self.img[self.count_at + 4..], ReachError::Io)
+    }
+
+    fn leaf(&self) -> Result<&Self> {
+        match self.is_leaf {
+            true => Ok(self),
+            false => Err(corrupt("a leaf position holds an internal node")),
+        }
+    }
+
+    fn right_link(&self) -> Result<PageId> {
+        self.right
+            .ok_or_else(|| corrupt("a bounded node has no right link"))
+    }
+
+    /// Does `pos` lie past this node's range (at or beyond its high
+    /// key), so that a search must move right?
+    fn overshot(&self, pos: Pos<'_>) -> bool {
+        self.high.is_some_and(|(key, oid)| !pos.lt_pair(key, oid))
+    }
+
+    /// Walk a leaf's pairs in order, each with the byte offset it
+    /// starts at, until `f` breaks. A walk that reaches the end also
+    /// checks that no bytes follow the last pair, and returns the
+    /// offset just past it.
+    fn walk<T>(
+        &self,
+        mut f: impl FnMut(usize, &'a [u8], u64) -> ControlFlow<T>,
+    ) -> Result<ControlFlow<T, usize>> {
+        let mut r = self.body();
+        let mut at = self.count_at + 4;
+        for _ in 0..self.count {
+            let key = r.bytes()?;
+            let oid = r.u64()?;
+            if let ControlFlow::Break(t) = f(at, key, oid) {
+                return Ok(ControlFlow::Break(t));
+            }
+            at += entry_len(key);
+        }
+        r.finish()?;
+        Ok(ControlFlow::Continue(at))
+    }
+
+    /// Whether a leaf holds `(key, oid)`, and the byte offset where it
+    /// starts or would be spliced in.
+    fn locate(&self, key: &[u8], oid: u64) -> Result<(bool, usize)> {
+        use std::cmp::Ordering::*;
+        Ok(
+            match self.walk(|at, k, o| match (k, o).cmp(&(key, oid)) {
+                Less => ControlFlow::Continue(()),
+                Equal => ControlFlow::Break((true, at)),
+                Greater => ControlFlow::Break((false, at)),
+            })? {
+                ControlFlow::Break(found) => found,
+                ControlFlow::Continue(end) => (false, end),
+            },
+        )
+    }
+
+    /// The child of an internal node whose range holds `pos`.
+    fn child(&self, pos: Pos<'_>) -> Result<PageId> {
+        let mut r = self.body();
+        let mut child = r.u64()?;
+        for _ in 1..self.count {
+            let (key, oid) = (r.bytes()?, r.u64()?);
+            if pos.lt_pair(key, oid) {
+                break;
+            }
+            child = r.u64()?;
+        }
+        Ok(PageId::new(child))
+    }
+}
+
+/// Splice `(key, oid)` into (`insert`) or out of the leaf node in slot 0
+/// of `pg`, and patch its entry count — the one leaf edit behind an
+/// insert or delete that stays within its node, the redo of a leaf
+/// record and the undo of a failed append. The pair must be absent for
+/// an insert and present for a removal: a leaf record that does not
+/// match its page is corruption, not a no-op.
+pub(crate) fn leaf_edit(pg: &mut Page, key: &[u8], oid: u64, insert: bool) -> Result<()> {
+    let (found, at, count_at, count) = {
+        let v = View::new(pg.get(0)?)?;
+        let (found, at) = v.leaf()?.locate(key, oid)?;
+        (found, at, v.count_at, v.count)
+    };
+    if found == insert {
+        return Err(corrupt(if insert {
+            "a leaf insert finds its pair present"
+        } else {
+            "a leaf removal finds its pair absent"
+        }));
+    }
+    let count = if insert {
+        let mut entry = Vec::with_capacity(entry_len(key));
+        put_bytes(&mut entry, key);
+        put_u64(&mut entry, oid);
+        pg.splice(0, at, 0, &entry)?;
+        count + 1
+    } else {
+        pg.splice(0, at, entry_len(key), &[])?;
+        count - 1
+    };
+    pg.splice(0, count_at, 4, &(count as u32).to_le_bytes())
 }
 
 /// An in-memory node image, (de)serialized to slot 0 of its page.
@@ -116,18 +297,6 @@ enum Node {
 }
 
 impl Node {
-    fn right(&self) -> Option<PageId> {
-        match self {
-            Node::Leaf { right, .. } | Node::Internal { right, .. } => *right,
-        }
-    }
-
-    fn high(&self) -> Option<&Entry> {
-        match self {
-            Node::Leaf { high, .. } | Node::Internal { high, .. } => high.as_ref(),
-        }
-    }
-
     /// Number of entries (leaf) or separators (internal) — the split
     /// knob counts these.
     fn load(&self) -> usize {
@@ -195,57 +364,47 @@ impl Node {
         fn pair(r: &mut Reader<'_>) -> Result<Entry> {
             Ok((r.bytes()?.to_vec(), r.u64()?))
         }
-        let mut r = Reader::new(buf, ReachError::Io);
-        let tag = r.u8()?;
-        let right = if r.u8()? == 1 {
-            Some(PageId::new(r.u64()?))
-        } else {
-            None
-        };
-        let high = if r.u8()? == 1 {
-            Some(pair(&mut r)?)
-        } else {
-            None
-        };
-        let node = match tag {
-            1 => {
-                // An entry is at least a key length and an oid.
-                let n = r.count(12)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(pair(&mut r)?);
-                }
-                Node::Leaf {
-                    right,
-                    high,
-                    entries,
-                }
+        let v = View::new(buf)?;
+        let mut r = v.body();
+        let (right, high) = (v.right, v.high.map(|(k, o)| (k.to_vec(), o)));
+        let node = if v.is_leaf {
+            let mut entries = Vec::with_capacity(v.count);
+            for _ in 0..v.count {
+                entries.push(pair(&mut r)?);
             }
-            0 => {
-                // Every child is at least its page id.
-                let n = r.count(8)?;
-                if n == 0 {
-                    return Err(r.error("internal index node without children"));
-                }
-                let mut children = Vec::with_capacity(n);
-                let mut seps = Vec::with_capacity(n - 1);
+            Node::Leaf {
+                right,
+                high,
+                entries,
+            }
+        } else {
+            let mut children = Vec::with_capacity(v.count);
+            let mut seps = Vec::with_capacity(v.count - 1);
+            children.push(PageId::new(r.u64()?));
+            for _ in 1..v.count {
+                seps.push(pair(&mut r)?);
                 children.push(PageId::new(r.u64()?));
-                for _ in 1..n {
-                    seps.push(pair(&mut r)?);
-                    children.push(PageId::new(r.u64()?));
-                }
-                Node::Internal {
-                    right,
-                    high,
-                    children,
-                    seps,
-                }
             }
-            _ => return Err(r.error(format!("unknown index node tag {tag}"))),
+            Node::Internal {
+                right,
+                high,
+                children,
+                seps,
+            }
         };
         r.finish()?;
         Ok(node)
     }
+}
+
+/// One step of a descent.
+enum Step {
+    /// Past the node's high key: move to its right sibling.
+    Right(PageId),
+    /// Down into this child.
+    Down(PageId),
+    /// The node is the leaf whose range holds the position.
+    Leaf,
 }
 
 /// The persistent B+Tree. Stateless apart from the root page id; all
@@ -276,14 +435,12 @@ impl BTree {
             root: Mutex::new(root),
             max_node_entries,
         };
-        tree.write_node(
-            root,
-            &Node::Leaf {
-                right: None,
-                high: None,
-                entries: Vec::new(),
-            },
-        )?;
+        let empty = Node::Leaf {
+            right: None,
+            high: None,
+            entries: Vec::new(),
+        };
+        tree.write_node(root, empty.encode())?;
         Ok(tree)
     }
 
@@ -311,41 +468,62 @@ impl BTree {
         *self.root.lock()
     }
 
-    fn read_node(&self, id: PageId) -> Result<Node> {
-        let bytes = self
-            .pool
-            .with_page(id, |pg| pg.get(0).map(|b| b.to_vec()))??;
-        Node::decode(&bytes)
+    /// Run `f` on a view of node `id`, inside its page latch.
+    fn view<R>(&self, id: PageId, f: impl FnOnce(&View<'_>) -> Result<R>) -> Result<R> {
+        self.pool.with_page(id, |pg| f(&View::new(pg.get(0)?)?))?
     }
 
-    /// Write a node image to slot 0 of its page, logging the write
-    /// physically under the system transaction inside the page latch
-    /// (the same step as the heap paths: the record is appended and the
-    /// page stamped with its end LSN before any eviction can see the
-    /// new image).
-    fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        put_logged(
-            &self.pool,
-            &self.wal,
-            crate::sm::SYSTEM_TXN,
-            id,
-            0,
-            node.encode(),
-        )?;
+    fn read_node(&self, id: PageId) -> Result<Node> {
+        self.pool.with_page(id, |pg| Node::decode(pg.get(0)?))?
+    }
+
+    /// Write a whole node image to slot 0 of its page, logging the
+    /// write physically under the system transaction inside the page
+    /// latch (the same step as the heap paths: the record is appended
+    /// and the page stamped with its end LSN before any eviction can see
+    /// the new image).
+    fn write_node(&self, id: PageId, image: Vec<u8>) -> Result<()> {
+        put_logged(&self.pool, &self.wal, crate::sm::SYSTEM_TXN, id, 0, image)?;
+        self.count_node_write();
+        Ok(())
+    }
+
+    /// Splice `(key, oid)` into (`insert`) or out of leaf `page` and log
+    /// it as a `LeafInsert` or `LeafRemove`, in one hold of the page
+    /// latch.
+    fn edit_leaf(&self, page: PageId, key: &[u8], oid: u64, insert: bool) -> Result<()> {
+        let rec = if insert {
+            WalRecord::LeafInsert {
+                page,
+                key: key.to_vec(),
+                oid,
+            }
+        } else {
+            WalRecord::LeafRemove {
+                page,
+                key: key.to_vec(),
+                oid,
+            }
+        };
+        self.pool.with_page_mut(page, |pg| {
+            leaf_edit(pg, key, oid, insert)?;
+            log_applied(pg, &self.wal, &rec)
+        })??;
+        self.count_node_write();
+        Ok(())
+    }
+
+    fn count_node_write(&self) {
         let m = self.pool.metrics();
         if m.on() {
             m.index.node_writes.inc();
         }
-        Ok(())
     }
 
-    fn overflows(&self, node: &Node) -> bool {
-        if let Some(cap) = self.max_node_entries {
-            if node.load() > cap {
-                return true;
-            }
-        }
-        node.encode().len() > SPLIT_BYTES
+    /// Would a node of `load` entries (or separators) and `bytes`
+    /// encoded bytes have to split?
+    fn overflows(&self, load: usize, bytes: usize) -> bool {
+        self.max_node_entries.is_some_and(|cap| load > cap) || bytes > SPLIT_BYTES
     }
 
     /// Descend from the root toward `pos`, moving right past split
@@ -355,28 +533,24 @@ impl BTree {
         let mut path = Vec::new();
         let mut id = self.root();
         loop {
-            let node = self.read_node(id)?;
-            if let Some(h) = node.high() {
-                if !pos.lt_pair(h) {
-                    // Overshot: a split moved our range to the right
-                    // sibling before the parent absorbed the separator.
-                    id = node.right().expect("bounded node without right link");
-                    continue;
-                }
-            }
-            match node {
-                Node::Leaf { .. } => return Ok((id, path)),
-                Node::Internal { children, seps, .. } => {
+            let step = self.view(id, |v| {
+                Ok(if v.overshot(pos) {
+                    // A split moved our range to the right sibling
+                    // before the parent absorbed the separator.
+                    Step::Right(v.right_link()?)
+                } else if v.is_leaf {
+                    Step::Leaf
+                } else {
+                    Step::Down(v.child(pos)?)
+                })
+            })?;
+            match step {
+                Step::Right(right) => id = right,
+                Step::Down(child) => {
                     path.push(id);
-                    let mut child = children[0];
-                    for (i, s) in seps.iter().enumerate() {
-                        if pos.lt_pair(s) {
-                            break;
-                        }
-                        child = children[i + 1];
-                    }
                     id = child;
                 }
+                Step::Leaf => return Ok((id, path)),
             }
         }
     }
@@ -439,8 +613,8 @@ impl BTree {
                 )
             }
         };
-        self.write_node(new_id, &right_node)?;
-        self.write_node(id, &left)?;
+        self.write_node(new_id, right_node.encode())?;
+        self.write_node(id, left.encode())?;
         let m = self.pool.metrics();
         if m.on() {
             m.index.node_splits.inc();
@@ -460,15 +634,13 @@ impl BTree {
                 // new root above it.
                 let old_root = self.root();
                 let new_root = self.pool.allocate()?;
-                self.write_node(
-                    new_root,
-                    &Node::Internal {
-                        right: None,
-                        high: None,
-                        children: vec![old_root, child],
-                        seps: vec![sep],
-                    },
-                )?;
+                let root = Node::Internal {
+                    right: None,
+                    high: None,
+                    children: vec![old_root, child],
+                    seps: vec![sep],
+                };
+                self.write_node(new_root, root.encode())?;
                 *self.root.lock() = new_root;
                 let m = self.pool.metrics();
                 if m.on() {
@@ -477,28 +649,30 @@ impl BTree {
                 return Ok(());
             };
             // Move right to the node whose range covers the separator.
-            let mut node = loop {
-                let node = self.read_node(id)?;
-                match node.high() {
-                    Some(h) if !Pos::Pair(&sep.0, sep.1).lt_pair(h) => {
-                        id = node.right().expect("bounded node without right link");
-                    }
-                    _ => break node,
-                }
-            };
+            let pos = Pos::Pair(&sep.0, sep.1);
+            while let Some(right) = self.view(id, |v| {
+                Ok(match v.overshot(pos) {
+                    true => Some(v.right_link()?),
+                    false => None,
+                })
+            })? {
+                id = right;
+            }
+            let mut node = self.read_node(id)?;
             let Node::Internal {
                 ref mut children,
                 ref mut seps,
                 ..
             } = node
             else {
-                return Err(ReachError::Io("separator landed on a leaf".into()));
+                return Err(corrupt("a separator landed on a leaf"));
             };
             let at = seps.binary_search_by(|s| s.cmp(&sep)).unwrap_or_else(|i| i);
             seps.insert(at, sep);
             children.insert(at + 1, child);
-            if !self.overflows(&node) {
-                return self.write_node(id, &node);
+            let image = node.encode();
+            if !self.overflows(node.load(), image.len()) {
+                return self.write_node(id, image);
             }
             let (up_sep, up_child) = self.split(id, node)?;
             sep = up_sep;
@@ -509,31 +683,49 @@ impl BTree {
     /// Insert `(key, oid)`. Returns `false` (and writes nothing) if the
     /// pair is already present.
     pub fn insert(&self, key: &[u8], oid: u64) -> Result<bool> {
+        self.insert_with(key, oid, || Ok(()))
+    }
+
+    /// [`BTree::insert`] with one descent for the probe and the change:
+    /// `first` runs once the pair is known to be absent and before any
+    /// page changes (the storage manager appends its logical record
+    /// there); its error aborts the insert untouched.
+    pub fn insert_with(
+        &self,
+        key: &[u8],
+        oid: u64,
+        first: impl FnOnce() -> Result<()>,
+    ) -> Result<bool> {
         if key.len() > MAX_KEY {
             return Err(ReachError::RecordTooLarge {
                 size: key.len(),
                 max: MAX_KEY,
             });
         }
-        let (leaf_id, path) = self.descend(Pos::Pair(key, oid))?;
-        let mut node = self.read_node(leaf_id)?;
+        let (leaf, path) = self.descend(Pos::Pair(key, oid))?;
+        let fits = self.view(leaf, |v| {
+            let (found, _) = v.leaf()?.locate(key, oid)?;
+            Ok((!found).then(|| !self.overflows(v.count + 1, v.img.len() + entry_len(key))))
+        })?;
+        let Some(fits) = fits else {
+            return Ok(false);
+        };
+        first()?;
+        if fits {
+            self.edit_leaf(leaf, key, oid, true)?;
+            return Ok(true);
+        }
+        let mut node = self.read_node(leaf)?;
         let Node::Leaf {
             ref mut entries, ..
         } = node
         else {
-            return Err(ReachError::Io("descend ended on internal node".into()));
+            return Err(corrupt("a leaf position holds an internal node"));
         };
         let pair = (key.to_vec(), oid);
-        let at = match entries.binary_search(&pair) {
-            Ok(_) => return Ok(false),
-            Err(i) => i,
-        };
+        let at = entries.binary_search(&pair).unwrap_or_else(|i| i);
         entries.insert(at, pair);
-        if !self.overflows(&node) {
-            self.write_node(leaf_id, &node)?;
-            return Ok(true);
-        }
-        let (sep, new_right) = self.split(leaf_id, node)?;
+        let (sep, new_right) = self.split(leaf, node)?;
         self.insert_sep(path, sep, new_right)?;
         Ok(true)
     }
@@ -541,28 +733,24 @@ impl BTree {
     /// Delete `(key, oid)`. Returns `false` if absent. Lazy: the node
     /// keeps its place in the tree even when it empties.
     pub fn delete(&self, key: &[u8], oid: u64) -> Result<bool> {
-        let (leaf_id, _path) = self.descend(Pos::Pair(key, oid))?;
-        let mut node = self.read_node(leaf_id)?;
-        let Node::Leaf {
-            ref mut entries, ..
-        } = node
-        else {
-            return Err(ReachError::Io("descend ended on internal node".into()));
-        };
-        let pair = (key.to_vec(), oid);
-        match entries.binary_search(&pair) {
-            Ok(i) => {
-                entries.remove(i);
-                self.write_node(leaf_id, &node)?;
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        self.delete_with(key, oid, || Ok(()))
     }
 
-    /// Is `(key, oid)` present?
-    pub fn contains(&self, key: &[u8], oid: u64) -> Result<bool> {
-        Ok(self.lookup(key)?.contains(&oid))
+    /// [`BTree::delete`] with one descent for the probe and the change;
+    /// `first` runs as for [`BTree::insert_with`].
+    pub fn delete_with(
+        &self,
+        key: &[u8],
+        oid: u64,
+        first: impl FnOnce() -> Result<()>,
+    ) -> Result<bool> {
+        let (leaf, _) = self.descend(Pos::Pair(key, oid))?;
+        if !self.view(leaf, |v| Ok(v.leaf()?.locate(key, oid)?.0))? {
+            return Ok(false);
+        }
+        first()?;
+        self.edit_leaf(leaf, key, oid, false)?;
+        Ok(true)
     }
 
     /// All oids stored under exactly `key`, ascending.
@@ -571,11 +759,11 @@ impl BTree {
         if m.on() {
             m.index.lookups.inc();
         }
-        Ok(self
-            .range(Bound::Included(key), Bound::Included(key))?
-            .into_iter()
-            .map(|(_, oid)| oid)
-            .collect())
+        let mut out = Vec::new();
+        self.scan(Bound::Included(key), Bound::Included(key), |_, oid| {
+            out.push(oid)
+        })?;
+        Ok(out)
     }
 
     /// Range scan in ascending `(key, oid)` order, with `Bound`
@@ -587,38 +775,49 @@ impl BTree {
             m.index.range_scans.inc();
         }
         let mut out = Vec::new();
+        self.scan(low, high, |key, oid| out.push((key.to_vec(), oid)))?;
+        Ok(out)
+    }
+
+    /// Hand every pair within the bounds to `f`, in order, borrowed
+    /// from its leaf inside the page latch.
+    fn scan(
+        &self,
+        low: Bound<&[u8]>,
+        high: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], u64),
+    ) -> Result<()> {
         let mut id = match low {
             Bound::Included(k) => self.descend(Pos::Before(k))?.0,
             Bound::Excluded(k) => self.descend(Pos::AfterAll(k))?.0,
             Bound::Unbounded => self.leftmost_leaf()?,
         };
         loop {
-            let node = self.read_node(id)?;
-            let Node::Leaf { right, entries, .. } = node else {
-                return Err(ReachError::Io("leaf chain hit internal node".into()));
-            };
-            for (k, oid) in entries {
-                let past_low = match low {
-                    Bound::Included(l) => k.as_slice() >= l,
-                    Bound::Excluded(l) => k.as_slice() > l,
-                    Bound::Unbounded => true,
-                };
-                if !past_low {
-                    continue;
-                }
-                let within_high = match high {
-                    Bound::Included(h) => k.as_slice() <= h,
-                    Bound::Excluded(h) => k.as_slice() < h,
-                    Bound::Unbounded => true,
-                };
-                if !within_high {
-                    return Ok(out);
-                }
-                out.push((k, oid));
-            }
-            match right {
-                Some(r) => id = r,
-                None => return Ok(out),
+            let next = self.view(id, |v| {
+                let end = v.leaf()?.walk(|_, key, oid| {
+                    let past_low = match low {
+                        Bound::Included(l) => key >= l,
+                        Bound::Excluded(l) => key > l,
+                        Bound::Unbounded => true,
+                    };
+                    let within_high = match high {
+                        Bound::Included(h) => key <= h,
+                        Bound::Excluded(h) => key < h,
+                        Bound::Unbounded => true,
+                    };
+                    if !within_high {
+                        return ControlFlow::Break(());
+                    }
+                    if past_low {
+                        f(key, oid);
+                    }
+                    ControlFlow::Continue(())
+                })?;
+                Ok(end.is_continue().then_some(v.right).flatten())
+            })?;
+            match next {
+                Some(right) => id = right,
+                None => return Ok(()),
             }
         }
     }
@@ -628,11 +827,10 @@ impl BTree {
         let mut n = 0usize;
         let mut id = self.leftmost_leaf()?;
         loop {
-            let node = self.read_node(id)?;
-            let Node::Leaf { right, entries, .. } = node else {
-                return Err(ReachError::Io("leaf chain hit internal node".into()));
-            };
-            n += entries.len();
+            let right = self.view(id, |v| {
+                n += v.leaf()?.count;
+                Ok(v.right)
+            })?;
             match right {
                 Some(r) => id = r,
                 None => return Ok(n),
@@ -647,27 +845,28 @@ impl BTree {
 
     /// Tree height (levels from root to leaf), for tests and stats.
     pub fn depth(&self) -> Result<usize> {
-        let mut d = 1usize;
-        let mut id = self.root();
-        loop {
-            match self.read_node(id)? {
-                Node::Leaf { .. } => return Ok(d),
-                Node::Internal { children, .. } => {
-                    d += 1;
-                    id = children[0];
-                }
-            }
-        }
+        self.leftmost().map(|(_, depth)| depth)
     }
 
     fn leftmost_leaf(&self) -> Result<PageId> {
+        self.leftmost().map(|(leaf, _)| leaf)
+    }
+
+    /// Follow first children from the root to the leftmost leaf;
+    /// returns it with the number of levels passed.
+    fn leftmost(&self) -> Result<(PageId, usize)> {
         let mut id = self.root();
-        loop {
-            match self.read_node(id)? {
-                Node::Leaf { .. } => return Ok(id),
-                Node::Internal { children, .. } => id = children[0],
-            }
+        let mut depth = 1usize;
+        while let Some(child) = self.view(id, |v| {
+            Ok(match v.is_leaf {
+                true => None,
+                false => Some(PageId::new(v.body().u64()?)),
+            })
+        })? {
+            id = child;
+            depth += 1;
         }
+        Ok((id, depth))
     }
 }
 
@@ -737,6 +936,52 @@ mod tests {
         }
     }
 
+    /// A leaf splice leaves exactly the bytes a re-encoded node would
+    /// have, and a splice that does not match its page is refused.
+    #[test]
+    fn leaf_edits_match_a_re_encoded_node() {
+        let [leaf, _] = sample_nodes();
+        let mut pg = Page::new(PageId::new(5));
+        pg.insert(&leaf.encode()).unwrap();
+        let mut grown = leaf.clone();
+        if let Node::Leaf { entries, .. } = &mut grown {
+            entries.insert(1, (b"a\x01".to_vec(), 5));
+        }
+        leaf_edit(&mut pg, b"a\x01", 5, true).unwrap();
+        assert_eq!(pg.get(0).unwrap(), grown.encode());
+        assert!(
+            leaf_edit(&mut pg, b"a\x01", 5, true).is_err(),
+            "pair present"
+        );
+        leaf_edit(&mut pg, b"a\x01", 5, false).unwrap();
+        assert_eq!(pg.get(0).unwrap(), leaf.encode());
+        assert!(
+            leaf_edit(&mut pg, b"a\x01", 5, false).is_err(),
+            "pair absent"
+        );
+        let [_, internal] = sample_nodes();
+        let mut pg = Page::new(PageId::new(6));
+        pg.insert(&internal.encode()).unwrap();
+        assert!(leaf_edit(&mut pg, b"a", 1, true).is_err(), "not a leaf");
+    }
+
+    /// Decode `buf` both ways — whole, and through the in-place view a
+    /// search walks — failing only with `Io`.
+    fn read_both_ways(buf: &[u8]) -> std::result::Result<(), String> {
+        let only_io = |e: ReachError| match e {
+            ReachError::Io(_) => Ok(()),
+            e => Err(format!("{e:?}")),
+        };
+        if let Err(e) = Node::decode(buf) {
+            only_io(e)?;
+        }
+        match View::new(buf) {
+            Err(e) => only_io(e),
+            Ok(v) if v.is_leaf => v.locate(b"m", 3).map(drop).or_else(only_io),
+            Ok(v) => v.child(Pos::Pair(b"m", 3)).map(drop).or_else(only_io),
+        }
+    }
+
     mod fuzz {
         use super::*;
         use proptest::prelude::*;
@@ -744,9 +989,7 @@ mod tests {
         proptest! {
             #[test]
             fn garbage_nodes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-                if let Err(e) = Node::decode(&bytes) {
-                    prop_assert!(matches!(e, ReachError::Io(_)), "{e:?}");
-                }
+                prop_assert_eq!(read_both_ways(&bytes), Ok(()));
             }
 
             #[test]
@@ -758,9 +1001,7 @@ mod tests {
                 let mut enc = sample_nodes()[which.index(2)].encode();
                 let i = at.index(enc.len());
                 enc[i] ^= 1 << bit;
-                if let Err(e) = Node::decode(&enc) {
-                    prop_assert!(matches!(e, ReachError::Io(_)), "{e:?}");
-                }
+                prop_assert_eq!(read_both_ways(&enc), Ok(()));
             }
         }
     }

@@ -10,6 +10,7 @@
 //! records — and no eviction can slip in between a change and its
 //! record, because the page stays latched (and pinned) across both.
 
+use crate::btree::leaf_edit;
 use crate::buffer::BufferPool;
 use crate::page::{Page, MAX_RECORD};
 use crate::wal::{WalRecord, WriteAheadLog};
@@ -59,10 +60,11 @@ pub(crate) fn log_applied(pg: &mut Page, wal: &WriteAheadLog, rec: &WalRecord) -
     }
 }
 
-/// Apply the physical inverse of a slot record to its page: an
+/// Apply the physical inverse of a page record to its page: an
 /// `Insert` kills the slot (tolerating an already-dead one, so a
 /// repeated undo is a no-op), an `Update` or `Delete` puts the
-/// before-image back. Other records touch no slot.
+/// before-image back, a leaf edit splices its pair back out or in.
+/// Other records touch no page.
 pub(crate) fn undo_on(pg: &mut Page, rec: &WalRecord) -> Result<()> {
     match rec {
         WalRecord::Insert { slot, .. } => {
@@ -72,6 +74,32 @@ pub(crate) fn undo_on(pg: &mut Page, rec: &WalRecord) -> Result<()> {
         WalRecord::Update { slot, before, .. } | WalRecord::Delete { slot, before, .. } => {
             pg.put_at(*slot, before)
         }
+        WalRecord::LeafInsert { key, oid, .. } => leaf_edit(pg, key, *oid, false),
+        WalRecord::LeafRemove { key, oid, .. } => leaf_edit(pg, key, *oid, true),
+        _ => Ok(()),
+    }
+}
+
+/// Make a page record's change again on its page — the redo step.
+/// Recovery calls it only for a page whose LSN is below the record's
+/// end, so the page holds exactly the state the change was first made
+/// to: a leaf splice lands once, and a full image never hides a later
+/// splice. Other records touch no page.
+pub(crate) fn redo_on(pg: &mut Page, rec: &WalRecord) -> Result<()> {
+    match rec {
+        WalRecord::Insert { slot, payload, .. } => pg.put_at(*slot, payload),
+        WalRecord::Update { slot, after, .. }
+        | WalRecord::Clr {
+            slot,
+            restore: Some(after),
+            ..
+        } => pg.put_at(*slot, after),
+        WalRecord::Delete { slot, .. } | WalRecord::Clr { slot, .. } => {
+            let _ = pg.delete(*slot);
+            Ok(())
+        }
+        WalRecord::LeafInsert { key, oid, .. } => leaf_edit(pg, key, *oid, true),
+        WalRecord::LeafRemove { key, oid, .. } => leaf_edit(pg, key, *oid, false),
         _ => Ok(()),
     }
 }

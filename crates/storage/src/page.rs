@@ -284,6 +284,37 @@ impl Page {
         Ok(())
     }
 
+    /// Replace `cut` bytes at byte `at` of the record in `slot` with
+    /// `insert`, keeping the slot — the B-link tree's leaf edit. The
+    /// record is edited where it lies when it does not grow, or when it
+    /// ends at the top of the record area with room above it; otherwise
+    /// it is rebuilt and re-placed like an [`update`](Page::update).
+    pub fn splice(&mut self, slot: u16, at: usize, cut: usize, insert: &[u8]) -> Result<()> {
+        let len = self.get(slot)?.len();
+        if cut > len || at > len - cut {
+            return Err(ReachError::Io(format!(
+                "splice of {cut} bytes at {at} outside a {len}-byte record"
+            )));
+        }
+        let off = self.slot_entry(slot).0 as usize;
+        let new_len = len - cut + insert.len();
+        let top = off + len == self.free_upper() as usize;
+        let dir_bottom = PAGE_SIZE - SLOT_SIZE * self.slot_count() as usize;
+        if new_len > len && !(top && off + new_len <= dir_bottom) {
+            let rec = &self.data[off..off + len];
+            let image = [&rec[..at], insert, &rec[at + cut..]].concat();
+            return self.update(slot, &image);
+        }
+        self.data
+            .copy_within(off + at + cut..off + len, off + at + insert.len());
+        self.data[off + at..off + at + insert.len()].copy_from_slice(insert);
+        if top {
+            self.set_free_upper((off + new_len) as u16);
+        }
+        self.set_slot_entry(slot, off as u16, new_len as u16);
+        Ok(())
+    }
+
     /// Fit check for a record that reuses an existing (dead) slot.
     fn fits_in_slot(&self, len: usize) -> bool {
         let live = self.live_bytes();
@@ -395,6 +426,27 @@ mod tests {
         p.update(s, &big).unwrap();
         assert_eq!(p.get(s).unwrap(), &big[..]);
         assert_eq!(p.get(other).unwrap(), b"other");
+    }
+
+    #[test]
+    fn splice_edits_in_place_or_re_places() {
+        let mut p = page();
+        let s = p.insert(b"abcdef").unwrap();
+        // Top record: grows and shrinks where it lies.
+        p.splice(s, 3, 0, b"XYZ").unwrap();
+        assert_eq!(p.get(s).unwrap(), b"abcXYZdef");
+        p.splice(s, 0, 2, b"").unwrap();
+        assert_eq!(p.get(s).unwrap(), b"cXYZdef");
+        // A record below another must move to grow; its neighbour and
+        // its slot stay put.
+        let other = p.insert(b"other").unwrap();
+        p.splice(s, 7, 0, b"!").unwrap();
+        assert_eq!(p.get(s).unwrap(), b"cXYZdef!");
+        assert_eq!(p.get(other).unwrap(), b"other");
+        p.splice(s, 1, 3, b"xy").unwrap();
+        assert_eq!(p.get(s).unwrap(), b"cxydef!");
+        assert!(p.splice(s, 6, 2, b"").is_err(), "cut past the record end");
+        assert_eq!(p.get(s).unwrap(), b"cxydef!");
     }
 
     #[test]

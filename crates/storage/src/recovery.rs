@@ -9,15 +9,18 @@
 //!   rec_lsn)` forward — not from the start of the log. Records below
 //!   that point have their effects on disk (that is the checkpoint's
 //!   truncation invariant, which holds whether or not the prefix was
-//!   actually truncated). Every replayed operation (including losers'
-//!   and CLRs) is reapplied; the physiological `put_at`/`delete`
-//!   primitives are idempotent, so redo needs no page-LSN comparison.
+//!   actually truncated). Every page record (including losers' and
+//!   CLRs) is reapplied to a page whose LSN is below the record's end,
+//!   and the page is stamped with that end; a page whose LSN already
+//!   covers the record holds its change. The guard is what makes a B-link
+//!   leaf splice, which is not idempotent, safe to redo.
 //! * **Undo** rolls back every loser in reverse log order, writing CLRs,
 //!   and finishes each with an `Abort` record — restart after a crash
 //!   *during* recovery is therefore also safe.
 
+use crate::heap::redo_on;
 use crate::sm::{StorageManager, SYSTEM_TXN};
-use crate::wal::{Lsn, WalRecord};
+use crate::wal::{Lsn, ScanReport, WalRecord};
 use reach_common::{FastMap, FastSet, Result, TxnId};
 
 /// Outcome summary, useful for tests and operational logging.
@@ -25,7 +28,8 @@ use reach_common::{FastMap, FastSet, Result, TxnId};
 pub struct RecoveryReport {
     /// Log records the salvage scan yielded.
     pub records_scanned: usize,
-    /// Page operations reapplied by the redo pass.
+    /// Page records at or past the redo start: each was reapplied, or
+    /// found already on its page by the page-LSN guard.
     pub redone: usize,
     /// Transactions found unfinished and rolled back.
     pub losers: Vec<TxnId>,
@@ -51,11 +55,14 @@ pub struct RecoveryReport {
 
 /// Run crash recovery against `sm`'s WAL and pages.
 pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
-    let scan = sm.wal().scan_report()?;
-    let log = scan.records;
+    let ScanReport {
+        records: log,
+        salvaged_bytes,
+        end: log_end,
+    } = sm.wal().scan_report()?;
     let mut report = RecoveryReport {
         records_scanned: log.len(),
-        salvaged_bytes: scan.salvaged_bytes,
+        salvaged_bytes,
         scanned_bytes: sm.wal().tail().saturating_sub(sm.wal().base_lsn()),
         ..Default::default()
     };
@@ -143,52 +150,26 @@ pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
         .map(|(begin, dirty, _)| dirty.iter().fold(*begin, |s, (_, r)| s.min(*r)))
         .unwrap_or(0);
     report.redo_start = redo_start;
-    for (lsn, rec) in &log {
-        if *lsn < redo_start {
+    // ARIES redo rule: a page holds the change of every record up to
+    // its LSN (each change stamps its page with the record's end LSN
+    // inside the latch, and the WAL rule keeps a page image from
+    // reaching the device ahead of its records). So a record is
+    // reapplied only to a page whose LSN is below the record's end, and
+    // the page is stamped with that end: a leaf splice lands exactly
+    // once, and an old full node image never hides a later splice.
+    let ends = log.iter().skip(1).map(|(lsn, _)| *lsn).chain([log_end]);
+    for ((lsn, rec), end) in log.iter().zip(ends) {
+        let Some(page) = rec.page().filter(|_| *lsn >= redo_start) else {
             continue;
+        };
+        if sm.pool().with_page(page, |pg| pg.lsn() < end)? {
+            sm.pool().with_page_mut(page, |pg| -> Result<()> {
+                redo_on(pg, rec)?;
+                pg.set_lsn(end);
+                Ok(())
+            })??;
         }
-        match rec {
-            WalRecord::Insert {
-                page,
-                slot,
-                payload,
-                ..
-            } => {
-                sm.pool()
-                    .with_page_mut(*page, |pg| pg.put_at(*slot, payload))??;
-                report.redone += 1;
-            }
-            WalRecord::Update {
-                page, slot, after, ..
-            } => {
-                sm.pool()
-                    .with_page_mut(*page, |pg| pg.put_at(*slot, after))??;
-                report.redone += 1;
-            }
-            WalRecord::Delete { page, slot, .. } => {
-                sm.pool().with_page_mut(*page, |pg| {
-                    let _ = pg.delete(*slot); // idempotent
-                })?;
-                report.redone += 1;
-            }
-            WalRecord::Clr {
-                page,
-                slot,
-                restore,
-                ..
-            } => {
-                match restore {
-                    Some(img) => sm
-                        .pool()
-                        .with_page_mut(*page, |pg| pg.put_at(*slot, img))??,
-                    None => sm.pool().with_page_mut(*page, |pg| {
-                        let _ = pg.delete(*slot);
-                    })?,
-                }
-                report.redone += 1;
-            }
-            _ => {}
-        }
+        report.redone += 1;
     }
 
     // ---- undo losers (skipping operations already compensated) ----
@@ -361,6 +342,63 @@ mod tests {
         let r2 = recover(&sm).unwrap();
         assert!(r2.in_doubt.is_empty());
         assert_eq!(sm.get(seg, rid).unwrap(), b"kept");
+    }
+
+    /// A leaf splice is not idempotent: redo must apply a `LeafInsert`
+    /// to its page exactly when the page's LSN is below the record's
+    /// end. With the leaf flushed after the insert, the device page
+    /// already holds the pair and a second splice would corrupt it;
+    /// with the leaf left in the pool, redo must put the pair back.
+    #[test]
+    fn a_leaf_record_is_redone_exactly_once() {
+        use crate::disk::{MemDisk, StableStorage};
+        use crate::wal::WriteAheadLog;
+        use std::sync::Arc;
+        for flush_leaf in [true, false] {
+            let disk: Arc<dyn StableStorage> = Arc::new(MemDisk::new());
+            let wal = Arc::new(WriteAheadLog::in_memory());
+            let (sm, _) =
+                StorageManager::open_with(Arc::clone(&disk), Arc::clone(&wal), 16).unwrap();
+            let idx = sm.create_index("i").unwrap();
+            let t1 = TxnId::new(1);
+            sm.begin(t1).unwrap();
+            for oid in 0..10 {
+                sm.index_insert(t1, idx, b"key", oid).unwrap();
+            }
+            sm.commit(t1).unwrap();
+            // Redo starts here, past the leaf's full image.
+            sm.checkpoint().unwrap();
+            let t2 = TxnId::new(2);
+            sm.begin(t2).unwrap();
+            let tail = wal.tail();
+            assert!(sm.index_insert(t2, idx, b"new", 7).unwrap());
+            sm.commit(t2).unwrap();
+            let leaf_records = wal
+                .scan_from(tail)
+                .unwrap()
+                .into_iter()
+                .filter(|(_, r)| matches!(r, WalRecord::LeafInsert { .. }))
+                .count();
+            assert_eq!(leaf_records, 1, "the insert logs one leaf record");
+            if flush_leaf {
+                sm.pool().flush_all().unwrap();
+            }
+            drop(sm); // crash: the pool dies, the log and device survive
+
+            let revived = Arc::new(WriteAheadLog::in_memory_from(wal.image().unwrap()));
+            let (sm2, report) = StorageManager::open_with(disk, revived, 16)
+                .unwrap_or_else(|e| panic!("recovery (leaf flushed: {flush_leaf}) failed: {e}"));
+            assert!(report.redone >= 1);
+            assert_eq!(sm2.index_lookup(idx, b"new").unwrap(), vec![7]);
+            assert_eq!(
+                sm2.index_len(idx).unwrap(),
+                11,
+                "leaf flushed: {flush_leaf}"
+            );
+            let second = recover(&sm2).unwrap();
+            assert_eq!(second.undone, 0);
+            assert_eq!(sm2.index_len(idx).unwrap(), 11);
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! Physiological logging: each record names a page and slot plus the
 //! before/after payload images, so redo is `put_at(slot, after)` and undo
 //! is `put_at(slot, before)` / `delete(slot)` regardless of where the
-//! bytes physically sit on the page after compaction.
+//! bytes physically sit on the page after compaction. A B-link leaf
+//! edit names its page and the one `(key, oid)` pair it spliced in or
+//! out ([`WalRecord::LeafInsert`] / [`WalRecord::LeafRemove`]). Redo
+//! applies a page record only to a page whose LSN is below the record's
+//! end (see [`crate::recovery`]), so a splice is replayed exactly once.
 //!
 //! Frames on the log are `len(u32) | fnv1a(u32) | payload`, so a torn
 //! tail (crash mid-append) is detected and cleanly ignored by replay.
@@ -31,6 +35,7 @@
 //! truncate crash-atomically: the retained tail is written to a temp
 //! file, synced, and renamed over the log.
 
+use crate::sm::SYSTEM_TXN;
 use reach_common::codec::{put_bytes, put_u16, put_u32, put_u64, Reader};
 use reach_common::fault::{FaultInjector, FaultPoint, WriteOutcome};
 use reach_common::obs::Stage;
@@ -156,6 +161,29 @@ pub enum WalRecord {
         /// LSN of the next record of the same txn still to be undone.
         undo_next: Lsn,
     },
+    /// B-link leaf edit: `(key, oid)` was spliced into the leaf node in
+    /// slot 0 of `page`. A system page change like the tree's full node
+    /// images: redone when the page's LSN shows it missing, undone only
+    /// when its own append fails (the transaction's logical
+    /// [`WalRecord::IndexInsert`] carries undo).
+    LeafInsert {
+        /// The leaf's page.
+        page: PageId,
+        /// Memcomparable key bytes.
+        key: Vec<u8>,
+        /// The indexed object/record id.
+        oid: u64,
+    },
+    /// B-link leaf edit: `(key, oid)` was spliced out of the leaf node in
+    /// slot 0 of `page`. See [`WalRecord::LeafInsert`].
+    LeafRemove {
+        /// The leaf's page.
+        page: PageId,
+        /// Memcomparable key bytes.
+        key: Vec<u8>,
+        /// The indexed object/record id.
+        oid: u64,
+    },
     /// Start of a fuzzy checkpoint. Appended before the checkpointer
     /// gathers its tables; its LSN anchors the truncation cut so the
     /// Begin/End pair itself always survives truncation.
@@ -201,9 +229,11 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// The transaction a record belongs to (checkpoints belong to none).
+    /// The transaction a record belongs to (checkpoints belong to none,
+    /// leaf edits to the system transaction).
     pub fn txn(&self) -> Option<TxnId> {
         match self {
+            WalRecord::LeafInsert { .. } | WalRecord::LeafRemove { .. } => Some(SYSTEM_TXN),
             WalRecord::Begin { txn }
             | WalRecord::Commit { txn }
             | WalRecord::Abort { txn }
@@ -222,6 +252,19 @@ impl WalRecord {
         }
     }
 
+    /// The page a record changes, if it changes one.
+    pub fn page(&self) -> Option<PageId> {
+        match self {
+            WalRecord::Insert { page, .. }
+            | WalRecord::Update { page, .. }
+            | WalRecord::Delete { page, .. }
+            | WalRecord::Clr { page, .. }
+            | WalRecord::LeafInsert { page, .. }
+            | WalRecord::LeafRemove { page, .. } => Some(*page),
+            _ => None,
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         // The head every page-image record shares.
@@ -229,6 +272,12 @@ impl WalRecord {
             put_u64(out, txn.raw());
             put_u64(out, page.raw());
             put_u16(out, slot);
+        }
+        fn put_leaf(out: &mut Vec<u8>, tag: u8, page: &PageId, key: &[u8], oid: u64) {
+            out.push(tag);
+            put_u64(out, page.raw());
+            put_u64(out, oid);
+            put_bytes(out, key);
         }
         match self {
             WalRecord::Begin { txn } => {
@@ -317,6 +366,8 @@ impl WalRecord {
                 put_u64(&mut out, *oid);
                 put_bytes(&mut out, key);
             }
+            WalRecord::LeafInsert { page, key, oid } => put_leaf(&mut out, 16, page, key, *oid),
+            WalRecord::LeafRemove { page, key, oid } => put_leaf(&mut out, 17, page, key, *oid),
             WalRecord::IndexClr { txn, undo_next } => {
                 out.push(12);
                 put_u64(&mut out, txn.raw());
@@ -425,6 +476,16 @@ impl WalRecord {
                 txn: TxnId::new(c.u64()?),
                 undo_next: c.u64()?,
             },
+            16 | 17 => {
+                let page = PageId::new(c.u64()?);
+                let oid = c.u64()?;
+                let key = c.bytes()?.to_vec();
+                if kind == 16 {
+                    WalRecord::LeafInsert { page, key, oid }
+                } else {
+                    WalRecord::LeafRemove { page, key, oid }
+                }
+            }
             8 => WalRecord::BeginCheckpoint,
             9 => {
                 // Every table entry is two u64s.
@@ -545,6 +606,9 @@ pub struct ScanReport {
     /// Trailing bytes discarded because they did not form a complete,
     /// checksum-valid frame — the torn tail of a mid-append crash.
     pub salvaged_bytes: u64,
+    /// The LSN just past the last record: the end of the last frame in
+    /// `records`, each earlier record ending where the next begins.
+    pub end: Lsn,
 }
 
 /// An append-only, crash-consistent log of [`WalRecord`]s.
@@ -953,6 +1017,7 @@ impl WriteAheadLog {
         Ok(ScanReport {
             records,
             salvaged_bytes: (frames.len() - pos) as u64,
+            end: first_lsn + pos as u64,
         })
     }
 
@@ -1169,9 +1234,30 @@ mod tests {
         ]
     }
 
+    /// The B-link leaf records, kept apart from [`sample_records`] so
+    /// the older records' pinned digest stays as it was.
+    fn leaf_records() -> [WalRecord; 2] {
+        [
+            WalRecord::LeafInsert {
+                page: PageId::new(9),
+                key: b"k\x00ey".to_vec(),
+                oid: 77,
+            },
+            WalRecord::LeafRemove {
+                page: PageId::new(9),
+                key: Vec::new(),
+                oid: 78,
+            },
+        ]
+    }
+
+    fn all_records() -> Vec<WalRecord> {
+        sample_records().into_iter().chain(leaf_records()).collect()
+    }
+
     #[test]
     fn every_record_round_trips_through_encoding() {
-        for rec in sample_records() {
+        for rec in all_records() {
             let enc = rec.encode();
             assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
         }
@@ -1193,6 +1279,9 @@ mod tests {
             .flat_map(WalRecord::encode)
             .collect();
         assert_eq!(digest(&bytes), 0x41a9ba0c1ae12f14);
+        let [insert, remove] = leaf_records();
+        assert_eq!(digest(&insert.encode()), 0x6d39db0ab77f388e);
+        assert_eq!(digest(&remove.encode()), 0xe672ce18f025e64b);
     }
 
     #[test]
@@ -1209,7 +1298,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_a_record_are_corruption() {
-        for rec in sample_records() {
+        for rec in all_records() {
             let buf = [rec.encode(), b"garbage".to_vec()].concat();
             let got = WalRecord::decode(&buf);
             assert!(matches!(got, Err(ReachError::WalCorrupt(_))), "{got:?}");
@@ -1228,13 +1317,26 @@ mod tests {
                 }
             }
 
+            /// Garbage behind a leaf record's tag, which random bytes
+            /// only rarely start with.
+            #[test]
+            fn garbage_leaf_records_never_panic(
+                tag in 16u8..18,
+                bytes in prop::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let buf = [&[tag][..], &bytes].concat();
+                if let Err(e) = WalRecord::decode(&buf) {
+                    prop_assert!(matches!(e, ReachError::WalCorrupt(_)), "{e:?}");
+                }
+            }
+
             #[test]
             fn bit_flipped_records_never_panic(
                 which in any::<prop::sample::Index>(),
                 at in any::<prop::sample::Index>(),
                 bit in 0u8..8,
             ) {
-                let recs = sample_records();
+                let recs = all_records();
                 let mut enc = recs[which.index(recs.len())].encode();
                 let i = at.index(enc.len());
                 enc[i] ^= 1 << bit;
