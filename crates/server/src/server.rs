@@ -11,9 +11,15 @@
 //!   expired deadline is rejected before touching the engine, and a
 //!   live one is propagated into the transaction manager so lock waits
 //!   give up in time.
-//! * **Write queues** — per-connection response queues are bounded; a
-//!   consumer that lets its queue fill is disconnected (slow-consumer
-//!   policy) rather than allowed to wedge server memory.
+//! * **Write path** — the connection thread writes each response to the
+//!   socket itself; only frames produced on other threads (push
+//!   notifications, and responses that must wait behind them) go
+//!   through a bounded queue and the session's writer thread. All writes
+//!   take the session's one write lock, so frames never interleave and
+//!   leave in the order they were produced. A consumer that stops
+//!   reading is disconnected (slow-consumer policy) when a write outlasts
+//!   the write timeout or its queue fills, rather than allowed to wedge
+//!   a thread or server memory.
 //! * **Idle reaping** — sessions idle past the configured timeout are
 //!   disconnected and their open transactions aborted, so an orphaned
 //!   client can never pin locks forever.
@@ -30,6 +36,7 @@ use reach_common::sync::Mutex;
 use reach_common::{FastMap, FastSet, ReachError, Result, TxnId};
 use reach_core::{DeadLetter, ReachSystem};
 use reach_object::Value;
+use std::io::{ErrorKind, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,9 +52,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Admission bound: maximum concurrent sessions.
     pub max_sessions: usize,
-    /// Bounded per-connection write queue (frames). A session whose
-    /// queue is full when a response or notification arrives is
-    /// disconnected as a slow consumer.
+    /// Bounded per-connection write queue (frames): push notifications,
+    /// and the responses queued behind them to keep frame order. A
+    /// session whose queue is full when a frame arrives is disconnected
+    /// as a slow consumer. Responses with nothing queued ahead of them
+    /// bypass it and are written by the connection thread.
     pub write_queue: usize,
     /// Sessions idle longer than this are reaped.
     pub idle_timeout: Duration,
@@ -84,20 +93,38 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long one frame write may block before the peer is taken for a
+/// slow consumer and disconnected.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// One admitted connection.
 struct Session {
     id: u64,
     /// Clone of the connection's stream, used to force it closed from
     /// the reaper or shutdown (the reader wakes with an error).
     stream: TcpStream,
-    /// Bounded response/notification queue drained by the writer.
+    /// The session's one write path to the socket.
+    out: Arc<Outbox>,
+    /// Bounded queue of whole frames drained by the writer thread.
     sender: SyncSender<Vec<u8>>,
+    /// Cleared when the session is retired; the connection thread then
+    /// stops serving it.
+    live: AtomicBool,
     /// Transactions this session owns. Anything still here when the
     /// session ends is aborted.
     txns: Mutex<FastSet<TxnId>>,
     last_active: Mutex<Instant>,
     sub_firings: AtomicBool,
     sub_dead_letters: AtomicBool,
+}
+
+/// Every frame reaches the socket under `stream`'s lock, so frames
+/// never interleave. `queued` counts frames handed to the writer thread
+/// and not yet written: a response skips the queue only when it is 0,
+/// so frames leave in the order they were produced.
+struct Outbox {
+    stream: Mutex<TcpStream>,
+    queued: AtomicUsize,
 }
 
 impl Session {
@@ -107,6 +134,15 @@ impl Session {
 
     fn force_close(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Hand a whole frame to the writer thread, counted as queued until
+    /// the writer has written it.
+    fn queue(&self, frame: Vec<u8>) -> std::result::Result<(), TrySendError<Vec<u8>>> {
+        self.out.queued.fetch_add(1, Ordering::SeqCst);
+        self.sender.try_send(frame).inspect_err(|_| {
+            self.out.queued.fetch_sub(1, Ordering::SeqCst);
+        })
     }
 }
 
@@ -148,6 +184,7 @@ impl Shared {
             let mut sessions = self.sessions.lock();
             let removed = sessions.remove(&session.id).is_some();
             if removed {
+                session.live.store(false, Ordering::SeqCst);
                 self.retiring.fetch_add(1, Ordering::SeqCst);
             }
             removed
@@ -167,15 +204,15 @@ impl Shared {
         self.sessions.lock().is_empty() && self.retiring.load(Ordering::SeqCst) == 0
     }
 
-    /// Push an encoded notification frame to every subscribed session;
-    /// a full queue disconnects the subscriber (slow-consumer policy).
+    /// Queue a notification frame to every subscribed session; a full
+    /// queue disconnects the subscriber (slow-consumer policy).
     fn fan_out(&self, frame: &[u8], want: impl Fn(&Session) -> bool) {
         let targets: Vec<Arc<Session>> = {
             let sessions = self.sessions.lock();
             sessions.values().filter(|s| want(s)).cloned().collect()
         };
         for s in targets {
-            match s.sender.try_send(frame.to_vec()) {
+            match s.queue(frame.to_vec()) {
                 Ok(()) => {
                     self.metrics().server.notifications_sent.inc();
                 }
@@ -298,7 +335,7 @@ pub fn serve(sys: Arc<ReachSystem>, cfg: ServerConfig) -> Result<ServerHandle> {
                 rule_name: notice.rule_name.clone(),
                 event_type: notice.event_type.raw(),
             })
-            .encode(0);
+            .frame(0);
             shared.fan_out(&frame, |s| s.sub_firings.load(Ordering::Relaxed));
         }));
     }
@@ -356,31 +393,35 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
             // The client's first request on a fresh connection is
             // always Hello with request id 1, so the rejection frame
             // answers it directly before the socket closes.
-            let payload = Response::from_error(
-                1,
-                &ReachError::Overloaded(format!(
-                    "session table full ({} sessions)",
-                    shared.cfg.max_sessions
-                )),
-            );
+            let frame = Response::error(&ReachError::Overloaded(format!(
+                "session table full ({} sessions)",
+                shared.cfg.max_sessions
+            )))
+            .frame(1);
             let mut s = stream;
-            let mut frame = Vec::with_capacity(4 + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            use std::io::Write as _;
             let _ = s.write_all(&frame);
             let _ = s.shutdown(Shutdown::Both);
             return;
         }
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(shared.cfg.write_queue);
-        let Ok(clone) = stream.try_clone() else {
+        // The timeout is the socket's, so it bounds every clone's writes.
+        let (Ok(()), Ok(closer), Ok(writer)) = (
+            stream.set_write_timeout(Some(WRITE_TIMEOUT)),
+            stream.try_clone(),
+            stream.try_clone(),
+        ) else {
             return;
         };
         let session = Arc::new(Session {
             id,
-            stream: clone,
+            stream: closer,
+            out: Arc::new(Outbox {
+                stream: Mutex::new(writer),
+                queued: AtomicUsize::new(0),
+            }),
             sender: tx,
+            live: AtomicBool::new(true),
             txns: Mutex::new(FastSet::default()),
             last_active: Mutex::new(Instant::now()),
             sub_firings: AtomicBool::new(false),
@@ -411,34 +452,24 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn spawn_writer(shared: &Arc<Shared>, session: &Arc<Session>, rx: Receiver<Vec<u8>>) {
-    let stream = session.stream.try_clone();
-    let id = session.id;
-    // Weak: the session owns the queue's sender, so a strong reference
-    // here would keep `recv` waiting, and this thread (with the whole
-    // system behind `shared`) alive, after the session has ended.
-    let session = Arc::downgrade(session);
-    let force_close = move || {
-        if let Some(s) = session.upgrade() {
-            s.force_close();
-        }
-    };
+/// The writer thread: drains the session's queue onto the socket.
+fn spawn_writer(shared: &Arc<Shared>, session: &Session, rx: Receiver<Vec<u8>>) {
+    // The outbox, not the session: the session owns the queue's sender,
+    // so holding it here would keep `recv` waiting, and this thread
+    // (with the whole system behind `shared`) alive, after the session
+    // has ended.
+    let out = Arc::clone(&session.out);
     let shared = Arc::clone(shared);
     let _ = std::thread::Builder::new()
-        .name(format!("reach-write-{id}"))
+        .name(format!("reach-write-{}", session.id))
         .spawn(move || {
-            use std::io::Write as _;
-            let Ok(mut stream) = stream else {
-                force_close();
-                return;
-            };
-            while let Ok(payload) = rx.recv() {
-                let mut frame = Vec::with_capacity(4 + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.extend_from_slice(&payload);
-                if stream.write_all(&frame).is_err() {
+            while let Ok(frame) = rx.recv() {
+                let mut stream = out.stream.lock();
+                let written = stream.write_all(&frame);
+                out.queued.fetch_sub(1, Ordering::SeqCst);
+                if written.is_err() {
                     // Writer death must wake the reader too.
-                    force_close();
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
                 shared
@@ -479,7 +510,7 @@ fn reaper_loop(shared: Arc<Shared>) {
             for d in shared.sys.take_dead_letters() {
                 let frame =
                     Response::Notification(Notification::DeadLetter(dead_letter_to_wire(&d)))
-                        .encode(0);
+                        .frame(0);
                 shared.fan_out(&frame, |s| s.sub_dead_letters.load(Ordering::Relaxed));
             }
         }
@@ -491,11 +522,13 @@ fn reaper_loop(shared: Arc<Shared>) {
 /// disconnect, or the server shuts down.
 fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Shared>) {
     let metrics = shared.metrics();
-    // Final error frames are written directly by this thread; bound
-    // those writes so a peer that stopped reading cannot wedge us.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let Ok(mut transport) = TcpTransport::new(stream, Some(shared.cfg.read_tick)) else {
         return;
+    };
+    // The last frame on a dying connection; it takes the same write path
+    // as every response.
+    let last_word = |request_id: u64, e: &ReachError| {
+        let _ = respond(shared, session, Response::error(e).frame(request_id));
     };
     let mut hello_done = false;
     loop {
@@ -504,17 +537,15 @@ fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Share
         }
         // The session may have been retired under us (slow-consumer or
         // idle reap); stop serving it.
-        if !shared.sessions.lock().contains_key(&session.id) {
+        if !session.live.load(Ordering::SeqCst) {
             return;
         }
         let payload = match transport.read_frame() {
             Ok(p) => p,
             Err(ReachError::IoTransient(_)) => continue,
-            Err(ReachError::Protocol(m)) => {
+            Err(e @ ReachError::Protocol(_)) => {
                 metrics.server.protocol_errors.inc();
-                // Final frame on a dying connection: written directly
-                // by the reader so it cannot race the forced close.
-                let _ = transport.write_frame(&Response::from_error(0, &ReachError::Protocol(m)));
+                last_word(0, &e);
                 return;
             }
             Err(_) => return,
@@ -525,7 +556,7 @@ fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Share
             Ok(x) => x,
             Err(e) => {
                 metrics.server.protocol_errors.inc();
-                let _ = transport.write_frame(&Response::from_error(0, &e));
+                last_word(0, &e);
                 return;
             }
         };
@@ -540,7 +571,7 @@ fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Share
                         session: session.id,
                         max_frame: MAX_FRAME as u32,
                     };
-                    if !enqueue(shared, session, resp.encode(request_id)) {
+                    if !respond(shared, session, resp.frame(request_id)) {
                         return;
                     }
                     metrics.server.requests.inc();
@@ -555,13 +586,13 @@ fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Share
                     let e = ReachError::Protocol(format!(
                         "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
                     ));
-                    let _ = transport.write_frame(&Response::from_error(request_id, &e));
+                    last_word(request_id, &e);
                     return;
                 }
                 _ => {
                     metrics.server.protocol_errors.inc();
                     let e = ReachError::Protocol("first request must be Hello".into());
-                    let _ = transport.write_frame(&Response::from_error(request_id, &e));
+                    last_word(request_id, &e);
                     return;
                 }
             }
@@ -569,22 +600,22 @@ fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Share
         // Execute under panic isolation.
         let result =
             std::panic::catch_unwind(AssertUnwindSafe(|| execute(shared, session, req, deadline)));
-        let encoded = match result {
-            Ok(Ok(resp)) => resp.encode(request_id),
+        let frame = match result {
+            Ok(Ok(resp)) => resp.frame(request_id),
             Ok(Err(e)) => {
                 metrics.server.request_errors.inc();
                 if matches!(e, ReachError::Protocol(_)) {
                     metrics.server.protocol_errors.inc();
                 }
-                Response::from_error(request_id, &e)
+                Response::error(&e).frame(request_id)
             }
             Err(_) => {
                 metrics.server.panics.inc();
                 metrics.server.request_errors.inc();
-                let _ = transport.write_frame(&Response::from_error(
+                last_word(
                     request_id,
                     &ReachError::Io("internal panic while handling request".into()),
-                ));
+                );
                 return;
             }
         };
@@ -593,21 +624,41 @@ fn connection_loop(stream: TcpStream, session: &Arc<Session>, shared: &Arc<Share
             .server
             .request_latency
             .record(t0.elapsed().as_nanos() as u64);
-        if !enqueue(shared, session, encoded) {
+        if !respond(shared, session, frame) {
             return;
         }
     }
 }
 
-/// Enqueue a response; a full queue disconnects the slow consumer.
-fn enqueue(shared: &Arc<Shared>, session: &Arc<Session>, frame: Vec<u8>) -> bool {
-    match session.sender.try_send(frame) {
-        Ok(()) => true,
-        Err(TrySendError::Full(_)) => {
-            shared.metrics().server.slow_consumer_disconnects.inc();
+/// Send a response frame from the connection thread: straight to the
+/// socket when no frame is queued ahead of it, else queued behind them.
+/// False ends the session: the peer is gone, or it stopped reading — a
+/// write that outlasts [`WRITE_TIMEOUT`] or a full queue — and is
+/// disconnected as a slow consumer.
+fn respond(shared: &Shared, session: &Session, frame: Vec<u8>) -> bool {
+    let server = &shared.metrics().server;
+    let mut stream = session.out.stream.lock();
+    if session.out.queued.load(Ordering::SeqCst) > 0 {
+        return match session.queue(frame) {
+            Ok(()) => true,
+            Err(TrySendError::Full(_)) => {
+                server.slow_consumer_disconnects.inc();
+                false
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        };
+    }
+    match stream.write_all(&frame) {
+        Ok(()) => {
+            server.bytes_written.add(frame.len() as u64);
+            true
+        }
+        Err(e) => {
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                server.slow_consumer_disconnects.inc();
+            }
             false
         }
-        Err(TrySendError::Disconnected(_)) => false,
     }
 }
 

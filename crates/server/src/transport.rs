@@ -15,7 +15,7 @@
 //! once a torn/crash trigger fires the transport is dead in both
 //! directions, exactly like a kicked cable.
 
-use crate::wire::MAX_FRAME;
+use crate::wire::{frame, MAX_FRAME};
 use reach_common::fault::{FaultInjector, FaultPoint, WriteOutcome};
 use reach_common::{ReachError, Result};
 use std::io::{Read, Write};
@@ -118,10 +118,8 @@ impl Transport for TcpTransport {
                 payload.len()
             )));
         }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.stream.write_all(&frame)?;
+        self.stream
+            .write_all(&frame(payload.len(), |out| out.extend_from_slice(payload)))?;
         Ok(())
     }
 
@@ -180,11 +178,9 @@ impl<T: Transport> Transport for FaultTransport<T> {
                 // A byte-precise prefix of the full frame (length
                 // prefix included) lands on the wire; the peer sees a
                 // torn frame and this side sees a dead connection.
-                let mut frame = Vec::with_capacity(4 + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.extend_from_slice(payload);
-                let keep = keep.min(frame.len());
-                let _ = self.inner.write_raw(&frame[..keep]);
+                let whole = frame(payload.len(), |out| out.extend_from_slice(payload));
+                let keep = keep.min(whole.len());
+                let _ = self.inner.write_raw(&whole[..keep]);
                 Err(Self::dead(FaultPoint::NetWrite))
             }
         }

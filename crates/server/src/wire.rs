@@ -25,6 +25,18 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Protocol revision carried in `Hello`/`HelloOk`.
 pub const PROTOCOL_VERSION: u32 = 1;
 
+/// Build one whole frame in one buffer: room for the `u32` length
+/// prefix, then the payload `body` appends, then the length patched in
+/// place. `capacity` is the expected payload size.
+pub fn frame(capacity: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + capacity);
+    out.extend_from_slice(&[0; 4]);
+    body(&mut out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
 /// One client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -482,41 +494,52 @@ impl Response {
     /// `request_id` must be 0 for (and only for) notifications.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        put_u64(&mut out, request_id);
+        self.encode_into(request_id, &mut out);
+        out
+    }
+
+    /// Encode as a whole frame, length prefix included — the bytes a
+    /// server writes to the socket.
+    pub fn frame(&self, request_id: u64) -> Vec<u8> {
+        frame(16, |out| self.encode_into(request_id, out))
+    }
+
+    fn encode_into(&self, request_id: u64, out: &mut Vec<u8>) {
+        put_u64(out, request_id);
         match self {
             Response::Ok => out.push(0),
             Response::Err { code, message } => {
                 out.push(1);
-                put_u16(&mut out, *code);
-                put_str(&mut out, message);
+                put_u16(out, *code);
+                put_str(out, message);
             }
             Response::Txn(t) => {
                 out.push(2);
-                put_u64(&mut out, t.raw());
+                put_u64(out, t.raw());
             }
             Response::Oid(o) => {
                 out.push(3);
-                put_u64(&mut out, o.raw());
+                put_u64(out, o.raw());
             }
             Response::Value(v) => {
                 out.push(4);
-                v.encode_into(&mut out);
+                v.encode_into(out);
             }
             Response::Rule(rid) => {
                 out.push(5);
-                put_u64(&mut out, rid.raw());
+                put_u64(out, rid.raw());
             }
             Response::HelloOk { session, max_frame } => {
                 out.push(6);
-                put_u64(&mut out, *session);
-                put_u32(&mut out, *max_frame);
+                put_u64(out, *session);
+                put_u32(out, *max_frame);
             }
             Response::Pong => out.push(7),
             Response::DeadLetters(list) => {
                 out.push(8);
-                put_u16(&mut out, list.len() as u16);
+                put_u16(out, list.len() as u16);
                 for d in list {
-                    put_dead_letter(&mut out, d);
+                    put_dead_letter(out, d);
                 }
             }
             Response::Notification(n) => {
@@ -528,23 +551,22 @@ impl Response {
                         event_type,
                     } => {
                         out.push(0);
-                        put_u64(&mut out, rule.raw());
-                        put_str(&mut out, rule_name);
-                        put_u64(&mut out, *event_type);
+                        put_u64(out, rule.raw());
+                        put_str(out, rule_name);
+                        put_u64(out, *event_type);
                     }
                     Notification::DeadLetter(d) => {
                         out.push(1);
-                        put_dead_letter(&mut out, d);
+                        put_dead_letter(out, d);
                     }
                 }
             }
             Response::Shard { shard, shards } => {
                 out.push(10);
-                put_u32(&mut out, *shard);
-                put_u32(&mut out, *shards);
+                put_u32(out, *shard);
+                put_u32(out, *shards);
             }
         }
-        out
     }
 
     /// Decode a frame payload into `(request_id, response)`.
@@ -597,13 +619,12 @@ impl Response {
         Ok((request_id, resp))
     }
 
-    /// Build the error response for `e` against `request_id`.
-    pub fn from_error(request_id: u64, e: &ReachError) -> Vec<u8> {
+    /// The error response carrying `e`.
+    pub fn error(e: &ReachError) -> Response {
         Response::Err {
             code: e.wire_code(),
             message: e.to_string(),
         }
-        .encode(request_id)
     }
 }
 

@@ -264,7 +264,8 @@ fn idle_sessions_are_reaped_and_their_txns_aborted() {
 /// buffers without limit.
 #[test]
 fn slow_consumers_are_disconnected() {
-    let (sys, _class) = world();
+    let (sys, class) = world();
+    let other_oid = persistent_obj(&sys, class);
     let cfg = ServerConfig {
         write_queue: 2,
         ..quick_cfg()
@@ -311,6 +312,25 @@ fn slow_consumers_are_disconnected() {
             break; // server already cut us off
         }
     }
+    // The stuck session holds up only itself: another client's calls
+    // are each answered promptly meanwhile.
+    let mut other = Client::connect(&handle.addr(), client_cfg()).unwrap();
+    let within_1s = |what: &str, t0: Instant| {
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "{what} took {:?} beside a stuck session",
+            t0.elapsed()
+        );
+    };
+    let t0 = Instant::now();
+    let txn = other.begin().unwrap();
+    within_1s("begin", t0);
+    let t0 = Instant::now();
+    assert_eq!(other.get(txn, other_oid, "v").unwrap(), Value::Int(0));
+    within_1s("get", t0);
+    let t0 = Instant::now();
+    other.commit(txn).unwrap();
+    within_1s("commit", t0);
     let deadline = Instant::now() + Duration::from_secs(20);
     while sys.metrics().server.slow_consumer_disconnects.get() == 0 {
         assert!(
@@ -451,6 +471,79 @@ fn rules_defined_over_the_wire_fire_and_notify_subscribers() {
         }
         other => panic!("expected RuleFired, got {other:?}"),
     }
+    handle.shutdown();
+}
+
+/// Pushes and responses race for one socket. The subscriber's own
+/// transactions fire an immediate rule, so each push is produced on its
+/// connection thread just before the response; a second client fires the
+/// rule from another thread while the subscriber's responses are being
+/// written. Every response must match its request, every frame must
+/// decode, and every push the subscriber caused must arrive before the
+/// response that follows it.
+#[test]
+fn pushes_and_responses_share_one_socket_in_order() {
+    const TXNS: i64 = 300;
+    let (sys, class) = world();
+    let handle = serve(Arc::clone(&sys), quick_cfg()).unwrap();
+    let mut c = Client::connect(&handle.addr(), client_cfg()).unwrap();
+    c.subscribe(true, false).unwrap();
+    let rid = c
+        .define_rule(
+            r#"
+            rule Echo {
+                decl Res *r, int x;
+                event after r->poke(x);
+                action imm r->note(x);
+            };
+            "#,
+        )
+        .unwrap();
+    let session = c.session();
+    let (ours, theirs) = (persistent_obj(&sys, class), persistent_obj(&sys, class));
+    let other = {
+        let addr = handle.addr();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr, client_cfg()).unwrap();
+            for i in 0..TXNS {
+                let t = c.begin().unwrap();
+                c.invoke(t, theirs, "poke", &[Value::Int(i)]).unwrap();
+                c.commit(t).unwrap();
+            }
+        })
+    };
+    let mut pushes = 0;
+    let count = |pushes: &mut i64, n: Option<Notification>| match n {
+        Some(Notification::RuleFired { rule, .. }) if rule == rid => *pushes += 1,
+        other => panic!("push {pushes}: expected RuleFired, got {other:?}"),
+    };
+    for i in 0..TXNS {
+        let t = c.begin().unwrap();
+        assert_eq!(
+            c.invoke(t, ours, "poke", &[Value::Int(i)]).unwrap(),
+            Value::Null
+        );
+        // Pushes read while waiting for a response are buffered by the
+        // client; this one was queued ahead of the response.
+        while let Some(n) = c.recv_notification(Duration::ZERO).unwrap() {
+            count(&mut pushes, Some(n));
+        }
+        assert!(pushes > i, "invoke {i} answered before its push");
+        assert_eq!(c.get(t, ours, "n").unwrap(), Value::Int(i));
+        c.commit(t).unwrap();
+    }
+    other.join().unwrap();
+    while pushes < 2 * TXNS {
+        count(
+            &mut pushes,
+            c.recv_notification(Duration::from_secs(10)).unwrap(),
+        );
+    }
+    assert_eq!(
+        c.session(),
+        session,
+        "the client reconnected, so a frame was lost or garbled"
+    );
     handle.shutdown();
 }
 

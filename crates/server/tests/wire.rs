@@ -319,7 +319,12 @@ proptest! {
         let encoded = resp.encode(id);
         let (got_id, got) = Response::decode(&encoded).expect("decode own encoding");
         prop_assert_eq!(got_id, id);
-        prop_assert_eq!(got, resp);
+        prop_assert_eq!(&got, &resp);
+        // The server's whole-frame encoding is the length prefix, then
+        // exactly these payload bytes.
+        let whole = resp.frame(id);
+        prop_assert_eq!(&whole[..4], &(encoded.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&whole[4..], &encoded[..]);
     }
 
     /// A torn frame — any strict prefix of a valid encoding — must fail

@@ -16,7 +16,9 @@
 //!   leaf splice, which is not idempotent, safe to redo.
 //! * **Undo** rolls back every loser in reverse log order, writing CLRs,
 //!   and finishes each with an `Abort` record — restart after a crash
-//!   *during* recovery is therefore also safe.
+//!   *during* recovery is therefore also safe. A torn tail the salvage
+//!   scan stopped at is cut off first, so these records, and everything
+//!   logged after the restart, follow the last whole frame.
 
 use crate::heap::redo_on;
 use crate::sm::{StorageManager, SYSTEM_TXN};
@@ -66,6 +68,10 @@ pub fn recover(sm: &StorageManager) -> Result<RecoveryReport> {
         scanned_bytes: sm.wal().tail().saturating_sub(sm.wal().base_lsn()),
         ..Default::default()
     };
+    // Cut any torn tail before the first append (undo's CLRs and
+    // Aborts): a record written after the torn bytes would sit where the
+    // next salvage scan stops.
+    sm.wal().truncate_tail(log_end)?;
 
     // ---- analysis ----
     // Last complete checkpoint pair. `pending` pairs each End with the

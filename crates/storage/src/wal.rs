@@ -540,7 +540,13 @@ thread_local! {
 
 enum Sink {
     Mem(Vec<u8>),
-    File { file: File, len: u64, path: PathBuf },
+    /// The file sits behind an `Arc` so a force can sync it outside
+    /// the sink lock without duplicating the descriptor.
+    File {
+        file: Arc<File>,
+        len: u64,
+        path: PathBuf,
+    },
 }
 
 /// The sink plus every counter that must move atomically with it.
@@ -680,7 +686,7 @@ impl WriteAheadLog {
         Ok(WriteAheadLog {
             sink: Mutex::new(SinkState {
                 sink: Sink::File {
-                    file,
+                    file: Arc::new(file),
                     len,
                     path: path.to_path_buf(),
                 },
@@ -725,8 +731,8 @@ impl WriteAheadLog {
             Sink::Mem(buf) => Ok(buf.clone()),
             Sink::File { file, len, .. } => {
                 let mut buf = vec![0u8; *len as usize];
-                file.seek(SeekFrom::Start(0))?;
-                file.read_exact(&mut buf)?;
+                (&**file).seek(SeekFrom::Start(0))?;
+                (&**file).read_exact(&mut buf)?;
                 Ok(buf)
             }
         }
@@ -817,8 +823,8 @@ impl WriteAheadLog {
                 buf.extend_from_slice(bytes);
             }
             Sink::File { file, len, .. } => {
-                file.seek(SeekFrom::Start(*len))?;
-                file.write_all(bytes)?;
+                (&**file).seek(SeekFrom::Start(*len))?;
+                (&**file).write_all(bytes)?;
                 *len += bytes.len() as u64;
             }
         }
@@ -887,7 +893,7 @@ impl WriteAheadLog {
     /// the tail under the sink lock and syncs the device *outside* it,
     /// so appends (a logged page change makes its append inside the
     /// page's write latch) never queue behind an `fdatasync`. The sync
-    /// goes through a duplicate of the log's descriptor and covers
+    /// goes through a shared handle to the log's file and covers
     /// every byte written before it starts, so everything below the
     /// captured tail. The bytes it covered leave the unforced counter
     /// only once it has succeeded, and before the caller publishes the
@@ -907,7 +913,7 @@ impl WriteAheadLog {
         let (file, tail, pending) = {
             let st = self.sink.lock();
             let file = match &st.sink {
-                Sink::File { file, .. } => Some(file.try_clone()?),
+                Sink::File { file, .. } => Some(Arc::clone(file)),
                 Sink::Mem(_) => None,
             };
             (file, st.tail(), st.unforced)
@@ -972,8 +978,8 @@ impl WriteAheadLog {
                 Sink::Mem(buf) => buf[offset as usize..].to_vec(),
                 Sink::File { file, len, .. } => {
                     let mut buf = vec![0u8; (*len - offset) as usize];
-                    file.seek(SeekFrom::Start(offset))?;
-                    file.read_exact(&mut buf)?;
+                    (&**file).seek(SeekFrom::Start(offset))?;
+                    (&**file).read_exact(&mut buf)?;
                     buf
                 }
             };
@@ -1043,8 +1049,8 @@ impl WriteAheadLog {
             Sink::Mem(buf) => buf.clone(),
             Sink::File { file, len, .. } => {
                 let mut buf = vec![0u8; *len as usize];
-                file.seek(SeekFrom::Start(0))?;
-                file.read_exact(&mut buf)?;
+                (&**file).seek(SeekFrom::Start(0))?;
+                (&**file).read_exact(&mut buf)?;
                 buf
             }
         };
@@ -1106,13 +1112,13 @@ impl WriteAheadLog {
                 let mut dropped = Vec::new();
                 if archive.is_some() {
                     dropped.resize(drop_bytes as usize, 0);
-                    file.seek(SeekFrom::Start(FIRST_LSN))?;
-                    file.read_exact(&mut dropped)?;
+                    (&**file).seek(SeekFrom::Start(FIRST_LSN))?;
+                    (&**file).read_exact(&mut dropped)?;
                 } else {
-                    file.seek(SeekFrom::Start(FIRST_LSN + drop_bytes))?;
+                    (&**file).seek(SeekFrom::Start(FIRST_LSN + drop_bytes))?;
                 }
                 let mut rest = vec![0u8; keep];
-                file.read_exact(&mut rest)?;
+                (&**file).read_exact(&mut rest)?;
                 let tmp = path.with_extension("truncating");
                 let mut out = File::create(&tmp)?;
                 out.write_all(&new_base.to_le_bytes())?;
@@ -1129,7 +1135,7 @@ impl WriteAheadLog {
                     _ => std::path::Path::new("."),
                 };
                 File::open(dir)?.sync_all()?;
-                *file = OpenOptions::new().read(true).write(true).open(&*path)?;
+                *file = Arc::new(OpenOptions::new().read(true).write(true).open(&*path)?);
                 *len = FIRST_LSN + keep as u64;
                 if let Some(arch) = archive {
                     arch.extend_from_slice(&dropped);
@@ -1145,6 +1151,44 @@ impl WriteAheadLog {
             m.ckpt.truncated_bytes.add(drop_bytes);
         }
         Ok(drop_bytes)
+    }
+
+    /// Cut the log back to `end`, dropping every byte at or above it.
+    /// Recovery calls this with [`ScanReport::end`] before it appends
+    /// anything, so a torn tail is cut off rather than left between the
+    /// last whole frame and the records appended after the restart,
+    /// where the next salvage scan would stop. The forced LSN comes down
+    /// to `end` as well: opening a log sets it at the image tail, torn
+    /// bytes included, and left there it would let a force of a record
+    /// below that old tail return without syncing. Returns the bytes cut.
+    pub fn truncate_tail(&self, end: Lsn) -> Result<u64> {
+        let mut st = self.sink.lock();
+        let tail = st.tail();
+        if end >= tail {
+            return Ok(0);
+        }
+        if end < st.base {
+            return Err(ReachError::WalCorrupt(format!(
+                "truncate_tail({end}) below base LSN {}",
+                st.base
+            )));
+        }
+        let keep = end - st.base + FIRST_LSN;
+        match &mut st.sink {
+            Sink::Mem(buf) => buf.truncate(keep as usize),
+            Sink::File { file, len, .. } => {
+                file.set_len(keep)?;
+                file.sync_data()?;
+                *len = keep;
+            }
+        }
+        // Unforced bytes are the newest ones, so the cut takes them first.
+        let cut = tail - end;
+        st.unforced = st.unforced.saturating_sub(cut);
+        drop(st);
+        let mut g = self.group.lock();
+        g.forced_lsn = g.forced_lsn.min(end);
+        Ok(cut)
     }
 
     /// Bytes appended since the last force (0 means fully durable).
@@ -1408,6 +1452,36 @@ mod tests {
         let scanned = log.scan().unwrap();
         assert_eq!(scanned.len(), 1);
         assert!(matches!(scanned[0].1, WalRecord::Begin { .. }));
+    }
+
+    #[test]
+    fn truncate_tail_cuts_torn_bytes_and_lowers_the_forced_lsn() {
+        let log = WriteAheadLog::in_memory();
+        log.append(&WalRecord::Begin { txn: TxnId::new(1) })
+            .unwrap();
+        log.append(&WalRecord::Commit { txn: TxnId::new(1) })
+            .unwrap();
+        let mut image = log.image().unwrap();
+        image.truncate(image.len() - 3);
+        // A reboot takes every surviving byte, torn ones included, as forced.
+        let log = WriteAheadLog::in_memory_from(image);
+        let end = log.scan_report().unwrap().end;
+        let torn = log.tail() - end;
+        assert!(torn > 0 && log.forced_lsn() == log.tail());
+        assert_eq!(log.truncate_tail(end).unwrap(), torn);
+        assert_eq!((log.tail(), log.forced_lsn()), (end, end));
+        // A record appended at the cut lands below the old tail; forcing
+        // it must still sync it.
+        let (lsn, rec_end) = log
+            .append_bounded(&WalRecord::Abort { txn: TxnId::new(1) })
+            .unwrap();
+        assert_eq!(lsn, end);
+        log.force_up_to(rec_end).unwrap();
+        assert_eq!(log.unforced_bytes(), 0);
+        let rep = log.scan_report().unwrap();
+        assert_eq!((rep.records.len(), rep.salvaged_bytes), (2, 0));
+        // Nothing to cut on a clean tail.
+        assert_eq!(log.truncate_tail(log.tail()).unwrap(), 0);
     }
 
     #[test]

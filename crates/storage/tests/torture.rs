@@ -24,7 +24,7 @@ use reach_storage::torture::{
     oracle_truncate_count, run_workload, torture_at, torture_crash_during_recovery,
     torture_force_crash, torture_truncate_crash, visible_state, WorkloadSpec,
 };
-use reach_storage::{FaultDisk, MemDisk, StableStorage, StorageManager, WriteAheadLog};
+use reach_storage::{FaultDisk, FileDisk, MemDisk, StableStorage, StorageManager, WriteAheadLog};
 use std::sync::Arc;
 
 fn spec() -> WorkloadSpec {
@@ -176,9 +176,12 @@ fn torn_wal_tail_is_salvaged_on_recovery() {
     assert_eq!(scan.records.len(), full_frames.len() + 1); // + t2's Begin
     assert_eq!(scan.salvaged_bytes, 7);
 
-    let (sm2, report) =
-        StorageManager::open_with(Arc::clone(&disk) as Arc<dyn StableStorage>, revived, 16)
-            .unwrap();
+    let (sm2, report) = StorageManager::open_with(
+        Arc::clone(&disk) as Arc<dyn StableStorage>,
+        Arc::clone(&revived),
+        16,
+    )
+    .unwrap();
     assert_eq!(report.salvaged_bytes, 7);
     assert_eq!(
         report.losers,
@@ -187,6 +190,73 @@ fn torn_wal_tail_is_salvaged_on_recovery() {
     );
     assert_eq!(sm2.get(seg, keep).unwrap(), b"survives");
     assert_eq!(sm2.scan(seg).unwrap().len(), 1);
+
+    // Work committed after the torn-tail restart survives the next
+    // crash: recovery cut the torn bytes before appending, so nothing
+    // sits behind them where the next salvage scan would stop.
+    let t3 = TxnId::new(3);
+    sm2.begin(t3).unwrap();
+    let later = sm2.insert(t3, seg, b"after the restart").unwrap();
+    sm2.commit(t3).unwrap();
+    let image = revived.durable_image().unwrap();
+    drop(sm2);
+    let (sm3, report) = StorageManager::open_with(
+        disk as Arc<dyn StableStorage>,
+        Arc::new(WriteAheadLog::in_memory_from(image)),
+        16,
+    )
+    .unwrap();
+    assert_eq!(report.salvaged_bytes, 0, "a torn tail was left in the log");
+    assert_eq!(sm3.get(seg, later).unwrap(), b"after the restart");
+    assert_eq!(sm3.get(seg, keep).unwrap(), b"survives");
+}
+
+#[test]
+fn torn_wal_file_tail_is_cut_before_recovery_appends() {
+    // The file-backed twin of the test above: `wal.log` is cut mid-frame
+    // on disk, the directory is reopened, a transaction commits, and the
+    // directory is reopened again.
+    let dir = std::env::temp_dir().join(format!("reach-torn-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("wal.log");
+    let open = || {
+        let disk = FileDisk::open(&dir.join("data.db")).unwrap();
+        let wal = WriteAheadLog::open(&log).unwrap();
+        StorageManager::open_with(Arc::new(disk), Arc::new(wal), 16).unwrap()
+    };
+    let (sm, _) = open();
+    let seg = sm.create_segment("torture").unwrap();
+    let t1 = TxnId::new(1);
+    sm.begin(t1).unwrap();
+    let keep = sm.insert(t1, seg, b"survives").unwrap();
+    sm.commit(t1).unwrap();
+    let t2 = TxnId::new(2);
+    sm.begin(t2).unwrap();
+    // Appends reach the file at once, so its length is t2's Begin end.
+    let after_begin = std::fs::metadata(&log).unwrap().len();
+    sm.insert(t2, seg, b"in the torn frame").unwrap();
+    drop(sm);
+    let file = std::fs::OpenOptions::new().write(true).open(&log).unwrap();
+    assert!(file.metadata().unwrap().len() > after_begin + 7);
+    file.set_len(after_begin + 7).unwrap();
+    drop(file);
+
+    let (sm2, report) = open();
+    assert_eq!(report.salvaged_bytes, 7);
+    assert_eq!(report.losers, vec![t2]);
+    let t3 = TxnId::new(3);
+    sm2.begin(t3).unwrap();
+    let later = sm2.insert(t3, seg, b"after the restart").unwrap();
+    sm2.commit(t3).unwrap();
+    drop(sm2);
+
+    let (sm3, report) = open();
+    assert_eq!(report.salvaged_bytes, 0, "a torn tail was left in wal.log");
+    assert_eq!(sm3.get(seg, later).unwrap(), b"after the restart");
+    assert_eq!(sm3.get(seg, keep).unwrap(), b"survives");
+    drop(sm3);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
